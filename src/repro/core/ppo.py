@@ -7,13 +7,14 @@ Faithful to the paper's loss:
 * clipped surrogate ``−min(r_t A_t, clip(r_t, 1−ε, 1+ε) A_t)``;
 * critic term ``0.5 · MSE(G_t, V_φ(s_t))``;
 * entropy bonus ``−0.1 · entropy``;
-* a single Adam optimizer over both networks; old policy synced after the
-  update.
+* a single Adam optimizer over both networks.  π_old is the policy that
+  collected the rollout: its log-probs are stored with each transition, so
+  no second policy network is kept.
 
 Deviations exposed as configuration (see EXPERIMENTS.md for the study):
 
 * ``update_epochs`` (default 4): the paper does one gradient pass per
-  episode, where the ratio against the just-synced old policy starts at 1
+  episode, where the ratio against the collecting policy starts at 1
   and the clip is inert; re-walking the batch makes the clip active and
   converges in fewer episodes.  Set 1 for the literal behaviour.
 * ``entropy_coef`` (default 1e-3): the paper's 0.1 applies to *raw-utility*
@@ -192,16 +193,15 @@ class PPOAgent:
             log_std_range=cfg.log_std_range,
             rng=self.rng,
         )
-        self.policy_old = PolicyNetwork(
-            state_dim,
-            action_dim,
-            cfg.hidden_dim,
-            cfg.policy_blocks,
-            log_std_init=cfg.log_std_init,
-            log_std_range=cfg.log_std_range,
-            rng=self.rng,
-        )
-        self.policy_old.copy_from(self.policy)
+        # The ratio's π_old is the stored rollout log-probs, so no second
+        # policy network is built.  Its orthogonal init's draws (one
+        # standard normal per Linear weight entry) are still consumed, so
+        # value init, action noise and every recorded seeded fingerprint
+        # stay unchanged.
+        self.rng.normal(size=sum(
+            p.size for name, p in self.policy.named_parameters()
+            if name.rsplit(".", 1)[-1] == "weight"
+        ))
         self.value = ValueNetwork(state_dim, cfg.hidden_dim, cfg.value_blocks, rng=self.rng)
         self.optimizer = Adam(
             self.policy.parameters() + self.value.parameters(), lr=cfg.learning_rate
@@ -325,8 +325,6 @@ class PPOAgent:
                 ),
             }
 
-        # π_old ← π (Algorithm 2, line 28).
-        self.policy_old.copy_from(self.policy)
         return stats
 
     # ------------------------------------------------------------- persistence
@@ -340,5 +338,4 @@ class PPOAgent:
     def load_state_dict(self, state: dict) -> None:
         """Restore from :meth:`state_dict` output."""
         self.policy.load_state_dict(state["policy"])
-        self.policy_old.copy_from(self.policy)
         self.value.load_state_dict(state["value"])

@@ -83,10 +83,6 @@ class Module:
                 )
             param.data[...] = value
 
-    def copy_from(self, other: "Module") -> None:
-        """In-place copy of another module's parameters (e.g. old policy sync)."""
-        self.load_state_dict(other.state_dict())
-
     # ---------------------------------------------------------------- calling
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError

@@ -44,10 +44,7 @@ asserts.
 Member :class:`~repro.nn.module.Parameter` objects are rebound to row views
 of the stacks, so per-member ``state_dict`` / ``load_state_dict`` /
 checkpointing and the compiled inference plans (:mod:`repro.nn.plan`) keep
-working unchanged and stay in sync with the stacked storage.  ``policy_old``
-is *not* re-synced after stacked updates: nothing in the update reads it
-(the ratio uses stored rollout log-probs), and the population evaluation
-phase reloads checkpoints via ``load_state_dict``, which re-syncs it.
+working unchanged and stay in sync with the stacked storage.
 """
 
 from __future__ import annotations

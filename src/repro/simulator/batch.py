@@ -2,11 +2,25 @@
 
 :class:`BatchedSimulator` holds N independent transfer states (sender /
 receiver occupancy, elapsed time, per-stage moved / finish accumulators) as
-numpy column arrays and advances all of them in one vectorized call.  It
-replays :class:`~repro.simulator.core.IONetworkSimulator`'s event queue
+numpy column arrays and advances all of them in one ``step_second`` call.
+It replays :class:`~repro.simulator.core.IONetworkSimulator`'s event queue
 **bit-identically** — every ``StageMetrics`` field and both diagnostics
 match the scalar oracle exactly — so consumers (population training, the
 fleet co-simulation path) can switch between the two freely.
+
+Two engines, chosen per step
+----------------------------
+
+The vectorized *superround* engine below pays a fixed numpy cost per round,
+and a round advances each column by only its earliest run of tied tasks.
+Columns with one cadence — equal per-stage rate and chunk rows, equal ε,
+overhead and duration — stay aligned, and a batch of
+:data:`SUPERROUND_MIN_BATCH` or more of them steps through superrounds.
+Any other batch steps each column in turn through the scalar kernel
+:func:`~repro.simulator.core.event_loop`.  Jittered population members
+never share a cadence and fall out of step: on fig5-read variants a step
+took ~350 superrounds of ~20 heap pops each, and ran 0.11× as fast as the
+scalar loops (DESIGN §15.1).
 
 How the heap is vectorized
 --------------------------
@@ -46,9 +60,10 @@ Rate/chunk tables are precomputed per clamped triple with ``np.minimum``
 over the batch, replicating the scalar operation order exactly
 (``min(tpt, bw / n) * 1e6 / 8.0``).
 
-Telemetry (``sim/batch_steps``, ``sim/batch_size`` counters and a deferred
+Telemetry (``sim/batch_steps``, ``sim/batch_size``, ``sim/batch_column_steps``,
+``sim/batch_rounds`` and ``sim/batch_events`` counters and a deferred
 column-lane summary) accumulates in plain python attributes during
-stepping — the hot loop performs **no** observability lookups — and is
+stepping — neither engine performs any observability lookup — and is
 exported once by :meth:`BatchedSimulator.export_telemetry`.
 """
 
@@ -61,10 +76,17 @@ import numpy as np
 
 from repro import obs
 from repro.simulator.config import SimulatorConfig
-from repro.simulator.core import StageMetrics
+from repro.simulator.core import StageMetrics, event_loop, initial_queue
 from repro.utils.errors import SimulationError
 
-__all__ = ["BatchStageMetrics", "BatchedSimulator"]
+__all__ = ["SUPERROUND_MIN_BATCH", "BatchStageMetrics", "BatchedSimulator"]
+
+#: Smallest one-cadence batch that steps through superrounds: the
+#: measured break-even.  In the thread-throttled ``fleet_steps`` regime of
+#: ``benchmarks/bench_parallel.py`` (2-vCPU Xeon guest, one BLAS thread)
+#: superrounds ran 0.8× as fast as per-column stepping at batch 3, 1.1× at
+#: 4, 1.3× at 5, 1.4–2.0× at 8 and 11–13× at 64.
+SUPERROUND_MIN_BATCH = 5
 
 _INF = np.inf
 _BIG = np.int32(2**31 - 1)
@@ -167,6 +189,16 @@ class BatchedSimulator:
         self._chunk_s = col(lambda c: c.chunk_seconds)
         self._min_chunk = col(lambda c: c.min_chunk_bytes)
         self._nmax = np.array([c.max_threads for c in self.configs], dtype=np.int64)
+        #: Per-column event-loop constants as python floats (per-column path).
+        self._loop_consts = list(zip(*(
+            a.tolist()
+            for a in (self._horizon, self._eps, self._ovh, self._cap_s, self._cap_r)
+        )))
+        #: Whether every column shares one duration, epsilon and overhead —
+        #: with equal rate/chunk rows, the superround engine's precondition.
+        self._one_timing = all(
+            bool((a == a[0]).all()) for a in (self._horizon, self._eps, self._ovh)
+        )
 
         self._sender = np.zeros(n)
         self._receiver = np.zeros(n)
@@ -181,6 +213,7 @@ class BatchedSimulator:
         # Telemetry accumulates in plain ints/lists; no obs calls in-loop.
         self._stat_steps = 0
         self._stat_transfer_steps = 0
+        self._stat_column_steps = 0
         self._stat_rounds: list[int] = []
         self._stat_events: list[int] = []
 
@@ -242,8 +275,23 @@ class BatchedSimulator:
 
         ``threads`` is an ``(N, 3)`` array-like of per-transfer concurrency
         triples; values are rounded and clamped to ``[1, max_threads]``
-        exactly as the scalar simulator does.
+        exactly as the scalar simulator does.  Batches of at least
+        :data:`SUPERROUND_MIN_BATCH` columns that share one cadence step
+        through vectorized superrounds; any other batch steps each column
+        through the scalar event loop.  Both are bit-identical to it.
         """
+        n, rates3, chunks3 = self._tables(threads)
+        if (
+            self.batch >= SUPERROUND_MIN_BATCH
+            and self._one_timing
+            and bool((rates3 == rates3[0]).all())
+            and bool((chunks3 == chunks3[0]).all())
+        ):
+            return self._step_superrounds(n, rates3, chunks3)
+        return self._step_columns(n, rates3, chunks3)
+
+    def _tables(self, threads):
+        """Clamped ``(N, 3)`` threads and the per-(transfer, stage) rate/chunk tables."""
         n_rows = self.batch
         threads = np.asarray(threads, dtype=np.float64)
         if threads.shape != (n_rows, 3):
@@ -251,11 +299,38 @@ class BatchedSimulator:
                 f"expected threads of shape ({n_rows}, 3), got {threads.shape}"
             )
         n = np.clip(np.rint(threads), 1, self._nmax[:, None]).astype(np.int64)
-        # Per-(transfer, stage) rate/chunk tables — the scalar op order
-        # (min(tpt, bw / n) * 1e6 / 8.0) replicated with batch minimums.
+        # The scalar op order (min(tpt, bw / n) * 1e6 / 8.0) replicated
+        # with batch minimums.
         rates3 = np.minimum(self._tpt3, self._bw3 / n) * 1e6 / 8.0
         chunks3 = np.maximum(self._min_chunk[:, None], rates3 * self._chunk_s[:, None])
+        return n, rates3, chunks3
 
+    def _step_columns(self, n, rates3, chunks3) -> BatchStageMetrics:
+        """Advance each column in turn through the scalar event loop."""
+        sender = self._sender.tolist()
+        receiver = self._receiver.tolist()
+        throughputs, blocked = [], []
+        events = 0
+        for i, (triple, rates, chunks) in enumerate(
+            zip(n.tolist(), rates3.tolist(), chunks3.tolist())
+        ):
+            thr, sender[i], receiver[i], retries, pops = event_loop(
+                rates, chunks, initial_queue(triple), sender[i], receiver[i],
+                *self._loop_consts[i],
+            )
+            throughputs.append(thr)
+            blocked.append(retries)
+            events += pops
+        self._sender[:] = sender
+        self._receiver[:] = receiver
+        self._stat_column_steps += self.batch
+        return self._finish(
+            n, np.array(throughputs), np.array(blocked, dtype=np.int64), 0, events
+        )
+
+    def _step_superrounds(self, n, rates3, chunks3) -> BatchStageMetrics:
+        """Advance every column at once by replaying the heaps in lockstep."""
+        n_rows = self.batch
         cum = np.cumsum(n, 1)
         total = cum[:, 2]
         ksl = int(n.max())
@@ -421,11 +496,17 @@ class BatchedSimulator:
                 proceed &= u >= m
 
         thr3 = (moved3 / np.maximum(horizon[:, None], fin3)) * 8.0 / 1e6
-        self._elapsed += horizon
+        return self._finish(n, thr3, blocked, rounds, events)
+
+    def _finish(self, n, thr3, blocked, rounds: int, events: int) -> BatchStageMetrics:
+        """Record one step's clocks, diagnostics and telemetry; build its metrics."""
+        sender, receiver = self._sender, self._receiver
+        self._elapsed += self._horizon
         self.last_blocked_retries = blocked
-        self.last_queue_peak = total.copy()
+        # Each pop pushes at most one task back: the peak is the initial size.
+        self.last_queue_peak = n.sum(1)
         self._stat_steps += 1
-        self._stat_transfer_steps += n_rows
+        self._stat_transfer_steps += self.batch
         self._stat_rounds.append(rounds)
         self._stat_events.append(events)
         return BatchStageMetrics(
@@ -434,8 +515,8 @@ class BatchedSimulator:
             throughput_write=thr3[:, 2],
             sender_usage=sender.copy(),
             receiver_usage=receiver.copy(),
-            sender_free=cap_s - sender,
-            receiver_free=cap_r - receiver,
+            sender_free=self._cap_s - sender,
+            receiver_free=self._cap_r - receiver,
             threads=n,
         )
 
@@ -444,15 +525,18 @@ class BatchedSimulator:
         """Flush accumulated counters to the active obs session, if any.
 
         Stepping itself never touches :mod:`repro.obs`; this exports the
-        deferred totals (``sim/batch_steps``, ``sim/batch_size``) and a
-        column-lane per-step summary in one call at end of run.  Returns
-        True when a session was active and the export happened.
+        deferred totals and a column-lane per-step summary in one call at
+        end of run.  ``sim/batch_column_steps`` counts the transfer-steps
+        taken per column, ``sim/batch_rounds`` the superrounds, and
+        ``sim/batch_events`` the scalar heap pops either engine replayed.
+        Returns True when a session was active and the export happened.
         """
         sess = obs.active()
         if sess is None or self._stat_steps == 0:
             return False
         sess.count("sim/batch_steps", self._stat_steps)
         sess.count("sim/batch_size", self._stat_transfer_steps)
+        sess.count("sim/batch_column_steps", self._stat_column_steps)
         sess.count("sim/batch_rounds", sum(self._stat_rounds))
         sess.count("sim/batch_events", sum(self._stat_events))
         steps = self._stat_steps
@@ -468,6 +552,7 @@ class BatchedSimulator:
         )
         self._stat_steps = 0
         self._stat_transfer_steps = 0
+        self._stat_column_steps = 0
         self._stat_rounds = []
         self._stat_events = []
         return True

@@ -169,10 +169,7 @@ class IONetworkSimulator:
             chunks = [
                 max(cfg.min_chunk_bytes, rate * cfg.chunk_seconds) for rate in rates
             ]
-            init_queue: list[tuple[float, int, int]] = []
-            for stage in (_READ, _NETWORK, _WRITE):
-                for _ in range(n[stage]):
-                    init_queue.append((0.0, len(init_queue), stage))
+            init_queue = initial_queue(n)
             if self.cache_rates:
                 if len(self._rate_cache) >= self._RATE_CACHE_MAX:
                     # FIFO eviction: drop the oldest triple (dict insertion
@@ -183,94 +180,18 @@ class IONetworkSimulator:
         else:
             rates, chunks, init_queue = cached
 
-        horizon = cfg.duration
-        eps = cfg.epsilon
-        overhead = cfg.task_overhead
-        sender_cap = cfg.sender_buffer_capacity
-        receiver_cap = cfg.receiver_buffer_capacity
-        sender = self._sender_usage
-        receiver = self._receiver_usage
-
-        # Hot loop: ~duration/(chunk_seconds + overhead) events per thread
-        # per call, millions of calls per training run.  Per-stage scalars
-        # replace list indexing, heap functions are bound locally, and
-        # ``min`` unrolls to comparisons — all value-identical to the
-        # straightforward form this replaced.
-        heappop, heappush = heapq.heappop, heapq.heappush
-        rate_r, rate_n, rate_w = rates
-        chunk_r, chunk_n, chunk_w = chunks
-        moved_r = moved_n = moved_w = 0.0
-        fin_r = fin_n = fin_w = 0.0
-        blocked_retries = 0
-
-        # The initial queue is already a valid min-heap: every priority is
-        # 0.0 and sequence numbers ascend, so no heapify is needed.  The
-        # sequence number breaks ties deterministically.  Each iteration
-        # pops one task and pushes at most one back, so the queue never
-        # grows past its starting depth — the peak *is* the initial size.
-        queue = init_queue.copy()
-        seq = len(queue)
-        queue_peak = seq
-
-        while queue:
-            t, _, stage = heappop(queue)
-            if stage == _READ:
-                free = sender_cap - sender
-                if free > 0.0:
-                    amount = chunk_r if chunk_r <= free else free
-                    sender += amount
-                    moved_r += amount
-                    finish = t + amount / rate_r
-                    if finish > fin_r:
-                        fin_r = finish
-                    t_next = finish + overhead
-                else:
-                    blocked_retries += 1
-                    t_next = t + eps
-            elif stage == _NETWORK:
-                free = receiver_cap - receiver
-                if sender > 0.0 and free > 0.0:
-                    amount = chunk_n
-                    if sender < amount:
-                        amount = sender
-                    if free < amount:
-                        amount = free
-                    sender -= amount
-                    receiver += amount
-                    moved_n += amount
-                    finish = t + amount / rate_n
-                    if finish > fin_n:
-                        fin_n = finish
-                    t_next = finish + overhead
-                else:
-                    blocked_retries += 1
-                    t_next = t + eps
-            else:  # _WRITE
-                if receiver > 0.0:
-                    amount = chunk_w if chunk_w <= receiver else receiver
-                    receiver -= amount
-                    moved_w += amount
-                    finish = t + amount / rate_w
-                    if finish > fin_w:
-                        fin_w = finish
-                    t_next = finish + overhead
-                else:
-                    blocked_retries += 1
-                    t_next = t + eps
-            if t_next < horizon:
-                heappush(queue, (t_next, seq, stage))
-                seq += 1
-
-        # Normalize throughputs by their finish times (line 37): a stage that
-        # ran past the horizon gets credited over its true elapsed time.
-        throughputs = [
-            bytes_per_sec_to_mbps(moved / (horizon if horizon >= fin else fin))
-            for moved, fin in ((moved_r, fin_r), (moved_n, fin_n), (moved_w, fin_w))
-        ]
+        throughputs, sender, receiver, blocked_retries, _ = event_loop(
+            rates, chunks, init_queue, self._sender_usage, self._receiver_usage,
+            cfg.duration, cfg.epsilon, cfg.task_overhead,
+            cfg.sender_buffer_capacity, cfg.receiver_buffer_capacity,
+        )
+        # Each pop pushes at most one task back, so the queue never grows
+        # past its starting depth — the peak *is* the initial size.
+        queue_peak = len(init_queue)
 
         self._sender_usage = sender
         self._receiver_usage = receiver
-        self._elapsed += horizon
+        self._elapsed += cfg.duration
         self.last_blocked_retries = blocked_retries
         self.last_queue_peak = queue_peak
         sess = self._obs_active()
@@ -285,7 +206,114 @@ class IONetworkSimulator:
             throughput_write=throughputs[_WRITE],
             sender_usage=sender,
             receiver_usage=receiver,
-            sender_free=sender_cap - sender,
-            receiver_free=receiver_cap - receiver,
+            sender_free=cfg.sender_buffer_capacity - sender,
+            receiver_free=cfg.receiver_buffer_capacity - receiver,
             threads=n,
         )
+
+
+def initial_queue(n) -> list[tuple[float, int, int]]:
+    """Algorithm 1's t = 0 task queue (line 29) for thread triple ``n``.
+
+    One ``(0.0, seq, stage)`` task per scheduled thread, in (read, network,
+    write) order.  Every priority is 0.0 and sequence numbers ascend, so the
+    list is already a valid min-heap.
+    """
+    queue: list[tuple[float, int, int]] = []
+    for stage in (_READ, _NETWORK, _WRITE):
+        for _ in range(n[stage]):
+            queue.append((0.0, len(queue), stage))
+    return queue
+
+
+def event_loop(
+    rates, chunks, init_queue, sender, receiver,
+    horizon, eps, overhead, sender_cap, receiver_cap,
+):
+    """Algorithm 1's event loop over one horizon (no observability calls).
+
+    ``rates``/``chunks`` are the per-stage ``(read, network, write)``
+    per-thread byte rates and chunk sizes, ``init_queue`` the t = 0 queue
+    (:func:`initial_queue`; copied, never mutated) and ``sender``/
+    ``receiver`` the buffer occupancies at the start of the horizon.
+
+    Returns ``(throughputs, sender, receiver, blocked_retries, pops)``:
+    per-stage Mbps normalized by finish time, the occupancies at the end,
+    the number of ε back-offs, and the number of tasks popped — every
+    pushed task is popped, so that is the final sequence number.
+    :class:`IONetworkSimulator` and the per-column path of
+    :class:`~repro.simulator.batch.BatchedSimulator` both step through it.
+    """
+    # Hot loop: ~duration/(chunk_seconds + overhead) events per thread
+    # per call, millions of calls per training run.  Per-stage scalars
+    # replace list indexing, heap functions are bound locally, and
+    # ``min`` unrolls to comparisons — all value-identical to the
+    # straightforward form this replaced.
+    heappop, heappush = heapq.heappop, heapq.heappush
+    rate_r, rate_n, rate_w = rates
+    chunk_r, chunk_n, chunk_w = chunks
+    moved_r = moved_n = moved_w = 0.0
+    fin_r = fin_n = fin_w = 0.0
+    blocked_retries = 0
+
+    # The initial queue is already a valid min-heap, so no heapify is
+    # needed.  The sequence number breaks ties deterministically.
+    queue = init_queue.copy()
+    seq = len(queue)
+
+    while queue:
+        t, _, stage = heappop(queue)
+        if stage == _READ:
+            free = sender_cap - sender
+            if free > 0.0:
+                amount = chunk_r if chunk_r <= free else free
+                sender += amount
+                moved_r += amount
+                finish = t + amount / rate_r
+                if finish > fin_r:
+                    fin_r = finish
+                t_next = finish + overhead
+            else:
+                blocked_retries += 1
+                t_next = t + eps
+        elif stage == _NETWORK:
+            free = receiver_cap - receiver
+            if sender > 0.0 and free > 0.0:
+                amount = chunk_n
+                if sender < amount:
+                    amount = sender
+                if free < amount:
+                    amount = free
+                sender -= amount
+                receiver += amount
+                moved_n += amount
+                finish = t + amount / rate_n
+                if finish > fin_n:
+                    fin_n = finish
+                t_next = finish + overhead
+            else:
+                blocked_retries += 1
+                t_next = t + eps
+        else:  # _WRITE
+            if receiver > 0.0:
+                amount = chunk_w if chunk_w <= receiver else receiver
+                receiver -= amount
+                moved_w += amount
+                finish = t + amount / rate_w
+                if finish > fin_w:
+                    fin_w = finish
+                t_next = finish + overhead
+            else:
+                blocked_retries += 1
+                t_next = t + eps
+        if t_next < horizon:
+            heappush(queue, (t_next, seq, stage))
+            seq += 1
+
+    # Normalize throughputs by their finish times (line 37): a stage that
+    # ran past the horizon gets credited over its true elapsed time.
+    throughputs = [
+        bytes_per_sec_to_mbps(moved / (horizon if horizon >= fin else fin))
+        for moved, fin in ((moved_r, fin_r), (moved_n, fin_n), (moved_w, fin_w))
+    ]
+    return throughputs, sender, receiver, blocked_retries, seq

@@ -1,5 +1,6 @@
 """PPO agent: memory, returns, update mechanics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -177,15 +178,6 @@ class TestAgentUpdate:
         )
         assert changed
 
-    def test_old_policy_synced_after_update(self):
-        agent = PPOAgent(config=tiny_config(), rng=0)
-        self.fill_memory(agent)
-        agent.update()
-        for (_, a), (_, b) in zip(
-            agent.policy.named_parameters(), agent.policy_old.named_parameters()
-        ):
-            np.testing.assert_array_equal(a.data, b.data)
-
     def test_first_epoch_ratio_is_one(self):
         """Collected with the same policy that updates: the first-epoch ratio
         must be ≈1 (Algorithm 2's π/π_old at sync)."""
@@ -226,4 +218,18 @@ class TestStateDict:
         s = np.random.default_rng(2).standard_normal(8)
         np.testing.assert_allclose(
             a.act(s, deterministic=True)[0], b.act(s, deterministic=True)[0]
+        )
+
+    def test_seeded_init_stream_is_pinned(self):
+        """Seeded init weights are byte-stable: every training fingerprint
+        rests on them, and the batched-vs-scalar tests cannot catch a
+        shifted init stream because both sides shift together."""
+        agent = PPOAgent(config=PPOConfig(hidden_dim=16), rng=0)
+        digest = hashlib.sha256()
+        for net, params in sorted(agent.state_dict().items()):
+            for name, array in sorted(params.items()):
+                digest.update(f"{net}.{name}".encode())
+                digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == (
+            "1250dd665d7300c224f2d1fd06e48ec9dbe1303dffc2f254f327626a794d438b"
         )

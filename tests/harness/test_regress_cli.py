@@ -171,3 +171,25 @@ def test_regress_json_output(tmp_path, capsys):
     assert payload["suites"]["kernels"]["status"] == "ok"
     findings = payload["suites"]["kernels"]["findings"]
     assert any(f["key"] == "speedup" and not f["regressed"] for f in findings)
+
+
+def test_committed_parallel_bench_gates_its_population_arm(tmp_path, capsys):
+    """``fleet_steps.population`` of the committed ``BENCH_parallel.json``
+    is gated: a population-regime speedup that falls back to what
+    superrounds gave on unaligned columns fails ``automdt regress``."""
+    from pathlib import Path
+
+    committed = Path(__file__).resolve().parents[2] / "BENCH_parallel.json"
+    report = json.loads(committed.read_text())
+    population = report["fleet_steps"]["population"]
+    assert population["outputs_identical"] and population["meets_floor"]
+    assert classify_key("fleet_steps.population.speedup") == HIGHER
+    assert classify_key("fleet_steps.population.outputs_identical") == BOOL
+
+    db = tmp_path / "store.db"
+    ResultsStore(db).ingest_bench("parallel", report, git_rev="baseline", started=100.0)
+    population["speedup"] = 0.11
+    slower = tmp_path / "BENCH_parallel.json"
+    slower.write_text(json.dumps(report) + "\n")
+    assert main(["regress", str(slower), "--store", str(db), "--no-ingest"]) == 1
+    assert "fleet_steps.population.speedup" in capsys.readouterr().out

@@ -63,12 +63,6 @@ class TestStateDict:
         with pytest.raises(ValueError, match="shape"):
             net.load_state_dict(state)
 
-    def test_copy_from(self):
-        a, b = _Net(), _Net()
-        a.scale.data[...] = 5.0
-        b.copy_from(a)
-        np.testing.assert_array_equal(b.scale.data, 5.0)
-
 
 class TestZeroGrad:
     def test_clears_all(self):

@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.simulator import BatchedSimulator, SimulatorConfig
+from repro.simulator.batch import SUPERROUND_MIN_BATCH
 from repro.utils.errors import SimulationError
 
 
@@ -89,24 +90,41 @@ class TestTelemetry:
             return None
 
         monkeypatch.setattr(batch_module.obs, "active", spy_active)
-        sim = BatchedSimulator(_config(), 4)
-        for _ in range(3):
-            sim.step_second(np.full((4, 3), 5))
+        heterogeneous = [_config(), _config(tpt_read=40.0, max_threads=6),
+                         _config(bandwidth_network=300.0)]
+        sims = [
+            BatchedSimulator(_config(), 4),  # one cadence, per column
+            BatchedSimulator(_config(), SUPERROUND_MIN_BATCH),  # superrounds
+            BatchedSimulator(heterogeneous),  # per column
+        ]
+        for sim in sims:
+            for k in (3, 5, 9):
+                sim.step_second(np.full((sim.batch, 3), k))
         assert calls == []  # zero lookups across construction + stepping
-        assert sim.export_telemetry() is False
-        assert calls == [1]  # the one explicit end-of-run export call
+        for sim in sims:
+            assert sim.export_telemetry() is False
+        assert calls == [1, 1, 1]  # the explicit end-of-run export calls
 
     def test_export_telemetry_flushes_counters(self, tmp_path):
         with obs.session(tmp_path) as sess:
             sim = BatchedSimulator(_config(), 8)
             sim.step_second(np.full((8, 3), 5))
             sim.step_second(np.full((8, 3), 7))
-            assert sim.export_telemetry() is True
             registry = sess.registry
-            assert registry.counter("sim/batch_steps").value == 2.0
-            assert registry.counter("sim/batch_size").value == 16.0
-            assert registry.counter("sim/batch_rounds").value > 0.0
-            assert registry.counter("sim/batch_events").value > 0.0
+            assert sim.export_telemetry() is True
+            assert registry.counter("sim/batch_column_steps").value == 0.0
+            rounds = registry.counter("sim/batch_rounds").value
+            events = registry.counter("sim/batch_events").value
+            assert rounds > 0.0 and events > 0.0
+            # Different network thread counts give different network rates:
+            # no shared cadence, so this step runs per column.
+            sim.step_second([[5, 1 + i, 5] for i in range(8)])
+            assert sim.export_telemetry() is True
+            assert registry.counter("sim/batch_steps").value == 3.0
+            assert registry.counter("sim/batch_size").value == 24.0
+            assert registry.counter("sim/batch_column_steps").value == 8.0
+            assert registry.counter("sim/batch_rounds").value == rounds
+            assert registry.counter("sim/batch_events").value > events
         # Export drained the accumulators: a second export is a no-op.
         with obs.session(tmp_path / "second") as sess:
             assert sim.export_telemetry() is False

@@ -7,11 +7,19 @@ across seeded random ``(threads, reset, usage)`` sequences.  The property
 sweep drives both simulators through the three fig5 testbed presets
 (read / network / write bottleneck), which between them exercise full
 bursts, partial boundary chunks and ε-retry blocking.
+
+``step_second`` dispatches per step between the per-column event loop and
+the vectorized superround engine.  Every input runs through both the
+public dispatcher and the superround engine called directly, so the
+superround engine's leader-stage fallback, partial-chunk and ε-retry code
+stays pinned to the scalar oracle on inputs the dispatcher no longer sends
+it.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.emulator.presets import (
     fig5_network_bottleneck,
     fig5_read_bottleneck,
@@ -21,8 +29,10 @@ from repro.simulator import (
     BatchedSimulator,
     IONetworkSimulator,
     SimulatorConfig,
+    sample_scenario,
     simulator_config_from_testbed,
 )
+from repro.simulator.batch import SUPERROUND_MIN_BATCH
 
 PRESETS = {
     "fig5-read": fig5_read_bottleneck,
@@ -31,31 +41,69 @@ PRESETS = {
 }
 
 
-def drive_both(config, *, steps, batch, seed, reset_every):
-    """Step scalar oracles and the batched engine in lockstep; compare all."""
-    rng = np.random.default_rng(seed)
-    scalars = [IONetworkSimulator(config, cache_rates=True) for _ in range(batch)]
-    batched = BatchedSimulator(config, batch)
-    hi = config.max_threads
-    for step in range(steps):
-        if reset_every and step % reset_every == 0:
-            snd = rng.uniform(0.0, 0.5 * config.sender_buffer_capacity, batch)
-            rcv = rng.uniform(0.0, 0.5 * config.receiver_buffer_capacity, batch)
+def superrounds(sim, threads):
+    """One step through the vectorized superround engine, bypassing dispatch."""
+    return sim._step_superrounds(*sim._tables(threads))
+
+
+#: Both ways a step can run: the public dispatcher and the superround engine.
+ENGINES = {
+    "dispatch": lambda sim, threads: sim.step_second(threads),
+    "superrounds": superrounds,
+}
+
+
+def assert_matches(got, batched, expected, scalars, where):
+    """Every metric, both diagnostics and both buffers equal the oracles'."""
+    for i, want in enumerate(expected):
+        assert got.column(i) == want, f"{where} column {i}"
+        assert batched.last_blocked_retries[i] == scalars[i].last_blocked_retries, where
+        assert batched.last_queue_peak[i] == scalars[i].last_queue_peak, where
+    assert np.all(batched.sender_usage == [s.sender_usage for s in scalars]), where
+    assert np.all(batched.receiver_usage == [s.receiver_usage for s in scalars]), where
+
+
+def drive_both(configs, threads_seq, *, resets=None):
+    """Step scalar oracles and both batched engines in lockstep; compare all.
+
+    ``resets`` maps a step index to the ``(sender, receiver)`` occupancies
+    every simulator is reset to before that step.
+    """
+    resets = resets or {}
+    scalars = [IONetworkSimulator(c, cache_rates=True) for c in configs]
+    engines = {name: BatchedSimulator(configs) for name in ENGINES}
+    for step, threads in enumerate(threads_seq):
+        if step in resets:
+            snd, rcv = resets[step]
             for i, sim in enumerate(scalars):
                 sim.reset(sender_usage=float(snd[i]), receiver_usage=float(rcv[i]))
-            batched.reset(sender_usage=snd, receiver_usage=rcv)
-        threads = rng.integers(1, hi + 1, (batch, 3))
+            for batched in engines.values():
+                batched.reset(sender_usage=snd, receiver_usage=rcv)
         expected = [
             sim.step_second(tuple(int(v) for v in threads[i]))
             for i, sim in enumerate(scalars)
         ]
-        got = batched.step_second(threads)
-        for i, want in enumerate(expected):
-            assert got.column(i) == want, f"step {step} column {i}"
-            assert batched.last_blocked_retries[i] == scalars[i].last_blocked_retries
-            assert batched.last_queue_peak[i] == scalars[i].last_queue_peak
-        assert np.all(batched.sender_usage == [s.sender_usage for s in scalars])
-        assert np.all(batched.receiver_usage == [s.receiver_usage for s in scalars])
+        for name, batched in engines.items():
+            got = ENGINES[name](batched, threads)
+            assert_matches(got, batched, expected, scalars, f"{name} step {step}")
+    # ``sim/batch_events`` counts the scalar heap's pops on either path.
+    assert engines["dispatch"]._stat_events == engines["superrounds"]._stat_events
+    return engines["dispatch"]
+
+
+def random_drive(config, *, steps, batch, seed, reset_every):
+    """Random thread triples and periodic random resets for one config."""
+    rng = np.random.default_rng(seed)
+    hi = config.max_threads
+    threads_seq, resets = [], {}
+    for step in range(steps):
+        if reset_every and step % reset_every == 0:
+            resets[step] = (
+                rng.uniform(0.0, 0.5 * config.sender_buffer_capacity, batch),
+                rng.uniform(0.0, 0.5 * config.receiver_buffer_capacity, batch),
+            )
+        threads_seq.append(rng.integers(1, hi + 1, (batch, 3)))
+    drive_both([config] * batch, threads_seq, resets=resets)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -63,8 +111,8 @@ def test_equivalence_sweep_fig5_presets(name):
     """~1k sequences: 56 steps x 6 columns x 3 presets, random resets."""
     testbed = PRESETS[name]()
     config = simulator_config_from_testbed(testbed)
-    drive_both(config, steps=56, batch=6, seed=sum(map(ord, name)),
-               reset_every=13)
+    random_drive(config, steps=56, batch=6, seed=sum(map(ord, name)),
+                 reset_every=13)
 
 
 def test_equivalence_tiny_buffers_partial_storm():
@@ -75,7 +123,7 @@ def test_equivalence_tiny_buffers_partial_storm():
         sender_buffer_capacity=5e5, receiver_buffer_capacity=4e5,
         max_threads=12, label="tiny",
     )
-    drive_both(config, steps=30, batch=6, seed=3, reset_every=7)
+    random_drive(config, steps=30, batch=6, seed=3, reset_every=7)
 
 
 def test_equivalence_heterogeneous_configs():
@@ -85,24 +133,67 @@ def test_equivalence_heterogeneous_configs():
         for name in sorted(PRESETS)
     ] * 2
     rng = np.random.default_rng(11)
-    scalars = [IONetworkSimulator(c, cache_rates=True) for c in configs]
-    batched = BatchedSimulator(configs)
-    for step in range(25):
-        threads = rng.integers(1, 31, (len(configs), 3))
-        expected = [
-            sim.step_second(tuple(int(v) for v in threads[i]))
-            for i, sim in enumerate(scalars)
-        ]
-        got = batched.step_second(threads)
-        for i, want in enumerate(expected):
-            assert got.column(i) == want, f"step {step} column {i}"
+    drive_both(configs, [rng.integers(1, 31, (len(configs), 3)) for _ in range(25)])
 
 
 def test_equivalence_clamps_threads_like_scalar():
     config = simulator_config_from_testbed(fig5_read_bottleneck())
-    scalar = IONetworkSimulator(config)
-    batched = BatchedSimulator(config, 1)
-    want = scalar.step_second((0, 999, 2.4))
-    got = batched.step_second(np.array([[0.0, 999.0, 2.4]]))
-    assert got.column(0) == want
-    assert got.threads[0].tolist() == list(want.threads)
+    want = IONetworkSimulator(config).step_second((0, 999, 2.4))
+    for name, step in ENGINES.items():
+        got = step(BatchedSimulator(config, 1), np.array([[0.0, 999.0, 2.4]]))
+        assert got.column(0) == want, name
+        assert got.threads[0].tolist() == list(want.threads), name
+
+
+#: ``bench_parallel``'s thread-throttled fleet regime: at 20–26 threads
+#: every stage runs at its 100 Mbps per-thread throttle, so every column
+#: shares one rate/chunk row whatever its thread counts.
+THROTTLED = SimulatorConfig(
+    tpt_read=100.0, tpt_network=100.0, tpt_write=100.0,
+    bandwidth_read=3000.0, bandwidth_network=2800.0, bandwidth_write=2600.0,
+    max_threads=26, label="throttled",
+)
+
+
+def _engine_counters(batched, path):
+    """``(column_steps, superrounds)`` from the simulator's telemetry export."""
+    with obs.session(path) as sess:
+        assert batched.export_telemetry() is True
+        counter = sess.registry.counter
+        return (counter("sim/batch_column_steps").value,
+                counter("sim/batch_rounds").value)
+
+
+def test_dispatch_picks_engine_by_cadence(tmp_path):
+    """Jittered variants step per column; a one-cadence batch of at least
+    ``SUPERROUND_MIN_BATCH`` columns steps through superrounds.  Both stay
+    bit-identical to the scalar oracle, diagnostics included."""
+    batch, steps = SUPERROUND_MIN_BATCH, 8
+    rng = np.random.default_rng(17)
+    base = simulator_config_from_testbed(fig5_read_bottleneck())
+    jittered = [sample_scenario(rng, base=base) for _ in range(batch)]
+    fills = {0: (rng.uniform(0.0, 0.5, batch) * base.sender_buffer_capacity,
+                 rng.uniform(0.0, 0.5, batch) * base.receiver_buffer_capacity)}
+    sim = drive_both(
+        jittered,
+        [rng.integers(1, base.max_threads + 1, (batch, 3)) for _ in range(steps)],
+        resets=fills,
+    )
+    assert _engine_counters(sim, tmp_path / "jittered") == (batch * steps, 0.0)
+
+    caps = (THROTTLED.sender_buffer_capacity, THROTTLED.receiver_buffer_capacity)
+    fills = {0: (rng.uniform(0.2, 0.3, batch) * caps[0],
+                 rng.uniform(0.2, 0.3, batch) * caps[1])}
+    sim = drive_both(
+        [THROTTLED] * batch,
+        [rng.integers(20, 27, (batch, 3)) for _ in range(steps)],
+        resets=fills,
+    )
+    column_steps, rounds = _engine_counters(sim, tmp_path / "throttled")
+    assert column_steps == 0.0 and rounds > 0.0
+
+    # Below the break-even size the same one-cadence batch steps per column.
+    small = drive_both([THROTTLED] * (batch - 1),
+                       [rng.integers(20, 27, (batch - 1, 3)) for _ in range(2)])
+    assert _engine_counters(small, tmp_path / "small") == (2.0 * (batch - 1), 0.0)
+
