@@ -25,7 +25,6 @@ from repro.core.ppo import PPOAgent, PPOConfig, RolloutMemory
 from repro.core.production import AutoMDTController
 from repro.core.training import TrainingConfig, TrainingResult, train
 from repro.core.utility import UtilityFunction
-from repro.core.vectorized import VectorizedSimulatorEnv, train_vectorized
 
 __all__ = [
     "AutoMDT",
@@ -43,8 +42,6 @@ __all__ = [
     "TrainingResult",
     "train",
     "UtilityFunction",
-    "VectorizedSimulatorEnv",
-    "train_vectorized",
     "PopulationMember",
     "PopulationResult",
     "train_population",

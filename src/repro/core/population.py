@@ -35,7 +35,12 @@ import numpy as np
 
 from repro.core.env import SimulatorEnv
 from repro.core.ppo import PPOAgent, PPOConfig
-from repro.core.training import TrainingConfig, TrainingResult, train
+from repro.core.training import (
+    ConvergenceTracker,
+    TrainingConfig,
+    TrainingResult,
+    train,
+)
 from repro.parallel import ParallelMap, derive_seed
 from repro.simulator.config import SimulatorConfig
 
@@ -137,27 +142,19 @@ def _train_population_batched(
         rngs=[derive_seed(s, 1) for s in seeds],
     )
     agents = stacked.members
-    r_max = float(cfg.steps_per_episode)
-    target = cfg.convergence_threshold * r_max
-
-    rewards: list[list[float]] = [[] for _ in range(n)]
-    best_reward = [-np.inf] * n
-    best_episode = [-1] * n
-    best_state = [agent.state_dict() for agent in agents]
-    stagnant = [0] * n
-    converged = [False] * n
-    convergence_episode: list[int | None] = [None] * n
-    episodes_run = [0] * n
-    total_steps = [0] * n
+    trackers = [
+        ConvergenceTracker(agent, cfg, float(cfg.steps_per_episode)) for agent in agents
+    ]
     active = np.ones(n, dtype=bool)
     started = time.perf_counter()
 
     for agent in agents:
         agent.memory.clear()
-    episode = 0
     steps = min(cfg.steps_per_episode, env.episode_steps)
     actions = np.zeros((n, 3))
-    while episode < cfg.max_episodes and active.any():
+    for episode in range(cfg.max_episodes):
+        if not active.any():
+            break
         states = env.reset_all(mask=active)
         episode_rewards = np.zeros(n)
         member_actions: list = [None] * n
@@ -175,7 +172,6 @@ def _train_population_batched(
                 agents[i].memory.store(
                     states[i], member_actions[i], log_probs[i], float(step_rewards[i])
                 )
-                total_steps[i] += 1
             states = next_states
             episode_rewards += step_rewards
         for i in np.flatnonzero(active):
@@ -187,45 +183,11 @@ def _train_population_batched(
             for i in idx:
                 agents[i].memory.clear()
         for i in np.flatnonzero(active):
-            episode_reward = float(episode_rewards[i])
-            rewards[i].append(episode_reward)
-            if episode_reward > best_reward[i]:
-                best_reward[i] = episode_reward
-                best_episode[i] = episode
-                best_state[i] = agents[i].state_dict()
-                stagnant[i] = 0
-            else:
-                stagnant[i] += 1
-            if convergence_episode[i] is None and best_reward[i] >= target:
-                convergence_episode[i] = episode
-            if best_reward[i] >= target and stagnant[i] >= cfg.stagnation_episodes:
-                converged[i] = True
-                episodes_run[i] = episode + 1
+            if trackers[i].record(float(episode_rewards[i]), steps):
                 active[i] = False
-        episode += 1
     wall = time.perf_counter() - started
-    for i in np.flatnonzero(active):
-        episodes_run[i] = episode
-        if best_reward[i] >= target:
-            converged[i] = True
     env.simulator.export_telemetry()
-
-    results = [
-        TrainingResult(
-            episode_rewards=np.asarray(rewards[i]),
-            best_reward=float(best_reward[i]),
-            best_episode=best_episode[i],
-            converged=converged[i],
-            convergence_episode=convergence_episode[i],
-            episodes_run=episodes_run[i],
-            wall_seconds=wall,
-            best_state=best_state[i],
-            max_episode_reward=r_max,
-            steps_per_episode=cfg.steps_per_episode,
-            total_steps=total_steps[i],
-        )
-        for i in range(n)
-    ]
+    results = [tracker.result(wall) for tracker in trackers]
 
     # Evaluation: best checkpoints, deterministic policy, batched columns.
     eval_env = BatchedEnv(variants, rngs=[derive_seed(s, 2) for s in seeds])

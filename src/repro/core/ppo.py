@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.autograd.tensor import Tensor, clip, exp, minimum, no_grad
+from repro.autograd.tensor import Tensor, clip, exp, minimum
 from repro.core.networks import PolicyNetwork, ValueNetwork
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.plan import PolicyPlan, ValuePlan
+from repro.nn.plan import PolicyPlan
 from repro.utils.config import require_in_range, require_positive
 from repro.utils.rng import as_generator
 
@@ -209,12 +209,11 @@ class PPOAgent:
         self.memory = RolloutMemory()
         #: Completed :meth:`update` calls — the x-axis of loss curves.
         self.updates = 0
-        # Compiled zero-Tensor inference plans, built lazily on first use.
-        # They dereference ``param.data`` at call time, so in-place updates,
-        # load_state_dict, and stacked-engine row-view rebinds all stay
-        # visible without invalidation.
-        self._policy_plan: PolicyPlan | None = None
-        self._value_plan: ValuePlan | None = None
+        # Compiled zero-Tensor inference plan.  It dereferences
+        # ``param.data`` at call time, so in-place updates, load_state_dict,
+        # and stacked-engine row-view rebinds all stay visible without
+        # invalidation.
+        self._policy_plan = PolicyPlan(self.policy)
 
     def set_lr_progress(self, fraction: float) -> None:
         """Linearly anneal the learning rate; ``fraction`` in [0, 1]."""
@@ -228,33 +227,14 @@ class PPOAgent:
     def act(self, state: np.ndarray, *, deterministic: bool = False) -> tuple[np.ndarray, float]:
         """Sample an action (Algorithm 2 lines 8–9); returns ``(action, log_prob)``.
 
-        Single states run through the compiled zero-Tensor inference plan
-        (bit-identical to the Tensor forward, see :mod:`repro.nn.plan`);
-        batched states keep the Tensor path.
+        ``state`` is one ``(state_dim,)`` state; it runs through the compiled
+        zero-Tensor inference plan, bit-identical to the Tensor forward (see
+        :mod:`repro.nn.plan`).  Any other shape raises :class:`ValueError`;
+        populations act through :meth:`StackedPPOAgent.act_all
+        <repro.nn.stacked.StackedPPOAgent.act_all>`.
         """
         state = np.asarray(state, dtype=float)
-        if state.ndim == 1:
-            if self._policy_plan is None:
-                self._policy_plan = PolicyPlan(self.policy)
-            return self._policy_plan.act(state, self.rng, deterministic=deterministic)
-        with no_grad():
-            dist = self.policy(state)
-            if deterministic:
-                action = dist.mode()
-            else:
-                action = dist.sample(self.rng)
-            log_prob = float(dist.log_prob(action).data)
-        return action, log_prob
-
-    def value_of(self, state: np.ndarray) -> float:
-        """Critic estimate for one state."""
-        state = np.asarray(state, dtype=float)
-        if state.ndim == 1:
-            if self._value_plan is None:
-                self._value_plan = ValuePlan(self.value)
-            return self._value_plan(state)
-        with no_grad():
-            return float(self.value(state).data)
+        return self._policy_plan.act(state, self.rng, deterministic=deterministic)
 
     # ----------------------------------------------------------------- update
     def update(self) -> dict[str, float]:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.tensor import no_grad
 from repro.core.networks import PolicyNetwork
 from repro.core.utility import UtilityFunction
-from repro.nn.plan import PlanUnsupported, PolicyPlan
+from repro.nn.plan import PolicyPlan
 from repro.transfer.engine import Observation
 from repro.utils.config import require_positive
 from repro.utils.rng import as_generator
@@ -27,7 +26,8 @@ class AutoMDTController:
     Parameters
     ----------
     policy:
-        The (trained) policy network.
+        The (trained) policy network; anything not built like a
+        :class:`PolicyNetwork` raises :class:`repro.nn.plan.PlanUnsupported`.
     max_threads:
         Clamp bound ``n_max``.
     throughput_scale:
@@ -66,15 +66,8 @@ class AutoMDTController:
         self.rng = as_generator(rng)
         self.utility = UtilityFunction()
         # Compiled zero-Tensor inference plan (repro.nn.plan): production
-        # proposals, GuardedController wrapping, and fleet co-simulation all
-        # query through here, so the plan speeds every deployment surface.
-        # Non-standard policy objects (e.g. test doubles) fall back to the
-        # Tensor path.
-        self._plan: PolicyPlan | None
-        try:
-            self._plan = PolicyPlan(policy)
-        except PlanUnsupported:
-            self._plan = None
+        # proposals and GuardedController wrapping all query through here.
+        self._plan = PolicyPlan(policy)
 
     def _state_from_observation(self, obs: Observation) -> np.ndarray:
         n = np.asarray(obs.threads, dtype=float) / self.max_threads
@@ -104,14 +97,9 @@ class AutoMDTController:
     def propose(self, observation: Observation) -> tuple[int, int, int]:
         """One §IV-F step: state → sample → round → clamp."""
         state = self._state_from_observation(observation)
-        if self._plan is not None:
-            action, _ = self._plan.act(
-                state, self.rng, deterministic=self.deterministic, want_log_prob=False
-            )
-        else:
-            with no_grad():
-                dist = self.policy(state)
-                action = dist.mode() if self.deterministic else dist.sample(self.rng)
+        action, _ = self._plan.act(
+            state, self.rng, deterministic=self.deterministic, want_log_prob=False
+        )
         return self._action_to_threads(action)
 
     def reset(self) -> None:

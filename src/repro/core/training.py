@@ -90,6 +90,72 @@ class TrainingResult:
         return self.simulated_seconds * seconds_per_step
 
 
+class ConvergenceTracker:
+    """One agent's Algorithm-2 bookkeeping: rewards, best checkpoint, stop rule.
+
+    Both the scalar loop (:func:`train`) and the batched population loop
+    (:func:`repro.core.population.train_population`) book every finished
+    episode here, so the best-checkpoint rule and the stop criterion exist
+    once.  Episodes are numbered by arrival: the ``i``-th recorded episode
+    is episode ``i``.
+    """
+
+    def __init__(self, agent: PPOAgent, cfg: TrainingConfig, r_max: float) -> None:
+        self.agent = agent
+        self.r_max = r_max
+        self.target = cfg.convergence_threshold * r_max
+        self.stagnation_episodes = cfg.stagnation_episodes
+        self.steps_per_episode = cfg.steps_per_episode
+        self.rewards: list[float] = []
+        self.best_reward = -np.inf
+        self.best_episode = -1
+        self.best_state = agent.state_dict()
+        self.stagnant = 0
+        self.convergence_episode: int | None = None
+        self.total_steps = 0
+
+    def record(self, reward: float, steps: int) -> bool:
+        """Book one finished episode of ``steps`` steps; True once training
+        should stop — the paper's criterion: the target reached *and*
+        ``stagnation_episodes`` episodes of refinement without improvement.
+        """
+        episode = len(self.rewards)
+        self.rewards.append(reward)
+        self.total_steps += steps
+        if reward > self.best_reward:
+            self.best_reward = reward
+            self.best_episode = episode
+            self.best_state = self.agent.state_dict()
+            self.stagnant = 0
+        else:
+            self.stagnant += 1
+        reached = self.best_reward >= self.target
+        if reached and self.convergence_episode is None:
+            self.convergence_episode = episode
+        return reached and self.stagnant >= self.stagnation_episodes
+
+    def result(self, wall_seconds: float) -> TrainingResult:
+        """The run's :class:`TrainingResult`.
+
+        A budget exhausted after reaching the target but before the full
+        stagnation wait still leaves a usable model, so reaching the target
+        is what flags convergence.
+        """
+        return TrainingResult(
+            episode_rewards=np.asarray(self.rewards),
+            best_reward=float(self.best_reward),
+            best_episode=self.best_episode,
+            converged=bool(self.best_reward >= self.target),
+            convergence_episode=self.convergence_episode,
+            episodes_run=len(self.rewards),
+            wall_seconds=wall_seconds,
+            best_state=self.best_state,
+            max_episode_reward=self.r_max,
+            steps_per_episode=self.steps_per_episode,
+            total_steps=self.total_steps,
+        )
+
+
 def train(
     agent: PPOAgent,
     env,
@@ -132,31 +198,22 @@ def _train_loop(
     r_max: float,
     progress: Callable[[int, float, float], None] | None,
 ) -> TrainingResult:
-    target = cfg.convergence_threshold * r_max
     sess = obs.active()
-
-    rewards: list[float] = []
-    best_reward = -np.inf
-    best_episode = -1
-    best_state = agent.state_dict()
-    stagnant = 0
-    converged = False
-    convergence_episode: int | None = None
+    tracker = ConvergenceTracker(agent, cfg, r_max)
     started = time.perf_counter()
 
-    episode = 0
-    total_steps = 0
     agent.memory.clear()
-    while episode < cfg.max_episodes:
+    for episode in range(cfg.max_episodes):
         state = env.reset()
         episode_reward = 0.0
+        steps = 0
         for _ in range(cfg.steps_per_episode):
             action, log_prob = agent.act(state)
             next_state, reward, done, _info = env.step(action)
             agent.memory.store(state, action, log_prob, reward)
             state = next_state
             episode_reward += reward
-            total_steps += 1
+            steps += 1
             if done:
                 break
         agent.memory.end_episode(agent.config.gamma)
@@ -168,7 +225,7 @@ def _train_loop(
             agent.update()
             agent.memory.clear()
 
-        rewards.append(episode_reward)
+        stop = tracker.record(episode_reward, steps)
         if sess is not None:
             # Reward vs R_max per episode — the convergence curve (§IV-E).
             sess.sample(
@@ -176,45 +233,12 @@ def _train_loop(
                 t=float(episode),
                 reward=episode_reward,
                 reward_fraction=episode_reward / r_max if r_max else 0.0,
-                best_reward=max(best_reward, episode_reward),
+                best_reward=tracker.best_reward,
             )
             sess.count("train/episodes")
-        if episode_reward > best_reward:
-            best_reward = episode_reward
-            best_episode = episode
-            best_state = agent.state_dict()
-            stagnant = 0
-        else:
-            stagnant += 1
-
-        if convergence_episode is None and best_reward >= target:
-            convergence_episode = episode
         if progress is not None and cfg.log_every and episode % cfg.log_every == 0:
-            progress(episode, episode_reward, best_reward)
-
-        # Paper criterion: converged *and* 1000 stagnant episodes of
-        # refinement without improvement.
-        if best_reward >= target and stagnant >= cfg.stagnation_episodes:
-            converged = True
-            episode += 1
+            progress(episode, episode_reward, tracker.best_reward)
+        if stop:
             break
-        episode += 1
 
-    if best_reward >= target and not converged:
-        # Budget exhausted after reaching the target but before the full
-        # stagnation wait: the model is usable; flag convergence anyway.
-        converged = True
-
-    return TrainingResult(
-        episode_rewards=np.asarray(rewards),
-        best_reward=float(best_reward),
-        best_episode=best_episode,
-        converged=converged,
-        convergence_episode=convergence_episode,
-        episodes_run=episode,
-        wall_seconds=time.perf_counter() - started,
-        best_state=best_state,
-        max_episode_reward=r_max,
-        steps_per_episode=cfg.steps_per_episode,
-        total_steps=total_steps,
-    )
+    return tracker.result(time.perf_counter() - started)

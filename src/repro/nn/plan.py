@@ -1,12 +1,12 @@
-"""Compiled no-grad inference plans: zero-``Tensor`` policy/value queries.
+"""Compiled no-grad policy inference: zero-``Tensor`` single-state acting.
 
 Rollout-time policy queries dominate PPO wall-clock, and under ``no_grad()``
 the autograd :class:`~repro.autograd.tensor.Tensor` layer contributes nothing
 but per-op Python dispatch and object churn: every ``act()`` still allocates
-~50 ``Tensor`` wrappers for a graph that is never walked.  A *plan* compiles
-a :class:`~repro.core.networks.PolicyNetwork` / ``ValueNetwork`` once into a
-flat straight-line numpy program over the raw parameter arrays with
-preallocated ping-pong buffers, so executing it allocates **zero Tensor
+~50 ``Tensor`` wrappers for a graph that is never walked.  A
+:class:`PolicyPlan` compiles a :class:`~repro.core.networks.PolicyNetwork`
+once into a flat straight-line numpy program over the raw parameter arrays
+with preallocated ping-pong buffers, so executing it allocates **zero Tensor
 objects** (only the returned action array and a few tiny temporaries).
 
 Bit-identity argument (DESIGN §17): every plan step performs *the same numpy
@@ -19,7 +19,7 @@ signed-zero semantics match ``np.where(mask, x, 0.0)`` exactly).  Sampling
 and log-prob replicate :class:`~repro.nn.distributions.DiagonalGaussian`
 arithmetic term by term, including the RNG call sequence (one
 ``standard_normal(mean.shape)`` draw per stochastic act).  Plans therefore
-return bit-identical actions, log-probs and values to the Tensor path.
+return bit-identical actions and log-probs to the Tensor path.
 
 Plans hold references to the network's :class:`~repro.nn.module.Parameter`
 objects and read ``param.data`` at execution time, so they stay valid under
@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-__all__ = ["PolicyPlan", "ValuePlan", "PlanUnsupported"]
+__all__ = ["PolicyPlan", "PlanUnsupported"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -44,124 +44,96 @@ class PlanUnsupported(TypeError):
 
 
 class _BlockPlan:
-    """Compiled residual block: fc1 → [norm1] → act → fc2 → [norm2] → +skip."""
+    """Compiled policy residual block: fc1 → norm1 → ReLU → fc2 → norm2 → +skip."""
 
-    __slots__ = ("w1", "b1", "w2", "b2", "norm1", "norm2", "eps1", "eps2", "relu")
+    __slots__ = ("w1", "b1", "w2", "b2", "norm1", "norm2")
 
     def __init__(self, block) -> None:
-        self.w1 = block.fc1.weight
-        self.b1 = block.fc1.bias
-        self.w2 = block.fc2.weight
-        self.b2 = block.fc2.bias
-        self.norm1 = (block.norm1.scale, block.norm1.shift) if block.norm1 is not None else None
-        self.norm2 = (block.norm2.scale, block.norm2.shift) if block.norm2 is not None else None
-        self.eps1 = block.norm1.eps if block.norm1 is not None else 0.0
-        self.eps2 = block.norm2.eps if block.norm2 is not None else 0.0
-        if block.activation not in ("relu", "tanh"):
-            raise PlanUnsupported(f"unknown block activation {block.activation!r}")
-        self.relu = block.activation == "relu"
+        if block.activation != "relu" or block.norm1 is None or block.norm2 is None:
+            raise PlanUnsupported("plan compiler expects ReLU + LayerNorm residual blocks")
+        self.w1, self.b1 = block.fc1.weight, block.fc1.bias
+        self.w2, self.b2 = block.fc2.weight, block.fc2.bias
+        self.norm1 = (block.norm1.scale, block.norm1.shift, block.norm1.eps)
+        self.norm2 = (block.norm2.scale, block.norm2.shift, block.norm2.eps)
 
 
-def _layernorm_inplace(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
-                       eps: float, square: np.ndarray) -> None:
+def _layernorm_inplace(x: np.ndarray, norm: tuple, square: np.ndarray) -> None:
     """In-place fused layernorm on a 1-D buffer, matching the Tensor op.
 
     Mean/variance reductions use the same ``mean(axis=-1, keepdims=True)``
     calls as :func:`repro.autograd.tensor.layernorm`, so the float sequence
     is identical; ``square`` is a same-shaped scratch buffer.
     """
+    scale, shift, eps = norm
     mu = x.mean(axis=-1, keepdims=True)
     x -= mu
     np.multiply(x, x, out=square)
     var = square.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     x *= inv_std
-    x *= scale
-    x += shift
-
-
-def _relu_inplace(x: np.ndarray, mask: np.ndarray, nmask: np.ndarray) -> None:
-    """In-place ReLU with exact ``np.where(x > 0, x, 0.0)`` semantics."""
-    np.greater(x, 0.0, out=mask)
-    np.logical_not(mask, out=nmask)
-    np.copyto(x, 0.0, where=nmask)
-
-
-class _TrunkPlan:
-    """Shared embed → blocks machinery for both network plans."""
-
-    def __init__(self, embed, blocks, hidden_dim: int, state_dim: int) -> None:
-        self.embed_w = embed.weight
-        self.embed_b = embed.bias
-        if self.embed_b is None:
-            raise PlanUnsupported("plan compiler expects a biased embed layer")
-        self.blocks = [_BlockPlan(b) for b in blocks]
-        self.state_dim = int(state_dim)
-        # Ping-pong buffers: ``h`` carries the trunk state, ``f`` the
-        # residual branch, ``sq`` the layernorm square scratch.
-        self._h = np.empty(hidden_dim)
-        self._f = np.empty(hidden_dim)
-        self._sq = np.empty(hidden_dim)
-        self._mask = np.empty(hidden_dim, dtype=bool)
-        self._nmask = np.empty(hidden_dim, dtype=bool)
-
-    def run(self, state: np.ndarray) -> np.ndarray:
-        """Embed + tanh + residual blocks; returns the ``h`` buffer."""
-        h, f, sq = self._h, self._f, self._sq
-        np.matmul(state, self.embed_w.data, out=h)
-        h += self.embed_b.data
-        np.tanh(h, out=h)
-        for blk in self.blocks:
-            np.matmul(h, blk.w1.data, out=f)
-            if blk.b1 is not None:
-                f += blk.b1.data
-            if blk.norm1 is not None:
-                _layernorm_inplace(f, blk.norm1[0].data, blk.norm1[1].data, blk.eps1, sq)
-            if blk.relu:
-                _relu_inplace(f, self._mask, self._nmask)
-            else:
-                np.tanh(f, out=f)
-            np.matmul(f, blk.w2.data, out=sq)
-            if blk.b2 is not None:
-                sq += blk.b2.data
-            if blk.norm2 is not None:
-                _layernorm_inplace(sq, blk.norm2[0].data, blk.norm2[1].data, blk.eps2, f)
-            h += sq
-        return h
+    x *= scale.data
+    x += shift.data
 
 
 class PolicyPlan:
     """Compiled single-state forward/sample/log-prob for a PolicyNetwork.
 
-    ``act`` accepts exactly the 1-D ``(state_dim,)`` states the rollout hot
-    paths produce; callers keep the Tensor path for anything else.
+    ``act`` accepts exactly the 1-D ``(state_dim,)`` states the rollout and
+    production paths produce; any other shape raises :class:`ValueError`.
+    Construction raises :class:`PlanUnsupported` for any object that is not
+    built like a :class:`~repro.core.networks.PolicyNetwork`.
     """
 
     def __init__(self, policy) -> None:
         try:
-            self.trunk = _TrunkPlan(
-                policy.embed, list(policy.blocks), policy.embed.out_features,
-                policy.state_dim,
-            )
+            self.embed_w = policy.embed.weight
+            self.embed_b = policy.embed.bias
+            self.blocks = [_BlockPlan(b) for b in policy.blocks]
             self.mean_w = policy.mean_head.weight
             self.mean_b = policy.mean_head.bias
             self.log_std = policy.log_std
             self.log_std_lo, self.log_std_hi = policy.log_std_range
             self.mean_center = float(policy.mean_center)
             self.mean_span = float(policy.mean_span)
+            self.state_dim = int(policy.state_dim)
+            hidden_dim = int(policy.embed.out_features)
             action_dim = int(policy.action_dim)
         except AttributeError as exc:  # non-standard policy object
             raise PlanUnsupported(str(exc)) from exc
-        if self.mean_b is None:
-            raise PlanUnsupported("plan compiler expects a biased mean head")
+        biases = [self.embed_b, self.mean_b]
+        biases += [b for blk in self.blocks for b in (blk.b1, blk.b2)]
+        if any(bias is None for bias in biases):
+            raise PlanUnsupported("plan compiler expects biased linear layers")
+        # Ping-pong buffers: ``h`` carries the trunk state, ``f`` the
+        # residual branch, ``sq`` the second linear and the layernorm scratch.
+        self._h = np.empty(hidden_dim)
+        self._f = np.empty(hidden_dim)
+        self._sq = np.empty(hidden_dim)
+        self._mask = np.empty(hidden_dim, dtype=bool)
+        self._nmask = np.empty(hidden_dim, dtype=bool)
         self._mean = np.empty(action_dim)
         self._lsc = np.empty(action_dim)
 
     def mean_and_log_std(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Forward pass: (mean, clipped log-std) as reused plan buffers."""
-        if state.shape != (self.trunk.state_dim,):
-            raise ValueError(f"plan expects a ({self.trunk.state_dim},) state, got {state.shape}")
-        h = self.trunk.run(state)
+        if state.shape != (self.state_dim,):
+            raise ValueError(f"plan expects a ({self.state_dim},) state, got {state.shape}")
+        h, f, sq = self._h, self._f, self._sq
+        np.matmul(state, self.embed_w.data, out=h)
+        h += self.embed_b.data
+        np.tanh(h, out=h)
+        for blk in self.blocks:
+            np.matmul(h, blk.w1.data, out=f)
+            f += blk.b1.data
+            _layernorm_inplace(f, blk.norm1, sq)
+            # ReLU with exact ``np.where(f > 0, f, 0.0)`` semantics.
+            np.greater(f, 0.0, out=self._mask)
+            np.logical_not(self._mask, out=self._nmask)
+            np.copyto(f, 0.0, where=self._nmask)
+            np.matmul(f, blk.w2.data, out=sq)
+            sq += blk.b2.data
+            _layernorm_inplace(sq, blk.norm2, f)
+            h += sq
         np.tanh(h, out=h)
         mean = self._mean
         np.matmul(h, self.mean_w.data, out=mean)
@@ -199,34 +171,3 @@ class PolicyPlan:
         z = (action - mean) / std
         per_dim = (z * z) * -0.5 - lsc - 0.5 * _LOG_2PI
         return action, float(per_dim.sum(axis=-1))
-
-
-class ValuePlan:
-    """Compiled single-state critic query for a ValueNetwork."""
-
-    def __init__(self, value) -> None:
-        try:
-            items = list(value.trunk)
-            if not items or type(items[0]).__name__ != "Tanh":
-                raise PlanUnsupported("value trunk must start with Tanh")
-            if not all(hasattr(m, "fc1") for m in items[1:]):
-                raise PlanUnsupported("value trunk must be Tanh + residual blocks")
-            self.trunk = _TrunkPlan(
-                value.embed, items[1:], value.embed.out_features, value.state_dim,
-            )
-            self.head_w = value.head.weight
-            self.head_b = value.head.bias
-        except AttributeError as exc:
-            raise PlanUnsupported(str(exc)) from exc
-        if self.head_b is None:
-            raise PlanUnsupported("plan compiler expects a biased value head")
-        self._out = np.empty(1)
-
-    def __call__(self, state: np.ndarray) -> float:
-        if state.shape != (self.trunk.state_dim,):
-            raise ValueError(f"plan expects a ({self.trunk.state_dim},) state, got {state.shape}")
-        h = self.trunk.run(state)
-        out = self._out
-        np.matmul(h, self.head_w.data, out=out)
-        out += self.head_b.data
-        return float(out[0])

@@ -94,11 +94,16 @@ class Finding:
     key: str
     direction: str
     baseline: float
-    current: float
-    change: float  # relative, signed; 0.1 == +10%
+    current: float | None  # None: the key is missing from the current report
+    change: float | None  # relative, signed; 0.1 == +10%; None when missing
     regressed: bool
 
     def describe(self) -> str:
+        if self.current is None:
+            return (
+                f"{self.suite}:{self.key} {self.baseline:g} → missing "
+                f"({self.direction})"
+            )
         pct = f"{self.change * 100:+.1f}%"
         return (
             f"{self.suite}:{self.key} {self.baseline:g} → {self.current:g} "
@@ -141,19 +146,38 @@ def compare_suite(
     gate_informational: bool = False,
     info_prefixes: Sequence[str] = (),
 ) -> list[Finding]:
-    """Per-key findings for one suite (keys present on both sides).
+    """Per-key findings for one suite.
 
-    Keys under any of ``info_prefixes`` (dotted leg paths, typically from
-    :func:`skipped_prefixes`) are demoted to informational regardless of
-    their suffix — a skipped leg's numbers carry no gate-worthy signal.
+    Keys present on both sides are compared.  A gated baseline key that is
+    missing from the current report is a regression too — an artifact must
+    not pass by dropping the arm that carried its ``speedup`` or
+    ``bit_identical`` — unless the two reports' ``quick`` flags differ
+    (quick runs may carry fewer arms).  Keys under any of ``info_prefixes``
+    (dotted leg paths, typically from :func:`skipped_prefixes`) are demoted
+    to informational regardless of their suffix — a skipped leg's numbers
+    carry no gate-worthy signal, and it may carry none at all.
     """
+
+    def direction_of(key: str) -> str:
+        if any(key == p or key.startswith(p + ".") for p in info_prefixes):
+            return INFO
+        return classify_key(key)
+
     findings: list[Finding] = []
+    if baseline.get("quick") == current.get("quick"):
+        for key in sorted(set(baseline) - set(current)):
+            direction = direction_of(key)
+            if direction != INFO:
+                findings.append(
+                    Finding(
+                        suite=suite, key=key, direction=direction,
+                        baseline=float(baseline[key]), current=None, change=None,
+                        regressed=True,
+                    )
+                )
     for key in sorted(set(baseline) & set(current)):
         base, cur = float(baseline[key]), float(current[key])
-        if any(key == p or key.startswith(p + ".") for p in info_prefixes):
-            direction = INFO
-        else:
-            direction = classify_key(key)
+        direction = direction_of(key)
         change = (cur - base) / abs(base) if base != 0 else (0.0 if cur == base else 1.0)
         if direction == BOOL:
             regressed = base >= 1.0 and cur < 1.0

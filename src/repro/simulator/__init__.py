@@ -15,7 +15,6 @@ bridge from a measured exploration profile to a simulator config.
 from repro.simulator.batch import BatchedSimulator, BatchStageMetrics
 from repro.simulator.config import SimulatorConfig
 from repro.simulator.core import IONetworkSimulator, StageMetrics
-from repro.simulator.fluid import FluidBatchSimulator
 from repro.simulator.scenarios import (
     sample_scenario,
     scenario_from_profile,
@@ -28,7 +27,6 @@ __all__ = [
     "StageMetrics",
     "BatchedSimulator",
     "BatchStageMetrics",
-    "FluidBatchSimulator",
     "sample_scenario",
     "scenario_from_profile",
     "simulator_config_from_testbed",

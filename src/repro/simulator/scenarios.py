@@ -91,7 +91,9 @@ def sample_scenario(
     """
     rng = as_generator(rng)
     if base is not None:
-        factors = rng.uniform(1.0 - jitter, 1.0 + jitter, size=6)
+        # Python floats: the event loop runs ~1.5x slower on numpy-scalar
+        # rates (same values, same results).
+        factors = rng.uniform(1.0 - jitter, 1.0 + jitter, size=6).tolist()
         return SimulatorConfig(
             tpt_read=base.tpt_read * factors[0],
             tpt_network=base.tpt_network * factors[1],

@@ -142,9 +142,11 @@ class TestAgentActing:
         a2, _ = agent.act(np.zeros(8))
         assert not np.array_equal(a1, a2)
 
-    def test_value_of(self):
+    def test_batched_states_are_rejected(self):
+        """``act`` takes one ``(8,)`` state; populations use ``act_all``."""
         agent = PPOAgent(config=tiny_config(), rng=0)
-        assert isinstance(agent.value_of(np.zeros(8)), float)
+        with pytest.raises(ValueError, match=r"\(8,\) state"):
+            agent.act(np.zeros((4, 8)))
 
 
 class TestAgentUpdate:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
-from repro.core.networks import PolicyNetwork
+from repro.core.networks import PolicyNetwork, ValueNetwork
 from repro.core.ppo import PPOAgent, PPOConfig
 from repro.core.production import AutoMDTController
+from repro.nn.plan import PlanUnsupported
 from repro.transfer.engine import Observation
 
 
@@ -33,6 +34,15 @@ class TestAutoMDTController:
             deterministic=deterministic,
             rng=seed,
         )
+
+    def test_non_policy_network_is_rejected(self):
+        """Proposals always run the compiled plan: no Tensor fallback."""
+        with pytest.raises(PlanUnsupported):
+            AutoMDTController(
+                ValueNetwork(8, hidden_dim=16, num_blocks=1, rng=0),
+                max_threads=30,
+                throughput_scale=1000.0,
+            )
 
     def test_propose_returns_valid_triple(self):
         ctrl = self.make()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.ppo import PPOAgent, PPOConfig
-from repro.core.training import TrainingConfig, TrainingResult, train
+from repro.core.training import ConvergenceTracker, TrainingConfig, TrainingResult, train
 from repro.utils.errors import ConfigError
 
 
@@ -150,6 +150,41 @@ class TestTrainingLoop:
             TrainingConfig(max_episodes=0)
         with pytest.raises(ConfigError):
             TrainingConfig(convergence_threshold=2.0)
+
+
+class TestConvergenceTracker:
+    """The one copy of Algorithm 2's bookkeeping, on scripted rewards."""
+
+    def test_stop_rule_best_checkpoint_and_result(self):
+        agent = tiny_agent()
+        tracker = ConvergenceTracker(agent, TrainingConfig(stagnation_episodes=2), 10.0)
+        # Target 9.0: reached at episode 1; a tie is no improvement, so the
+        # second episode without one stops the run.
+        rewards = [3.0, 9.5, 9.0, 9.5]
+        stops, snapshots = [], []
+        for reward in rewards:
+            stops.append(tracker.record(reward, 10))
+            snapshots.append(agent.state_dict())
+            for param in agent.policy.parameters():
+                param.data += 1.0  # every episode ends with a different policy
+        assert stops == [False, False, False, True]
+        result = tracker.result(1.5)
+        assert (result.best_episode, result.best_reward) == (1, 9.5)
+        assert result.convergence_episode == 1 and result.converged is True
+        assert (result.episodes_run, result.total_steps) == (4, 40)
+        assert result.wall_seconds == 1.5 and result.max_episode_reward == 10.0
+        np.testing.assert_array_equal(result.episode_rewards, rewards)
+        for name, value in result.best_state["policy"].items():
+            np.testing.assert_array_equal(value, snapshots[1]["policy"][name])
+
+    def test_budget_exhausted_after_the_target_still_converges(self):
+        reached = ConvergenceTracker(tiny_agent(), TrainingConfig(), 10.0)
+        assert not reached.record(9.5, 10)
+        assert reached.result(0.0).converged is True
+        short = ConvergenceTracker(tiny_agent(), TrainingConfig(), 10.0)
+        short.record(8.9, 10)
+        result = short.result(0.0)
+        assert result.converged is False and result.convergence_episode is None
 
 
 class TestSimulatorIntegration:

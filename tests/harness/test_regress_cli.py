@@ -136,6 +136,27 @@ def test_skipped_legs_are_informational(tmp_path, capsys):
     assert main(["regress", str(bad), "--store", str(db), "--no-ingest"]) == 1
 
 
+def test_dropped_gated_key_regresses(tmp_path, capsys):
+    """A report cannot pass by losing a gated key.
+
+    Exempt: keys under a ``skipped_*`` leg, and reports whose ``quick``
+    flag differs from the baseline's (quick runs may carry fewer arms).
+    """
+    db = tmp_path / "store.db"
+    _baseline(db, quick=False, arm={"speedup": 4.0, "bit_identical": True, "wall_s": 1.0})
+    dropped = _current(tmp_path, quick=False, arm={"wall_s": 1.0})
+    assert main(["regress", str(dropped), "--store", str(db), "--no-ingest"]) == 1
+    out = capsys.readouterr().out
+    assert "arm.speedup 4 → missing" in out and "arm.bit_identical 1 → missing" in out
+    # Informational keys may come and go.
+    no_wall = _current(tmp_path, quick=False, arm={"speedup": 4.0, "bit_identical": True})
+    assert main(["regress", str(no_wall), "--store", str(db), "--no-ingest"]) == 0
+    skipped = _current(tmp_path, quick=False, arm={"status": "skipped_single_core"})
+    assert main(["regress", str(skipped), "--store", str(db), "--no-ingest"]) == 0
+    quick = _current(tmp_path, quick=True, arm={"wall_s": 1.0})
+    assert main(["regress", str(quick), "--store", str(db), "--no-ingest"]) == 0
+
+
 def test_skipped_prefixes_walks_nested_legs():
     from repro.obs.store.regress import skipped_prefixes
 

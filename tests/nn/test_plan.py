@@ -1,9 +1,9 @@
 """Compiled inference plans vs the Tensor forward — exact and Tensor-free.
 
-``PolicyPlan`` / ``ValuePlan`` flatten a trained network into a raw-ndarray
-op list with preallocated buffers.  They must (a) reproduce the autograd
-forward bit-for-bit — action mean, sampling (same RNG stream), log-prob,
-value — and (b) allocate zero ``Tensor`` objects on the hot path.
+``PolicyPlan`` flattens a trained policy into a raw-ndarray op list with
+preallocated buffers.  It must (a) reproduce the autograd forward
+bit-for-bit — action mean, sampling (same RNG stream), log-prob — and
+(b) allocate zero ``Tensor`` objects on the hot path.
 """
 
 import importlib
@@ -15,7 +15,7 @@ from repro.autograd.tensor import no_grad
 
 tensor_mod = importlib.import_module("repro.autograd.tensor")
 from repro.core.networks import PolicyNetwork, ValueNetwork
-from repro.nn.plan import PlanUnsupported, PolicyPlan, ValuePlan
+from repro.nn.plan import PlanUnsupported, PolicyPlan
 
 
 def _policy(**overrides) -> PolicyNetwork:
@@ -91,34 +91,13 @@ class TestPolicyPlan:
         with pytest.raises(PlanUnsupported):
             PolicyPlan(Doubled())
 
-
-class TestValuePlan:
-    def test_matches_tensor_path_bitwise(self):
-        value = ValueNetwork(8, hidden_dim=16, num_blocks=2, rng=5)
-        plan = ValuePlan(value)
-        for state in _states(25, seed=2):
-            with no_grad():
-                want = float(value(state).data)
-            assert plan(state) == want
-
-    def test_allocates_zero_tensors(self, monkeypatch):
-        value = ValueNetwork(8, hidden_dim=16, num_blocks=1, rng=5)
-        plan = ValuePlan(value)
-        count = 0
-        original = tensor_mod.Tensor.__init__
-
-        def counting(self, *args, **kwargs):
-            nonlocal count
-            count += 1
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(tensor_mod.Tensor, "__init__", counting)
-        plan(np.zeros(8))
-        assert count == 0
-
-    def test_unsupported_structure_raises(self):
-        class Odd:
-            pass
-
+    def test_only_policy_blocks_compile(self):
+        """The compiler takes the ReLU + LayerNorm blocks PolicyNetwork
+        builds; value-style Tanh blocks and critics are rejected."""
+        policy = _policy(num_blocks=1)
+        for block in policy.blocks:
+            block.activation = "tanh"
         with pytest.raises(PlanUnsupported):
-            ValuePlan(Odd())
+            PolicyPlan(policy)
+        with pytest.raises(PlanUnsupported):
+            PolicyPlan(ValueNetwork(8, hidden_dim=16, num_blocks=1, rng=5))

@@ -70,7 +70,7 @@ def test_store_info_lists_counts_and_recent_runs(tmp_path, capsys):
 
 
 def test_repo_bench_artifacts_ingest_cleanly(tmp_path):
-    """The five committed BENCH_*.json artifacts all carry a known schema."""
+    """The committed BENCH_*.json artifacts all carry a known schema."""
     from pathlib import Path
 
     repo_root = Path(__file__).resolve().parents[2]
@@ -82,4 +82,4 @@ def test_repo_bench_artifacts_ingest_cleanly(tmp_path):
     store = ResultsStore(db)
     assert store.counts()["runs"] == len(artifacts)
     suites = {row["scenario"] for row in store.runs(kind="bench")}
-    assert {"dataplane", "fleet", "integrity", "parallel", "vectorized"} <= suites
+    assert {"dataplane", "fleet", "integrity", "parallel"} <= suites

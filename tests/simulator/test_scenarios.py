@@ -46,6 +46,18 @@ class TestSampleScenario:
             jittered = sample_scenario(rng, base=base, jitter=0.1)
             assert 90.0 <= jittered.tpt_read <= 110.0
 
+    def test_jittered_rates_are_python_floats(self):
+        """Each rate is a ``float`` equal to the ``np.float64`` product."""
+        base = SimulatorConfig(tpt_read=97.3, tpt_network=151.1, bandwidth_write=777.7)
+        jittered = sample_scenario(3, base=base)
+        factors = np.random.default_rng(3).uniform(1.0 - 0.2, 1.0 + 0.2, size=6)
+        rates = ("tpt_read", "tpt_network", "tpt_write",
+                 "bandwidth_read", "bandwidth_network", "bandwidth_write")
+        for name, factor in zip(rates, factors):
+            value = getattr(jittered, name)
+            assert type(value) is float, name
+            assert value == getattr(base, name) * factor, name
+
     def test_jitter_preserves_buffers(self):
         base = SimulatorConfig(sender_buffer_capacity=123456789.0)
         jittered = sample_scenario(0, base=base)
