@@ -13,32 +13,38 @@ repo root, like the other ``BENCH_*.json`` artifacts):
   the orchestration overhead from the compute ceiling: even on one core
   the pool overlaps waiting, so this section demonstrates the dispatch
   machinery works at near-ideal speedup.
-* ``sim_hotpath`` — ``IONetworkSimulator.step_second`` with the rate
-  cache on vs off over held thread triples (the training-loop access
-  pattern), asserting throughput values are bit-identical.
-* ``fleet_steps`` — the fleet-vectorized ``BatchedSimulator`` stepping
-  1/16/64/256 transfers per call vs one scalar event loop, asserting
-  bit-identical outputs *and* a ≥5× transfer-steps/s speedup at batch
-  ≥ 64 (a gated speed number: it measures vectorization, a code
-  property, not the host).  Its ``population`` arm steps 8 jittered
-  fig5-read variants the way ``train_population(batched=True)`` does,
-  against 8 scalar loops, and gates on bit-identity and a ≥0.5× floor:
-  columns without a shared cadence must not pay for superrounds.
+* ``sim_hotpath`` — ``IONetworkSimulator.step_second`` against the
+  pre-optimisation per-task heap loop, and with the rate cache on vs off,
+  over held thread triples (the training-loop access pattern), asserting
+  throughput values are bit-identical.  The three arms run in alternating
+  order over several repeats and report median walls, so the gated
+  ``speedup_vs_reference`` and ``cache_speedup`` do not hinge on one
+  timing, or on which arm ran first, on a noisy host.
+* ``fleet_steps`` — ``BatchedSimulator`` against per-column scalar
+  simulators: a lockstep sub-run asserts bit-identical outputs, and the
+  ``population`` arm steps 8 jittered fig5-read variants the way
+  ``train_population(batched=True)`` does, against 8 scalar loops, and
+  gates on bit-identity and a ≥0.5× floor.
+
+The report's top-level ``retired`` list names the gated keys of deleted
+arms, each with its reason; ``automdt regress`` exempts them while they
+stay missing.
 
 Run standalone (what the CI ``bench-smoke`` job does)::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py --quick
 
 Exits 1 if parallel results diverge from serial, the cached simulator
-changes any throughput value, or the batched engine misses bit-identity
-or its speedup floor; other speed numbers are reported, not gated —
-they are hardware statements, not correctness ones.
+changes any throughput value, or the batched simulator misses
+bit-identity or its population floor; other speed numbers are reported,
+not gated — they are hardware statements, not correctness ones.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -46,6 +52,16 @@ from pathlib import Path
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Gated keys of arms this bench no longer runs (see ``automdt regress``).
+RETIRED = [
+    {
+        "key": "fleet_steps.min_speedup",
+        "reason": "the batch-1/16/64/256 arms measured BatchedSimulator's "
+                  "superround engine, deleted once the burst-grouped scalar "
+                  "event loop made it slower than per-column stepping",
+    },
+]
 
 
 # ------------------------------------------------------------------ sections
@@ -201,8 +217,14 @@ def _make_reference_simulator(config):
     return ReferenceSimulator(config)
 
 
-def bench_sim_hotpath(*, steps: int = 2000, held_triples: int = 8) -> dict:
-    """step_second: pre-optimisation baseline vs cache off vs cache on."""
+def bench_sim_hotpath(*, steps: int = 2000, held_triples: int = 8,
+                      repeats: int = 5) -> dict:
+    """step_second: pre-optimisation baseline vs cache off vs cache on.
+
+    After one warm-up pass per arm, ``repeats`` rounds time every arm once,
+    in forward order on even rounds and reverse order on odd ones; walls
+    are the medians over the rounds.
+    """
     from repro.simulator.config import SimulatorConfig
     from repro.simulator.core import IONetworkSimulator
 
@@ -230,12 +252,18 @@ def bench_sim_hotpath(*, steps: int = 2000, held_triples: int = 8) -> dict:
     }
     for make in arms.values():  # warm-up pass per arm
         run(make)
-    walls, outs = {}, {}
-    for name, make in arms.items():
-        walls[name], outs[name] = run(make)
+    samples: dict[str, list[float]] = {name: [] for name in arms}
+    outs = {}
+    for rnd in range(repeats):
+        order = list(arms) if rnd % 2 == 0 else list(reversed(arms))
+        for name in order:
+            wall, outs[name] = run(arms[name])
+            samples[name].append(wall)
+    walls = {name: statistics.median(times) for name, times in samples.items()}
     return {
         "steps": steps,
         "held_triples": held_triples,
+        "repeats": repeats,
         "reference_wall_s": round(walls["reference"], 3),
         "cache_off_wall_s": round(walls["cache_off"], 3),
         "cache_on_wall_s": round(walls["cache_on"], 3),
@@ -245,21 +273,17 @@ def bench_sim_hotpath(*, steps: int = 2000, held_triples: int = 8) -> dict:
     }
 
 
-def bench_fleet_steps(*, steps: int = 48, batches: tuple[int, ...] = (1, 16, 64, 256),
-                      check_steps: int = 12, min_speedup: float = 5.0,
-                      population_episodes: int = 12) -> dict:
-    """Fleet-vectorized stepping: ``BatchedSimulator`` vs N scalar loops.
+def bench_fleet_steps(*, check_steps: int = 12, population_episodes: int = 12) -> dict:
+    """``BatchedSimulator`` against one scalar simulator per column.
 
-    The regime is the paper's thread-throttled operating point (per-thread
-    bandwidth share above the stage throttle for every stage), where many
-    tenants' transfers run the same steady cadence — the fleet/population
-    shape the batched engine exists for.  ``fleet_steps_per_s`` counts
-    *transfer*-steps per wall second (batch × calls / wall); ``speedup``
-    is against one scalar ``IONetworkSimulator`` driven through the same
-    regime.  Gated: the largest batch ≥ 64 must clear ``min_speedup``,
-    and a lockstep sub-run must be bit-identical to the scalar oracle.
-    The ``population`` arm (:func:`bench_population_steps`) covers the
-    regime where columns share no cadence.
+    A lockstep sub-run in the paper's thread-throttled operating point
+    (per-thread bandwidth share above the stage throttle for every stage)
+    steps 16 columns and their scalar oracles through one schedule and
+    requires every column bit-identical.  The ``population`` arm
+    (:func:`bench_population_steps`) times the regime the batched
+    simulator's one production consumer, population training, runs in.
+    Each column steps through the scalar kernel, so there is no
+    vectorization speedup to gate.
     """
     from repro.simulator.batch import BatchedSimulator
     from repro.simulator.config import SimulatorConfig
@@ -270,48 +294,6 @@ def bench_fleet_steps(*, steps: int = 48, batches: tuple[int, ...] = (1, 16, 64,
         bandwidth_read=3000.0, bandwidth_network=2800.0, bandwidth_write=2600.0,
         max_threads=26, label="bench-fleet",
     )
-    caps = (config.sender_buffer_capacity, config.receiver_buffer_capacity)
-
-    def drive_batched(batch: int, n_steps: int) -> float:
-        rng = np.random.default_rng(7)
-        sim = BatchedSimulator(config, batch)
-        sim.step_second(rng.integers(20, 27, (batch, 3)))  # warm-up/alloc
-        t0 = time.perf_counter()
-        for step in range(n_steps):
-            if step % 32 == 0:
-                sim.reset(sender_usage=rng.uniform(0.2, 0.3, batch) * caps[0],
-                          receiver_usage=rng.uniform(0.2, 0.3, batch) * caps[1])
-            sim.step_second(rng.integers(20, 27, (batch, 3)))
-        return time.perf_counter() - t0
-
-    def drive_scalar(n_steps: int) -> float:
-        rng = np.random.default_rng(7)
-        sim = IONetworkSimulator(config, cache_rates=True)
-        sim.step_second(tuple(int(v) for v in rng.integers(20, 27, 3)))
-        t0 = time.perf_counter()
-        for step in range(n_steps):
-            if step % 32 == 0:
-                sim.reset(sender_usage=float(rng.uniform(0.2, 0.3)) * caps[0],
-                          receiver_usage=float(rng.uniform(0.2, 0.3)) * caps[1])
-            sim.step_second(tuple(int(v) for v in rng.integers(20, 27, 3)))
-        return time.perf_counter() - t0
-
-    scalar_steps = max(4 * steps, 128)
-    scalar_wall = drive_scalar(scalar_steps)
-    scalar_rate = scalar_steps / scalar_wall
-
-    arms = []
-    for batch in batches:
-        wall = drive_batched(batch, steps)
-        rate = batch * steps / wall
-        arms.append({
-            "batch": batch,
-            "wall_s": round(wall, 4),
-            "fleet_steps_per_s": round(rate, 1),
-            "speedup": round(rate / scalar_rate, 2),
-        })
-
-    # Lockstep identity sub-run: every column vs its own scalar oracle.
     check_batch = 16
     rng = np.random.default_rng(3)
     batched = BatchedSimulator(config, check_batch)
@@ -323,15 +305,8 @@ def bench_fleet_steps(*, steps: int = 48, batches: tuple[int, ...] = (1, 16, 64,
         for i, sim in enumerate(scalars):
             want = sim.step_second(tuple(int(v) for v in threads[i]))
             identical = identical and got.column(i) == want
-    gated = [a["speedup"] for a in arms if a["batch"] >= 64]
     return {
-        "steps": steps,
-        "scalar_steps_per_s": round(scalar_rate, 1),
-        "arms": arms,
         "outputs_identical": identical,
-        "min_speedup": min_speedup,
-        "best_speedup_batch64plus": max(gated) if gated else 0.0,
-        "meets_target": bool(gated and max(gated) >= min_speedup),
         "population": bench_population_steps(episodes=population_episodes),
     }
 
@@ -346,7 +321,8 @@ def bench_population_steps(*, episodes: int, members: int = 8, repeats: int = 3,
     and steps a random thread triple (``BatchedEnv.reset_all``), then
     takes ten steps (``step_all``).  Both arms replay one pre-drawn
     schedule; ``speedup`` is the K scalar loops' best wall over the
-    batched simulator's.  Gated: every column bit-identical to its
+    batched simulator's.  Both arms run the same event loop per column,
+    so the ratio prices the batched simulator's column bookkeeping.  Gated: every column bit-identical to its
     scalar oracle, and ``speedup`` at least ``min_speedup``.
     """
     from dataclasses import replace
@@ -443,6 +419,7 @@ def run_bench(*, quick: bool = False, workers: int = 4,
     report = {
         "bench": "parallel",
         "schema": 1,
+        "retired": RETIRED,
         "cpu_count": cores,
         "quick": quick,
         "sweep": sweep,
@@ -451,10 +428,10 @@ def run_bench(*, quick: bool = False, workers: int = 4,
             seconds=0.2 if quick else 0.25,
             workers=workers,
         ),
-        "sim_hotpath": bench_sim_hotpath(steps=800 if quick else 2000),
-        "fleet_steps": bench_fleet_steps(
-            steps=16 if quick else 48, population_episodes=4 if quick else 12
+        "sim_hotpath": bench_sim_hotpath(
+            steps=800 if quick else 2000, repeats=5 if quick else 9
         ),
+        "fleet_steps": bench_fleet_steps(population_episodes=4 if quick else 12),
     }
     sweep_ok = sweep.get("status") == "skipped_single_core" or sweep["aggregates_identical"]
     fleet = report["fleet_steps"]
@@ -463,7 +440,6 @@ def run_bench(*, quick: bool = False, workers: int = 4,
         sweep_ok
         and report["sim_hotpath"]["throughput_identical"]
         and fleet["outputs_identical"]
-        and fleet["meets_target"]
         and population["outputs_identical"]
         and population["meets_floor"]
     )
@@ -498,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     report = run_bench(quick=args.quick, workers=args.workers, out=args.out)
     print(json.dumps(report, indent=2))
     if not report["ok"]:
-        print("FAIL: results diverged from serial or the batched engine "
+        print("FAIL: results diverged from serial or the batched simulator "
               "missed an identity/speedup gate", file=sys.stderr)
         return 1
     return 0

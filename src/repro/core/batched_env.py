@@ -3,9 +3,8 @@
 :class:`BatchedEnv` holds N member environments as columns of one
 fleet-vectorized simulator: one :meth:`step_all` call advances the whole
 population's simulated second in-process, without N environment objects
-or N pool processes.  The simulator steps columns that share no cadence
-(jittered variants) through the scalar event loop one by one, and aligned
-columns through vectorized superrounds.  Column ``i`` reproduces
+or N pool processes.  The simulator steps each column through the scalar
+event loop in turn.  Column ``i`` reproduces
 :class:`repro.core.env.SimulatorEnv` *bit-identically* — same per-column
 RNG draw order on reset (sender fill, receiver fill, initial threads),
 same action mapping, same state assembly and reward arithmetic — so a

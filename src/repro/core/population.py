@@ -16,10 +16,8 @@ and the member index, which makes ``workers=K`` bit-identical to
 ``batched=True`` selects a third, in-process execution mode: all members
 step one :class:`repro.core.batched_env.BatchedEnv` together, and a
 :class:`~repro.nn.stacked.StackedPPOAgent` acts for and updates all of
-them at once.  The simulator picks its engine per step: jittered variants
-share no event cadence, so each member's simulated second runs the scalar
-event loop in-process (vectorized superrounds only pay off for aligned
-columns, see :mod:`repro.simulator.batch`).  The batched path derives the
+them at once.  Each member's simulated second runs the scalar event loop
+in-process (see :mod:`repro.simulator.batch`).  The batched path derives the
 same per-member seed streams and replays the same per-member call
 sequence as ``_train_member``, so its results are bit-identical to
 ``workers=1`` (and therefore to any worker count).

@@ -37,15 +37,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro import obs
 from repro.emulator.presets import fig5_read_bottleneck
 from repro.emulator.testbed import TestbedConfig
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.seeds import derive_seed
-from repro.simulator.batch import BatchedSimulator
-from repro.simulator.scenarios import simulator_config_from_testbed
 from repro.utils.backoff import RetryBudget, backoff_delay
 from repro.utils.config import require_non_negative, require_positive
 from repro.utils.units import mbps_to_bytes_per_sec
@@ -112,12 +108,6 @@ class FleetConfig:
     backoff_max: float = 60.0
     min_rate: float = 1e5  # bytes/s below which a slice is not worth running
     faults: JobFaultProfile = field(default_factory=JobFaultProfile)
-    #: Opt-in shadow model: advance one Algorithm-1 simulator column per
-    #: admitted job (all columns in one fleet-vectorized ``step_second``
-    #: call per round) and report its predictions under ``report["cosim"]``.
-    #: Purely observational — scheduling decisions and, when off, the
-    #: report fingerprint are unchanged.
-    cosim: bool = False
     #: Opt-in online adaptation: wrap every job's frozen policy in an
     #: :class:`~repro.adapt.controller.AdaptiveController` (drift detection,
     #: shadow-evaluated correction, automatic rollback) and attach each
@@ -187,73 +177,6 @@ class _Entry:
         return self.job.request.priority
 
 
-class _CosimTwin:
-    """Shadow Algorithm-1 model of the fleet: one simulator column per job.
-
-    Each round the twin maps every dispatched job's fair-share allocation
-    to a concurrency triple (share of the per-job demand ceiling, scaled to
-    ``max_threads``) and advances *all* columns in one fleet-vectorized
-    :meth:`BatchedSimulator.step_second` call.  Idle columns are rolled
-    back afterwards via a masked reset, so only dispatched jobs progress.
-    The twin never feeds back into scheduling — it exists to compare what
-    the offline-training simulator predicts against what the emulated data
-    plane verified.
-    """
-
-    def __init__(self, testbed_config: TestbedConfig) -> None:
-        self.sim_config = simulator_config_from_testbed(testbed_config)
-        self.max_threads = self.sim_config.max_threads
-        self.simulator: BatchedSimulator | None = None
-        self.rounds = 0
-        self.predicted_bytes: list[float] = []
-
-    def _grow(self, n: int) -> None:
-        """(Re)build the batch when jobs were admitted, keeping buffer state."""
-        if self.simulator is not None and self.simulator.batch == n:
-            return
-        snd = np.zeros(n)
-        rcv = np.zeros(n)
-        if self.simulator is not None:
-            snd[: self.simulator.batch] = self.simulator.sender_usage
-            rcv[: self.simulator.batch] = self.simulator.receiver_usage
-        self.simulator = BatchedSimulator(
-            [self.sim_config] * n, sender_usage=snd, receiver_usage=rcv
-        )
-        self.predicted_bytes.extend([0.0] * (n - len(self.predicted_bytes)))
-
-    def advance(self, n_jobs: int, dispatched: dict[int, float], quantum: float,
-                job_demand: float) -> None:
-        """One co-simulated round; ``dispatched`` maps job_id → rate cap."""
-        if n_jobs == 0:
-            return
-        self._grow(n_jobs)
-        sim = self.simulator
-        threads = np.ones((n_jobs, 3), dtype=np.int64)
-        for job_id, rate in dispatched.items():
-            share = rate / job_demand * self.max_threads
-            threads[job_id] = int(np.clip(round(share), 1, self.max_threads))
-        idle = np.ones(n_jobs, dtype=bool)
-        if dispatched:
-            idle[list(dispatched)] = False
-        snd = sim.sender_usage.copy()
-        rcv = sim.receiver_usage.copy()
-        metrics = sim.step_second(threads)
-        if idle.any():
-            sim.reset(sender_usage=snd, receiver_usage=rcv, mask=idle)
-        write_bps = metrics.throughput_write * 1e6 / 8.0
-        for job_id in dispatched:
-            self.predicted_bytes[job_id] += write_bps[job_id] * quantum
-        self.rounds += 1
-
-    def section(self) -> dict:
-        """The deterministic ``report["cosim"]`` payload."""
-        return {
-            "rounds": self.rounds,
-            "batch": 0 if self.simulator is None else self.simulator.batch,
-            "predicted_bytes": [float(round(b, 1)) for b in self.predicted_bytes],
-        }
-
-
 class FleetScheduler:
     """Runs a request list to quiescence on one shared virtual timeline."""
 
@@ -304,7 +227,6 @@ class FleetScheduler:
         #: collision-free path fleet soak workers use.
         self.registry = MetricsRegistry()
         self._prev_selected: set[int] = set()
-        self._cosim = _CosimTwin(self.testbed_config) if config.cosim else None
 
     # --------------------------------------------------------------- plumbing
     def _admit(self, t: float) -> None:
@@ -504,13 +426,6 @@ class FleetScheduler:
                 selected = self._select(runnable)
                 self._account_idle(runnable, selected)
                 allocation = self._allocate(selected, t)
-                if self._cosim is not None:
-                    self._cosim.advance(
-                        len(self.entries),
-                        {j: r for j, r in allocation.items() if r >= cfg.min_rate},
-                        cfg.quantum,
-                        self.job_demand,
-                    )
                 for entry in sorted(selected, key=lambda e: e.job.job_id):
                     rate = allocation[entry.job.job_id]
                     if rate < cfg.min_rate:
@@ -531,8 +446,6 @@ class FleetScheduler:
             session = obs.active()
             if session is not None:
                 session.registry.merge_from(self.registry)
-            if self._cosim is not None and self._cosim.simulator is not None:
-                self._cosim.simulator.export_telemetry()
         return report
 
     # ----------------------------------------------------------------- report
@@ -646,8 +559,6 @@ class FleetScheduler:
             "invariants": invariants,
             "all_passed": all(invariants.values()),
         }
-        if self._cosim is not None:
-            report["cosim"] = self._cosim.section()
         report["fingerprint"] = fleet_report_fingerprint(report)
         return report
 

@@ -12,12 +12,17 @@ Gating is deliberately conservative: only relative, hardware-stable keys
 (speedups, overhead fractions, fairness ratios) and boolean gates are
 compared by default.  Absolute wall-clock and MB/s numbers are reported
 as informational drift — they say more about the runner than the code.
+
+A bench that deletes a gated arm declares it in a top-level ``retired``
+list of ``{"key": <dotted key>, "reason": <why>}`` entries; the verdict
+prints each one, and a retired key is exempt from the missing-key rule
+while it stays missing (see :func:`compare_suite`).
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +35,7 @@ __all__ = [
     "compare_suite",
     "load_bench_file",
     "render_regress",
+    "retired_keys",
     "run_regress",
     "skipped_prefixes",
 ]
@@ -70,6 +76,25 @@ def skipped_prefixes(report: Mapping) -> tuple[str, ...]:
 
     walk(report, "")
     return tuple(found)
+
+
+def retired_keys(report: Mapping) -> dict[str, str]:
+    """The report's ``retired`` declarations as ``{dotted key: reason}``.
+
+    Raises :class:`BenchSchemaError` for an entry that is not a mapping
+    with a string ``key`` and a string ``reason``: an arm may only be
+    retired on the record.
+    """
+    retired: dict[str, str] = {}
+    for entry in report.get("retired", ()):
+        fields = entry if isinstance(entry, Mapping) else {}
+        key, reason = fields.get("key"), fields.get("reason")
+        if not (isinstance(key, str) and isinstance(reason, str) and reason):
+            raise BenchSchemaError(
+                f"retired entries need a string 'key' and 'reason', got {entry!r}"
+            )
+        retired[key] = reason
+    return retired
 
 
 def classify_key(key: str) -> str:
@@ -145,6 +170,7 @@ def compare_suite(
     threshold: float,
     gate_informational: bool = False,
     info_prefixes: Sequence[str] = (),
+    retired: Collection[str] = (),
 ) -> list[Finding]:
     """Per-key findings for one suite.
 
@@ -152,7 +178,9 @@ def compare_suite(
     missing from the current report is a regression too — an artifact must
     not pass by dropping the arm that carried its ``speedup`` or
     ``bit_identical`` — unless the two reports' ``quick`` flags differ
-    (quick runs may carry fewer arms).  Keys under any of ``info_prefixes``
+    (quick runs may carry fewer arms) or the current report lists the key
+    as ``retired``.  A retired key that is still present is compared like
+    any other.  Keys under any of ``info_prefixes``
     (dotted leg paths, typically from :func:`skipped_prefixes`) are demoted
     to informational regardless of their suffix — a skipped leg's numbers
     carry no gate-worthy signal, and it may carry none at all.
@@ -167,7 +195,7 @@ def compare_suite(
     if baseline.get("quick") == current.get("quick"):
         for key in sorted(set(baseline) - set(current)):
             direction = direction_of(key)
-            if direction != INFO:
+            if direction != INFO and key not in retired:
                 findings.append(
                     Finding(
                         suite=suite, key=key, direction=direction,
@@ -223,6 +251,9 @@ def run_regress(
         skipped = skipped_prefixes(report)
         if skipped:
             entry["skipped_legs"] = list(skipped)
+        retired = retired_keys(report)
+        if retired:
+            entry["retired"] = retired
         if point is None:
             entry["status"] = "no_baseline"
             entry["findings"] = []
@@ -230,7 +261,7 @@ def run_regress(
             findings = compare_suite(
                 suite, point.values, flat,
                 threshold=threshold, gate_informational=gate_informational,
-                info_prefixes=skipped,
+                info_prefixes=skipped, retired=retired,
             )
             regressions = [f for f in findings if f.regressed]
             entry["status"] = "regressed" if regressions else "ok"
@@ -249,8 +280,12 @@ def render_regress(result: Mapping) -> str:
     lines: list[str] = []
     for suite, entry in result["suites"].items():
         status = entry["status"]
+        retired = [
+            f"  retired {key} — {reason}" for key, reason in entry.get("retired", {}).items()
+        ]
         if status == "no_baseline":
             lines.append(f"{suite}: no stored baseline ({entry['keys']} keys ingested)")
+            lines.extend(retired)
             continue
         findings = [Finding(**f) for f in entry["findings"]]
         gated = [f for f in findings if f.direction != INFO]
@@ -261,6 +296,7 @@ def render_regress(result: Mapping) -> str:
         )
         for leg in entry.get("skipped_legs", ()):
             lines.append(f"  leg {leg} skipped — keys informational")
+        lines.extend(retired)
         for finding in regressed:
             lines.append(f"  REGRESSION {finding.describe()}")
         if not regressed:

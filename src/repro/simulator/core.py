@@ -5,7 +5,8 @@ Faithful to the paper's pseudocode:
 * tasks (one per scheduled thread slot) live in a time-ordered priority
   queue; popping a task checks its buffer precondition, moves a chunk if it
   can, and re-enqueues itself at ``t + d_task + ε`` while that lands before
-  the horizon;
+  the horizon (a stage's tasks due at one time share one queue entry; see
+  :func:`event_loop`);
 * a read task needs free sender-buffer space, a network task needs data at
   the sender *and* free receiver space, a write task needs data at the
   receiver;
@@ -105,8 +106,8 @@ class IONetworkSimulator:
         # Bound method lookup hoisted out of the per-step path.
         self._obs_active = obs.active
         #: Diagnostics of the most recent :meth:`step_second` call — how many
-        #: blocked tasks re-queued after the ε back-off, and the deepest the
-        #: event queue got.  Exported to :mod:`repro.obs` when enabled.
+        #: blocked tasks re-queued after the ε back-off, and the most tasks
+        #: the event queue held.  Exported to :mod:`repro.obs` when enabled.
         self.last_blocked_retries = 0
         self.last_queue_peak = 0
 
@@ -185,9 +186,9 @@ class IONetworkSimulator:
             cfg.duration, cfg.epsilon, cfg.task_overhead,
             cfg.sender_buffer_capacity, cfg.receiver_buffer_capacity,
         )
-        # Each pop pushes at most one task back, so the queue never grows
-        # past its starting depth — the peak *is* the initial size.
-        queue_peak = len(init_queue)
+        # Each popped task pushes at most one task back, so the number of
+        # queued tasks never grows past its start: one per thread.
+        queue_peak = n[0] + n[1] + n[2]
 
         self._sender_usage = sender
         self._receiver_usage = receiver
@@ -212,17 +213,21 @@ class IONetworkSimulator:
         )
 
 
-def initial_queue(n) -> list[tuple[float, int, int]]:
+def initial_queue(n) -> list[tuple[float, int, int, int]]:
     """Algorithm 1's t = 0 task queue (line 29) for thread triple ``n``.
 
-    One ``(0.0, seq, stage)`` task per scheduled thread, in (read, network,
-    write) order.  Every priority is 0.0 and sequence numbers ascend, so the
-    list is already a valid min-heap.
+    One ``(0.0, seq, stage, count)`` run per stage, in (read, network,
+    write) order: the stage's ``count`` tasks own sequence numbers ``seq …
+    seq + count - 1``, exactly as if they had been queued one by one.  At
+    most three entries, priorities all 0.0 and sequence numbers ascending,
+    so the list is already a valid min-heap.
     """
-    queue: list[tuple[float, int, int]] = []
+    queue: list[tuple[float, int, int, int]] = []
+    seq = 0
     for stage in (_READ, _NETWORK, _WRITE):
-        for _ in range(n[stage]):
-            queue.append((0.0, len(queue), stage))
+        if n[stage] > 0:
+            queue.append((0.0, seq, stage, n[stage]))
+            seq += n[stage]
     return queue
 
 
@@ -233,25 +238,40 @@ def event_loop(
     """Algorithm 1's event loop over one horizon (no observability calls).
 
     ``rates``/``chunks`` are the per-stage ``(read, network, write)``
-    per-thread byte rates and chunk sizes, ``init_queue`` the t = 0 queue
-    (:func:`initial_queue`; copied, never mutated) and ``sender``/
-    ``receiver`` the buffer occupancies at the start of the horizon.
+    per-thread byte rates and (positive) chunk sizes, ``init_queue`` the
+    t = 0 queue (:func:`initial_queue`; copied, never mutated) and
+    ``sender``/``receiver`` the buffer occupancies at the start of the
+    horizon.
 
     Returns ``(throughputs, sender, receiver, blocked_retries, pops)``:
     per-stage Mbps normalized by finish time, the occupancies at the end,
     the number of ε back-offs, and the number of tasks popped — every
     pushed task is popped, so that is the final sequence number.
-    :class:`IONetworkSimulator` and the per-column path of
+    :class:`IONetworkSimulator` and
     :class:`~repro.simulator.batch.BatchedSimulator` both step through it.
+
+    Heap entries are *runs* ``(t, seq, stage, count)``: ``count`` tasks of
+    one stage due at ``t`` that own the consecutive sequence numbers
+    ``seq … seq + count - 1``.  A one-entry-per-task heap pops exactly
+    those tasks back to back — any other task due at ``t`` has a sequence
+    number outside the range, and every task pushed meanwhile sorts after
+    them — and tasks of one stage are interchangeable (same rate, same
+    chunk).  So a popped run is processed member by member with the
+    per-task arithmetic: one ``+=`` per member on the buffers and the
+    moved counter, never a multiplication.  Members that move a full chunk
+    all finish at the same time and are pushed back as one run; a partial
+    chunk is pushed alone; and once a member finds its buffer blocked,
+    nothing changes until another stage runs, so the rest of the run backs
+    off together.  Each push takes the next ``count`` sequence numbers.
+    Every float operation, the relative heap order, ``blocked_retries`` and
+    the pop count are those of the per-task loop
+    (``tests/simulator/heap_oracle.py``, the equivalence oracle).
     """
-    # Hot loop: ~duration/(chunk_seconds + overhead) events per thread
-    # per call, millions of calls per training run.  Per-stage scalars
-    # replace list indexing, heap functions are bound locally, and
-    # ``min`` unrolls to comparisons — all value-identical to the
-    # straightforward form this replaced.
     heappop, heappush = heapq.heappop, heapq.heappush
     rate_r, rate_n, rate_w = rates
     chunk_r, chunk_n, chunk_w = chunks
+    # A full chunk takes the same ``amount / rate`` every time.
+    dur_r, dur_n, dur_w = chunk_r / rate_r, chunk_n / rate_n, chunk_w / rate_w
     moved_r = moved_n = moved_w = 0.0
     fin_r = fin_n = fin_w = 0.0
     blocked_retries = 0
@@ -259,56 +279,111 @@ def event_loop(
     # The initial queue is already a valid min-heap, so no heapify is
     # needed.  The sequence number breaks ties deterministically.
     queue = init_queue.copy()
-    seq = len(queue)
+    seq = sum(entry[3] for entry in queue)
 
     while queue:
-        t, _, stage = heappop(queue)
+        t, _, stage, count = heappop(queue)
+        # Each pass settles the run's next ``k`` members: a streak of full
+        # chunks, else one partial chunk, else the blocked rest of the run.
         if stage == _READ:
-            free = sender_cap - sender
-            if free > 0.0:
-                amount = chunk_r if chunk_r <= free else free
-                sender += amount
-                moved_r += amount
-                finish = t + amount / rate_r
-                if finish > fin_r:
-                    fin_r = finish
-                t_next = finish + overhead
-            else:
-                blocked_retries += 1
-                t_next = t + eps
+            while count:
+                for k in range(count):
+                    if chunk_r > sender_cap - sender:
+                        break
+                    sender += chunk_r
+                    moved_r += chunk_r
+                else:
+                    k = count
+                if k:
+                    finish = t + dur_r
+                    if finish > fin_r:
+                        fin_r = finish
+                    t_next = finish + overhead
+                else:
+                    free = sender_cap - sender
+                    if free > 0.0:  # a partial chunk fills the sender buffer
+                        sender += free
+                        moved_r += free
+                        finish = t + free / rate_r
+                        if finish > fin_r:
+                            fin_r = finish
+                        t_next = finish + overhead
+                        k = 1
+                    else:
+                        blocked_retries += count
+                        t_next = t + eps
+                        k = count
+                if t_next < horizon:
+                    heappush(queue, (t_next, seq, _READ, k))
+                    seq += k
+                count -= k
         elif stage == _NETWORK:
-            free = receiver_cap - receiver
-            if sender > 0.0 and free > 0.0:
-                amount = chunk_n
-                if sender < amount:
-                    amount = sender
-                if free < amount:
-                    amount = free
-                sender -= amount
-                receiver += amount
-                moved_n += amount
-                finish = t + amount / rate_n
-                if finish > fin_n:
-                    fin_n = finish
-                t_next = finish + overhead
-            else:
-                blocked_retries += 1
-                t_next = t + eps
+            while count:
+                for k in range(count):
+                    if sender < chunk_n or receiver_cap - receiver < chunk_n:
+                        break
+                    sender -= chunk_n
+                    receiver += chunk_n
+                    moved_n += chunk_n
+                else:
+                    k = count
+                if k:
+                    finish = t + dur_n
+                    if finish > fin_n:
+                        fin_n = finish
+                    t_next = finish + overhead
+                else:
+                    free = receiver_cap - receiver
+                    if sender > 0.0 and free > 0.0:  # a partial chunk
+                        amount = sender if sender < free else free
+                        sender -= amount
+                        receiver += amount
+                        moved_n += amount
+                        finish = t + amount / rate_n
+                        if finish > fin_n:
+                            fin_n = finish
+                        t_next = finish + overhead
+                        k = 1
+                    else:
+                        blocked_retries += count
+                        t_next = t + eps
+                        k = count
+                if t_next < horizon:
+                    heappush(queue, (t_next, seq, _NETWORK, k))
+                    seq += k
+                count -= k
         else:  # _WRITE
-            if receiver > 0.0:
-                amount = chunk_w if chunk_w <= receiver else receiver
-                receiver -= amount
-                moved_w += amount
-                finish = t + amount / rate_w
-                if finish > fin_w:
-                    fin_w = finish
-                t_next = finish + overhead
-            else:
-                blocked_retries += 1
-                t_next = t + eps
-        if t_next < horizon:
-            heappush(queue, (t_next, seq, stage))
-            seq += 1
+            while count:
+                for k in range(count):
+                    if chunk_w > receiver:
+                        break
+                    receiver -= chunk_w
+                    moved_w += chunk_w
+                else:
+                    k = count
+                if k:
+                    finish = t + dur_w
+                    if finish > fin_w:
+                        fin_w = finish
+                    t_next = finish + overhead
+                else:
+                    if receiver > 0.0:  # a partial chunk drains the receiver
+                        amount = receiver
+                        receiver -= amount
+                        moved_w += amount
+                        finish = t + amount / rate_w
+                        if finish > fin_w:
+                            fin_w = finish
+                        t_next = finish + overhead
+                        k = 1
+                    else:
+                        blocked_retries += count
+                        t_next = t + eps
+                        k = count
+                if t_next < horizon:
+                    heappush(queue, (t_next, seq, _WRITE, k))
+                    seq += k
+                count -= k
 
     # Normalize throughputs by their finish times (line 37): a stage that
     # ran past the horizon gets credited over its true elapsed time.

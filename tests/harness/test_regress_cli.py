@@ -157,6 +157,45 @@ def test_dropped_gated_key_regresses(tmp_path, capsys):
     assert main(["regress", str(quick), "--store", str(db), "--no-ingest"]) == 0
 
 
+RETIRED = [{"key": "arm.speedup", "reason": "the engine it measured was deleted"}]
+
+
+def test_retired_missing_key_is_exempt_and_printed(tmp_path, capsys):
+    db = tmp_path / "store.db"
+    _baseline(db, quick=False, arm={"speedup": 4.0, "bit_identical": True})
+    path = _current(tmp_path, quick=False, arm={"bit_identical": True}, retired=RETIRED)
+    assert main(["regress", str(path), "--store", str(db), "--no-ingest"]) == 0
+    out = capsys.readouterr().out
+    assert "retired arm.speedup — the engine it measured was deleted" in out
+    assert "missing" not in out
+
+
+def test_unretired_dropped_key_still_regresses(tmp_path, capsys):
+    db = tmp_path / "store.db"
+    _baseline(db, quick=False, arm={"speedup": 4.0, "bit_identical": True})
+    path = _current(tmp_path, quick=False, arm={}, retired=RETIRED)
+    assert main(["regress", str(path), "--store", str(db), "--no-ingest"]) == 1
+    out = capsys.readouterr().out
+    assert "arm.bit_identical 1 → missing" in out
+    assert "arm.speedup 4 → missing" not in out
+
+
+def test_retired_key_still_present_is_compared(tmp_path, capsys):
+    db = tmp_path / "store.db"
+    _baseline(db, quick=False, arm={"speedup": 4.0})
+    path = _current(tmp_path, quick=False, arm={"speedup": 1.0}, retired=RETIRED)
+    assert main(["regress", str(path), "--store", str(db), "--no-ingest"]) == 1
+    assert "REGRESSION kernels:arm.speedup 4 → 1" in capsys.readouterr().out
+
+
+def test_retired_entry_needs_a_reason(tmp_path, capsys):
+    db = tmp_path / "store.db"
+    _baseline(db, arm={"speedup": 4.0})
+    path = _current(tmp_path, arm={}, retired=[{"key": "arm.speedup"}])
+    assert main(["regress", str(path), "--store", str(db), "--no-ingest"]) == 2
+    assert "BenchSchemaError" in capsys.readouterr().err
+
+
 def test_skipped_prefixes_walks_nested_legs():
     from repro.obs.store.regress import skipped_prefixes
 
@@ -196,8 +235,8 @@ def test_regress_json_output(tmp_path, capsys):
 
 def test_committed_parallel_bench_gates_its_population_arm(tmp_path, capsys):
     """``fleet_steps.population`` of the committed ``BENCH_parallel.json``
-    is gated: a population-regime speedup that falls back to what
-    superrounds gave on unaligned columns fails ``automdt regress``."""
+    is gated: a population-regime speedup far below the committed one
+    fails ``automdt regress``."""
     from pathlib import Path
 
     committed = Path(__file__).resolve().parents[2] / "BENCH_parallel.json"

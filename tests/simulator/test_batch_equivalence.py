@@ -7,19 +7,11 @@ across seeded random ``(threads, reset, usage)`` sequences.  The property
 sweep drives both simulators through the three fig5 testbed presets
 (read / network / write bottleneck), which between them exercise full
 bursts, partial boundary chunks and ε-retry blocking.
-
-``step_second`` dispatches per step between the per-column event loop and
-the vectorized superround engine.  Every input runs through both the
-public dispatcher and the superround engine called directly, so the
-superround engine's leader-stage fallback, partial-chunk and ε-retry code
-stays pinned to the scalar oracle on inputs the dispatcher no longer sends
-it.
 """
 
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.emulator.presets import (
     fig5_network_bottleneck,
     fig5_read_bottleneck,
@@ -29,27 +21,13 @@ from repro.simulator import (
     BatchedSimulator,
     IONetworkSimulator,
     SimulatorConfig,
-    sample_scenario,
     simulator_config_from_testbed,
 )
-from repro.simulator.batch import SUPERROUND_MIN_BATCH
 
 PRESETS = {
     "fig5-read": fig5_read_bottleneck,
     "fig5-network": fig5_network_bottleneck,
     "fig5-write": fig5_write_bottleneck,
-}
-
-
-def superrounds(sim, threads):
-    """One step through the vectorized superround engine, bypassing dispatch."""
-    return sim._step_superrounds(*sim._tables(threads))
-
-
-#: Both ways a step can run: the public dispatcher and the superround engine.
-ENGINES = {
-    "dispatch": lambda sim, threads: sim.step_second(threads),
-    "superrounds": superrounds,
 }
 
 
@@ -64,31 +42,26 @@ def assert_matches(got, batched, expected, scalars, where):
 
 
 def drive_both(configs, threads_seq, *, resets=None):
-    """Step scalar oracles and both batched engines in lockstep; compare all.
+    """Step scalar oracles and the batched simulator in lockstep; compare all.
 
     ``resets`` maps a step index to the ``(sender, receiver)`` occupancies
     every simulator is reset to before that step.
     """
     resets = resets or {}
     scalars = [IONetworkSimulator(c, cache_rates=True) for c in configs]
-    engines = {name: BatchedSimulator(configs) for name in ENGINES}
+    batched = BatchedSimulator(configs)
     for step, threads in enumerate(threads_seq):
         if step in resets:
             snd, rcv = resets[step]
             for i, sim in enumerate(scalars):
                 sim.reset(sender_usage=float(snd[i]), receiver_usage=float(rcv[i]))
-            for batched in engines.values():
-                batched.reset(sender_usage=snd, receiver_usage=rcv)
+            batched.reset(sender_usage=snd, receiver_usage=rcv)
         expected = [
             sim.step_second(tuple(int(v) for v in threads[i]))
             for i, sim in enumerate(scalars)
         ]
-        for name, batched in engines.items():
-            got = ENGINES[name](batched, threads)
-            assert_matches(got, batched, expected, scalars, f"{name} step {step}")
-    # ``sim/batch_events`` counts the scalar heap's pops on either path.
-    assert engines["dispatch"]._stat_events == engines["superrounds"]._stat_events
-    return engines["dispatch"]
+        got = batched.step_second(threads)
+        assert_matches(got, batched, expected, scalars, f"step {step}")
 
 
 def random_drive(config, *, steps, batch, seed, reset_every):
@@ -127,7 +100,7 @@ def test_equivalence_tiny_buffers_partial_storm():
 
 
 def test_equivalence_heterogeneous_configs():
-    """One batch, different configs per column — fleet co-simulation shape."""
+    """One batch, different configs per column."""
     configs = [
         simulator_config_from_testbed(PRESETS[name]())
         for name in sorted(PRESETS)
@@ -139,61 +112,6 @@ def test_equivalence_heterogeneous_configs():
 def test_equivalence_clamps_threads_like_scalar():
     config = simulator_config_from_testbed(fig5_read_bottleneck())
     want = IONetworkSimulator(config).step_second((0, 999, 2.4))
-    for name, step in ENGINES.items():
-        got = step(BatchedSimulator(config, 1), np.array([[0.0, 999.0, 2.4]]))
-        assert got.column(0) == want, name
-        assert got.threads[0].tolist() == list(want.threads), name
-
-
-#: ``bench_parallel``'s thread-throttled fleet regime: at 20–26 threads
-#: every stage runs at its 100 Mbps per-thread throttle, so every column
-#: shares one rate/chunk row whatever its thread counts.
-THROTTLED = SimulatorConfig(
-    tpt_read=100.0, tpt_network=100.0, tpt_write=100.0,
-    bandwidth_read=3000.0, bandwidth_network=2800.0, bandwidth_write=2600.0,
-    max_threads=26, label="throttled",
-)
-
-
-def _engine_counters(batched, path):
-    """``(column_steps, superrounds)`` from the simulator's telemetry export."""
-    with obs.session(path) as sess:
-        assert batched.export_telemetry() is True
-        counter = sess.registry.counter
-        return (counter("sim/batch_column_steps").value,
-                counter("sim/batch_rounds").value)
-
-
-def test_dispatch_picks_engine_by_cadence(tmp_path):
-    """Jittered variants step per column; a one-cadence batch of at least
-    ``SUPERROUND_MIN_BATCH`` columns steps through superrounds.  Both stay
-    bit-identical to the scalar oracle, diagnostics included."""
-    batch, steps = SUPERROUND_MIN_BATCH, 8
-    rng = np.random.default_rng(17)
-    base = simulator_config_from_testbed(fig5_read_bottleneck())
-    jittered = [sample_scenario(rng, base=base) for _ in range(batch)]
-    fills = {0: (rng.uniform(0.0, 0.5, batch) * base.sender_buffer_capacity,
-                 rng.uniform(0.0, 0.5, batch) * base.receiver_buffer_capacity)}
-    sim = drive_both(
-        jittered,
-        [rng.integers(1, base.max_threads + 1, (batch, 3)) for _ in range(steps)],
-        resets=fills,
-    )
-    assert _engine_counters(sim, tmp_path / "jittered") == (batch * steps, 0.0)
-
-    caps = (THROTTLED.sender_buffer_capacity, THROTTLED.receiver_buffer_capacity)
-    fills = {0: (rng.uniform(0.2, 0.3, batch) * caps[0],
-                 rng.uniform(0.2, 0.3, batch) * caps[1])}
-    sim = drive_both(
-        [THROTTLED] * batch,
-        [rng.integers(20, 27, (batch, 3)) for _ in range(steps)],
-        resets=fills,
-    )
-    column_steps, rounds = _engine_counters(sim, tmp_path / "throttled")
-    assert column_steps == 0.0 and rounds > 0.0
-
-    # Below the break-even size the same one-cadence batch steps per column.
-    small = drive_both([THROTTLED] * (batch - 1),
-                       [rng.integers(20, 27, (batch - 1, 3)) for _ in range(2)])
-    assert _engine_counters(small, tmp_path / "small") == (2.0 * (batch - 1), 0.0)
-
+    got = BatchedSimulator(config, 1).step_second(np.array([[0.0, 999.0, 2.4]]))
+    assert got.column(0) == want
+    assert got.threads[0].tolist() == list(want.threads)
