@@ -11,11 +11,13 @@ Two independent parts:
 * ``policy_steps`` — the population-vectorized policy engine
   (:class:`repro.nn.stacked.StackedPPOAgent`): K members acting *and*
   updating through stacked ``(K, in, out)`` weights, one ``np.matmul``
-  per layer, vs K scalar ``PPOAgent`` loops over the identical synthetic
-  rollout schedule.  Writes ``BENCH_training.json`` (schema 1, like the
-  other ``BENCH_*`` artifacts).  Gated: per-member results bit-identical
-  to the scalar oracle, and ≥ 5× act+update throughput at the best
-  K ≥ 16 arm.  The gated profile is deliberately dispatch-bound
+  per layer, vs K ``PPOAgent`` loops that act through their inference
+  plans and update through the autograd reference step
+  (:func:`repro.core.ppo.autograd_ppo_update`) over the identical
+  synthetic rollout schedule.  Writes ``BENCH_training.json`` (schema 1,
+  like the other ``BENCH_*`` artifacts).  Gated: per-member results
+  bit-identical to the autograd oracle, and ≥ 5× act+update throughput
+  at the best K ≥ 16 arm.  The gated profile is deliberately dispatch-bound
   (hidden 24, small batches — the scaled-down population-training shape
   the repo's tests train, where Python dispatch dominates); as the nets
   widen the per-layer GEMMs grow until BLAS time, not dispatch,
@@ -71,10 +73,25 @@ def _rollout_schedule(k: int, episodes: int, steps: int):
     return states, rewards
 
 
+def _autograd_update(agent, optimizer) -> dict:
+    """One Gaussian agent's update through the autograd reference step."""
+    from repro.core.ppo import autograd_ppo_update
+
+    def terms(states, actions):
+        dist = agent.policy(states)
+        return dist.log_prob(actions), dist.entropy()
+
+    return autograd_ppo_update(terms, agent.value, optimizer, agent.memory, agent.config)
+
+
 def _drive_members(agents, states, rewards, *, episodes_per_update: int) -> float:
-    """K scalar agents acting/storing/updating — the per-member baseline."""
+    """K agents acting/storing and updating through the autograd reference
+    step — the per-member baseline."""
+    from repro.nn.optim import Adam
+
     episodes, steps, _k, _dim = states.shape
     gamma = agents[0].config.gamma
+    optimizers = [Adam(agent.parameters(), lr=agent.lr) for agent in agents]
     t0 = time.perf_counter()
     for e in range(episodes):
         for s in range(steps):
@@ -85,8 +102,8 @@ def _drive_members(agents, states, rewards, *, episodes_per_update: int) -> floa
         for agent in agents:
             agent.memory.end_episode(gamma)
         if (e + 1) % episodes_per_update == 0:
-            for agent in agents:
-                agent.update()
+            for agent, optimizer in zip(agents, optimizers):
+                _autograd_update(agent, optimizer)
                 agent.memory.clear()
     return time.perf_counter() - t0
 
@@ -115,7 +132,7 @@ def _drive_stacked(stacked, states, rewards, *, episodes_per_update: int) -> flo
 
 def _run_arm(*, k: int, hidden_dim: int, episodes: int, steps: int,
              episodes_per_update: int, ppo_kwargs: dict | None = None) -> dict:
-    """Time per-member vs stacked over identical rollouts; check identity."""
+    """Time per-member autograd vs stacked over identical rollouts; check identity."""
     from repro.core.ppo import PPOAgent, PPOConfig
     from repro.nn.stacked import StackedPPOAgent
 
@@ -135,7 +152,8 @@ def _run_arm(*, k: int, hidden_dim: int, episodes: int, steps: int,
         stacked, states, rewards, episodes_per_update=episodes_per_update
     )
 
-    # Same seeds + same schedule: every parameter must come out bit-equal.
+    # Same seeds + same schedule: every parameter must come out bit-equal
+    # to the autograd oracle's.
     identical = True
     for want, got in zip(members, stacked.members):
         for net in ("policy", "value"):
@@ -163,11 +181,12 @@ def bench_policy_steps(*, ks: tuple[int, ...] = (1, 16, 64), episodes: int = 4,
                        with_wide_arms: bool = True) -> dict:
     """Stacked-K acting + updating vs K per-member loops, gated at K ≥ 16.
 
-    ``speedup`` per arm is wall-clock of K scalar agents over the stacked
-    engine on the *identical* synthetic rollout schedule (same seeds, same
-    states/rewards, same update cadence), so it isolates engine dispatch,
-    not workload differences.  Bit-identity of every resulting parameter
-    is asserted per arm — the speedup is of the same computation, not an
+    ``speedup`` per arm is wall-clock of K agents updating through the
+    autograd reference step over the stacked engine on the *identical*
+    synthetic rollout schedule (same seeds, same states/rewards, same
+    update cadence), so it isolates engine dispatch, not workload
+    differences.  Bit-identity of every resulting parameter is asserted
+    per arm — the speedup is of the same computation, not an
     approximation of it.
 
     The gated arms run hidden 24 / 2+2 blocks — the scaled-down profile

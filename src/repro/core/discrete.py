@@ -21,18 +21,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, no_grad, tanh
-from repro.core.ppo import PPOConfig, RolloutMemory
+from repro.autograd.tensor import Tensor, no_grad
+from repro.core.networks import PolicyTrunk, ValueNetwork
+from repro.core.ppo import ActorCritic, PPOConfig, RolloutMemory, autograd_ppo_update
 from repro.nn.distributions import Categorical
-from repro.nn.layers import Linear, Sequential
+from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.residual import ResidualBlock
-from repro.core.networks import ValueNetwork
+from repro.nn.optim import Adam
 from repro.utils.rng import as_generator
 
 
-class DiscretePolicyNetwork(Module):
+def _decode_joint(index, max_threads: int) -> np.ndarray:
+    """Flat joint action index → (n_r, n_n, n_w) thread triple (1-based)."""
+    index = np.asarray(index, dtype=int)
+    n = int(max_threads)
+    return np.stack([index // (n * n) + 1, (index // n) % n + 1, index % n + 1], axis=-1)
+
+
+class DiscretePolicyNetwork(PolicyTrunk):
     """Shared residual trunk with three Categorical heads (read/net/write)."""
 
     def __init__(
@@ -44,15 +50,9 @@ class DiscretePolicyNetwork(Module):
         *,
         rng: int | np.random.Generator | None = None,
     ) -> None:
-        super().__init__()
         rng = as_generator(rng)
-        self.state_dim = state_dim
+        super().__init__(state_dim, hidden_dim, num_blocks, rng)
         self.max_threads = int(max_threads)
-        self.embed = Linear(state_dim, hidden_dim, rng=rng)
-        self.blocks = Sequential(
-            *(ResidualBlock(hidden_dim, activation="relu", layer_norm=True, rng=rng)
-              for _ in range(num_blocks))
-        )
         self.head_read = Linear(hidden_dim, self.max_threads, rng=rng, gain=0.01)
         self.head_network = Linear(hidden_dim, self.max_threads, rng=rng, gain=0.01)
         self.head_write = Linear(hidden_dim, self.max_threads, rng=rng, gain=0.01)
@@ -62,10 +62,7 @@ class DiscretePolicyNetwork(Module):
 
         Category index ``i`` means ``i + 1`` threads.
         """
-        x = states if isinstance(states, Tensor) else Tensor(np.asarray(states, dtype=float))
-        x = tanh(self.embed(x))
-        x = self.blocks(x)
-        x = tanh(x)
+        x = self.features(states)
         return (
             Categorical(self.head_read(x)),
             Categorical(self.head_network(x)),
@@ -73,13 +70,18 @@ class DiscretePolicyNetwork(Module):
         )
 
 
-class DiscretePPOAgent:
+class DiscretePPOAgent(ActorCritic):
     """PPO over the categorical action space; drop-in for training loops.
 
     Actions are integer triples of *category indices* (0-based); the
     environment adapter must add 1 to get thread counts — use
-    :class:`DiscreteActionAdapter`.
+    :class:`DiscreteActionAdapter`.  The update is
+    :func:`~repro.core.ppo.autograd_ppo_update` over the policy's joint
+    (summed) log-probs; :class:`JointDiscretePPOAgent` swaps only the
+    policy network and how :meth:`act` samples.
     """
+
+    policy_class: type[Module] = DiscretePolicyNetwork
 
     def __init__(
         self,
@@ -92,31 +94,13 @@ class DiscretePPOAgent:
         self.rng = as_generator(rng)
         cfg = self.config
         self.max_threads = int(max_threads)
-        self.policy = DiscretePolicyNetwork(
+        self.policy = self.policy_class(
             state_dim, max_threads, cfg.hidden_dim, cfg.policy_blocks, rng=self.rng
         )
         self.value = ValueNetwork(state_dim, cfg.hidden_dim, cfg.value_blocks, rng=self.rng)
-        self.optimizer = Adam(
-            self.policy.parameters() + self.value.parameters(), lr=cfg.learning_rate
-        )
+        self.lr = cfg.learning_rate
+        self.optimizer = Adam(self.parameters(), lr=self.lr)
         self.memory = RolloutMemory()
-
-    def set_lr_progress(self, fraction: float) -> None:
-        """Linearly anneal the learning rate; ``fraction`` in [0, 1]."""
-        fraction = min(1.0, max(0.0, fraction))
-        cfg = self.config
-        self.optimizer.lr = cfg.learning_rate + fraction * (
-            cfg.final_learning_rate - cfg.learning_rate
-        )
-
-    def state_dict(self) -> dict:
-        """All learnable state (policy + value)."""
-        return {"policy": self.policy.state_dict(), "value": self.value.state_dict()}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.policy.load_state_dict(state["policy"])
-        self.value.load_state_dict(state["value"])
 
     def act(self, state: np.ndarray, *, deterministic: bool = False) -> tuple[np.ndarray, float]:
         """Sample a category triple; returns ``(indices, joint log_prob)``."""
@@ -130,55 +114,26 @@ class DiscretePPOAgent:
         return idx, float(log_prob)
 
     def update(self) -> dict[str, float]:
-        """PPO update with joint (summed) categorical log-probs."""
-        cfg = self.config
-        states, actions, old_log_probs, returns = self.memory.arrays()
-        returns_t = Tensor(returns)
+        """One PPO update over the stored rollout (autograd)."""
+        self.optimizer.lr = self.lr
+        return autograd_ppo_update(
+            self._policy_terms, self.value, self.optimizer, self.memory, self.config
+        )
+
+    def _policy_terms(self, states: np.ndarray, actions: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Summed per-head log-probs of ``actions`` and the mean summed entropy."""
         actions = actions.astype(int)
-
-        stats: dict[str, float] = {}
-        for _ in range(cfg.update_epochs):
-            dists = self.policy(states)
-            log_probs = (
-                dists[0].log_prob(actions[:, 0])
-                + dists[1].log_prob(actions[:, 1])
-                + dists[2].log_prob(actions[:, 2])
-            )
-            entropy = (dists[0].entropy() + dists[1].entropy() + dists[2].entropy()).mean()
-
-            values = self.value(states)
-            advantages = returns - values.data
-            if cfg.normalize_advantages and len(advantages) > 1:
-                advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-            advantages_t = Tensor(advantages)
-
-            from repro.autograd.tensor import clip as _clip
-            from repro.autograd.tensor import exp as _exp
-            from repro.autograd.tensor import minimum as _minimum
-
-            ratio = _exp(log_probs - Tensor(old_log_probs))
-            surr1 = ratio * advantages_t
-            surr2 = _clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantages_t
-            actor_loss = -_minimum(surr1, surr2).mean()
-            diff = values - returns_t
-            critic_loss = (diff * diff).mean() * 0.5
-            loss = actor_loss + critic_loss * cfg.critic_coef - entropy * cfg.entropy_coef
-
-            self.optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(self.optimizer.parameters, cfg.max_grad_norm)
-            self.optimizer.step()
-            stats = {
-                "loss": loss.item(),
-                "actor_loss": actor_loss.item(),
-                "critic_loss": critic_loss.item(),
-                "entropy": entropy.item(),
-                "mean_return": float(returns.mean()),
-            }
-        return stats
+        dists = self.policy(states)
+        log_probs = (
+            dists[0].log_prob(actions[:, 0])
+            + dists[1].log_prob(actions[:, 1])
+            + dists[2].log_prob(actions[:, 2])
+        )
+        entropy = (dists[0].entropy() + dists[1].entropy() + dists[2].entropy()).mean()
+        return log_probs, entropy
 
 
-class JointDiscretePolicyNetwork(Module):
+class JointDiscretePolicyNetwork(PolicyTrunk):
     """Single Categorical head over every ``n_max³`` thread triple."""
 
     def __init__(
@@ -190,68 +145,31 @@ class JointDiscretePolicyNetwork(Module):
         *,
         rng: int | np.random.Generator | None = None,
     ) -> None:
-        super().__init__()
-        rng = as_generator(rng)
-        self.state_dim = state_dim
-        self.max_threads = int(max_threads)
-        self.num_actions = self.max_threads**3
-        if self.num_actions > 2**19:
+        num_actions = int(max_threads) ** 3
+        if num_actions > 2**19:
             raise ValueError(
-                f"joint discrete space of {self.num_actions} actions is too large; "
+                f"joint discrete space of {num_actions} actions is too large; "
                 "use the factorized DiscretePolicyNetwork"
             )
-        self.embed = Linear(state_dim, hidden_dim, rng=rng)
-        self.blocks = Sequential(
-            *(ResidualBlock(hidden_dim, activation="relu", layer_norm=True, rng=rng)
-              for _ in range(num_blocks))
-        )
+        rng = as_generator(rng)
+        super().__init__(state_dim, hidden_dim, num_blocks, rng)
+        self.max_threads = int(max_threads)
+        self.num_actions = num_actions
         self.head = Linear(hidden_dim, self.num_actions, rng=rng, gain=0.01)
 
     def forward(self, states) -> Categorical:
-        """One categorical over all triples; index ``i`` decodes via divmod."""
-        x = states if isinstance(states, Tensor) else Tensor(np.asarray(states, dtype=float))
-        x = tanh(self.embed(x))
-        x = self.blocks(x)
-        x = tanh(x)
-        return Categorical(self.head(x))
+        """One categorical over all triples; index ``i`` decodes via :meth:`decode`."""
+        return Categorical(self.head(self.features(states)))
 
     def decode(self, index) -> np.ndarray:
         """Flat action index → (n_r, n_n, n_w) thread triple (1-based)."""
-        index = np.asarray(index, dtype=int)
-        n = self.max_threads
-        return np.stack([index // (n * n) + 1, (index // n) % n + 1, index % n + 1], axis=-1)
+        return _decode_joint(index, self.max_threads)
 
 
-class JointDiscretePPOAgent:
+class JointDiscretePPOAgent(DiscretePPOAgent):
     """PPO over the joint (exponential) discrete action space."""
 
-    def __init__(
-        self,
-        state_dim: int = 8,
-        max_threads: int = 30,
-        config: PPOConfig | None = None,
-        rng: int | np.random.Generator | None = None,
-    ) -> None:
-        self.config = config or PPOConfig()
-        self.rng = as_generator(rng)
-        cfg = self.config
-        self.max_threads = int(max_threads)
-        self.policy = JointDiscretePolicyNetwork(
-            state_dim, max_threads, cfg.hidden_dim, cfg.policy_blocks, rng=self.rng
-        )
-        self.value = ValueNetwork(state_dim, cfg.hidden_dim, cfg.value_blocks, rng=self.rng)
-        self.optimizer = Adam(
-            self.policy.parameters() + self.value.parameters(), lr=cfg.learning_rate
-        )
-        self.memory = RolloutMemory()
-
-    def set_lr_progress(self, fraction: float) -> None:
-        """Linearly anneal the learning rate; ``fraction`` in [0, 1]."""
-        fraction = min(1.0, max(0.0, fraction))
-        cfg = self.config
-        self.optimizer.lr = cfg.learning_rate + fraction * (
-            cfg.final_learning_rate - cfg.learning_rate
-        )
+    policy_class = JointDiscretePolicyNetwork
 
     def act(self, state: np.ndarray, *, deterministic: bool = False) -> tuple[np.ndarray, float]:
         """Sample a flat action index; returns ``([index], log_prob)``."""
@@ -261,80 +179,26 @@ class JointDiscretePPOAgent:
             log_prob = float(dist.log_prob(idx).data)
         return np.array([idx]), log_prob
 
-    def update(self) -> dict[str, float]:
-        """PPO update over the flat categorical."""
-        cfg = self.config
-        states, actions, old_log_probs, returns = self.memory.arrays()
-        returns_t = Tensor(returns)
-        indices = actions.astype(int).reshape(-1)
-
-        stats: dict[str, float] = {}
-        for _ in range(cfg.update_epochs):
-            dist = self.policy(states)
-            log_probs = dist.log_prob(indices)
-            entropy = dist.entropy().mean()
-            values = self.value(states)
-            advantages = returns - values.data
-            if cfg.normalize_advantages and len(advantages) > 1:
-                advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-            advantages_t = Tensor(advantages)
-
-            from repro.autograd.tensor import clip as _clip
-            from repro.autograd.tensor import exp as _exp
-            from repro.autograd.tensor import minimum as _minimum
-
-            ratio = _exp(log_probs - Tensor(old_log_probs))
-            surr1 = ratio * advantages_t
-            surr2 = _clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantages_t
-            actor_loss = -_minimum(surr1, surr2).mean()
-            diff = values - returns_t
-            critic_loss = (diff * diff).mean() * 0.5
-            loss = actor_loss + critic_loss * cfg.critic_coef - entropy * cfg.entropy_coef
-
-            self.optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(self.optimizer.parameters, cfg.max_grad_norm)
-            self.optimizer.step()
-            stats = {
-                "loss": loss.item(),
-                "actor_loss": actor_loss.item(),
-                "critic_loss": critic_loss.item(),
-                "entropy": entropy.item(),
-                "mean_return": float(returns.mean()),
-            }
-        return stats
-
-    def state_dict(self) -> dict:
-        """All learnable state (policy + value)."""
-        return {"policy": self.policy.state_dict(), "value": self.value.state_dict()}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.policy.load_state_dict(state["policy"])
-        self.value.load_state_dict(state["value"])
+    def _policy_terms(self, states: np.ndarray, actions: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Log-probs of the flat ``actions`` and the mean entropy."""
+        dist = self.policy(states)
+        return dist.log_prob(actions.astype(int).reshape(-1)), dist.entropy().mean()
 
 
-class JointDiscreteActionAdapter:
-    """Env wrapper: flat joint indices become thread triples."""
+class _DirectThreadsAdapter:
+    """Env wrapper stepping the env in ``direct`` mode on decoded thread counts."""
 
-    def __init__(self, env, max_threads: int) -> None:
+    def __init__(self, env) -> None:
         self.env = env
-        self.max_threads = int(max_threads)
         self.state_dim = env.state_dim
-        self.action_dim = 1
-
-    def _decode(self, action) -> np.ndarray:
-        idx = int(np.asarray(action).reshape(-1)[0])
-        n = self.max_threads
-        return np.array([idx // (n * n) + 1, (idx // n) % n + 1, idx % n + 1], dtype=float)
 
     def reset(self) -> np.ndarray:
         """Delegate to the wrapped environment."""
         return self.env.reset()
 
-    def step(self, action):
-        """Interpret ``action`` as a flat joint index."""
-        threads = self._decode(action)
+    def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
+        """Step the env on :meth:`_threads` of ``action``."""
+        threads = self._threads(action)
         previous_mode = self.env.action_mode
         self.env.action_mode = "direct"
         try:
@@ -343,7 +207,19 @@ class JointDiscreteActionAdapter:
             self.env.action_mode = previous_mode
 
 
-class DiscreteActionAdapter:
+class JointDiscreteActionAdapter(_DirectThreadsAdapter):
+    """Env wrapper: flat joint indices become thread triples."""
+
+    def __init__(self, env, max_threads: int) -> None:
+        super().__init__(env)
+        self.max_threads = int(max_threads)
+        self.action_dim = 1
+
+    def _threads(self, action) -> np.ndarray:
+        return _decode_joint(np.asarray(action).reshape(-1)[0], self.max_threads).astype(float)
+
+
+class DiscreteActionAdapter(_DirectThreadsAdapter):
     """Wraps an env so category indices (0-based) become thread counts.
 
     Lets :func:`repro.core.training.train` drive a :class:`DiscretePPOAgent`
@@ -352,20 +228,8 @@ class DiscreteActionAdapter:
     """
 
     def __init__(self, env) -> None:
-        self.env = env
-        self.state_dim = env.state_dim
+        super().__init__(env)
         self.action_dim = env.action_dim
 
-    def reset(self) -> np.ndarray:
-        """Delegate to the wrapped environment."""
-        return self.env.reset()
-
-    def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
-        """Interpret ``action`` as 0-based category indices."""
-        threads = np.asarray(action, dtype=int) + 1
-        previous_mode = self.env.action_mode
-        self.env.action_mode = "direct"
-        try:
-            return self.env.step(threads.astype(float))
-        finally:
-            self.env.action_mode = previous_mode
+    def _threads(self, action) -> np.ndarray:
+        return (np.asarray(action, dtype=int) + 1).astype(float)

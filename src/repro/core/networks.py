@@ -21,7 +21,28 @@ from repro.nn.residual import ResidualBlock
 from repro.utils.rng import as_generator
 
 
-class PolicyNetwork(Module):
+class PolicyTrunk(Module):
+    """The policies' shared body: input → Linear → tanh → ReLU + LayerNorm
+    residual blocks → tanh.  Subclasses add their heads."""
+
+    def __init__(
+        self, state_dim: int, hidden_dim: int, num_blocks: int, rng: np.random.Generator
+    ) -> None:
+        super().__init__()
+        self.state_dim = state_dim
+        self.embed = Linear(state_dim, hidden_dim, rng=rng)
+        self.blocks = Sequential(
+            *(ResidualBlock(hidden_dim, activation="relu", layer_norm=True, rng=rng)
+              for _ in range(num_blocks))
+        )
+
+    def features(self, states) -> Tensor:
+        """Trunk output for (batched or single) ``states``."""
+        x = states if isinstance(states, Tensor) else Tensor(np.asarray(states, dtype=float))
+        return tanh(self.blocks(tanh(self.embed(x))))
+
+
+class PolicyNetwork(PolicyTrunk):
     """Gaussian policy with residual trunk (the actor)."""
 
     def __init__(
@@ -37,18 +58,12 @@ class PolicyNetwork(Module):
         mean_span: float = 0.75,
         rng: int | np.random.Generator | None = None,
     ) -> None:
-        super().__init__()
         rng = as_generator(rng)
-        self.state_dim = state_dim
+        super().__init__(state_dim, hidden_dim, num_blocks, rng)
         self.action_dim = action_dim
         self.log_std_range = log_std_range
         self.mean_center = mean_center
         self.mean_span = mean_span
-        self.embed = Linear(state_dim, hidden_dim, rng=rng)
-        self.blocks = Sequential(
-            *(ResidualBlock(hidden_dim, activation="relu", layer_norm=True, rng=rng)
-              for _ in range(num_blocks))
-        )
         self.mean_head = Linear(hidden_dim, action_dim, rng=rng, gain=0.01)
         self.log_std = Parameter(np.full(action_dim, float(log_std_init)), name="log_std")
 
@@ -62,11 +77,7 @@ class PolicyNetwork(Module):
         beyond the valid normalized action range removes that failure mode
         while keeping the paper's architecture otherwise intact.
         """
-        x = states if isinstance(states, Tensor) else Tensor(np.asarray(states, dtype=float))
-        x = tanh(self.embed(x))
-        x = self.blocks(x)
-        x = tanh(x)
-        mean = tanh(self.mean_head(x)) * self.mean_span + self.mean_center
+        mean = tanh(self.mean_head(self.features(states))) * self.mean_span + self.mean_center
         log_std = clip(self.log_std, *self.log_std_range)
         return DiagonalGaussian(mean, log_std)
 

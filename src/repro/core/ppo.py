@@ -30,6 +30,7 @@ Deviations exposed as configuration (see EXPERIMENTS.md for the study):
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ import numpy as np
 from repro import obs
 from repro.autograd.tensor import Tensor, clip, exp, minimum
 from repro.core.networks import PolicyNetwork, ValueNetwork
+from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.plan import PolicyPlan
 from repro.utils.config import require_in_range, require_positive
@@ -171,8 +173,108 @@ def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return returns
 
 
-class PPOAgent:
-    """Actor-critic PPO over the 8-dim concurrency state space."""
+def autograd_ppo_update(
+    policy_terms: Callable[[np.ndarray, np.ndarray], tuple[Tensor, Tensor]],
+    value: Module,
+    optimizer: Adam,
+    memory: RolloutMemory,
+    config: PPOConfig,
+) -> dict[str, float]:
+    """Algorithm 2's update over ``memory`` through the autograd graph.
+
+    ``policy_terms(states, actions)`` returns the policy's log-probs of the
+    stored actions and its scalar entropy, as Tensors.  Each epoch takes one
+    clipped, ``optimizer`` step on the loss; returns the last epoch's
+    diagnostics, including the PPO health signals ``approx_kl`` and
+    ``clip_fraction``.  The discrete agents train through it; with the
+    Gaussian policy's terms it is the stacked engine's oracle (DESIGN §17).
+    """
+    cfg = config
+    states, actions, old_log_probs, returns = memory.arrays()
+    returns_t = Tensor(returns)
+
+    stats: dict[str, float] = {}
+    for _ in range(cfg.update_epochs):
+        log_probs, entropy = policy_terms(states, actions)
+
+        values = value(states)
+        advantages = returns - values.data  # A_t = G_t - V(s_t), no grad into actor
+        if cfg.normalize_advantages and len(advantages) > 1:
+            advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+        advantages_t = Tensor(advantages)
+
+        ratio = exp(log_probs - Tensor(old_log_probs))
+        surr1 = ratio * advantages_t
+        surr2 = clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantages_t
+        actor_loss = -minimum(surr1, surr2).mean()
+
+        diff = values - returns_t
+        critic_loss = (diff * diff).mean() * 0.5
+
+        loss = actor_loss + critic_loss * cfg.critic_coef - entropy * cfg.entropy_coef
+
+        optimizer.zero_grad()
+        loss.backward()
+        clip_grad_norm(optimizer.parameters, cfg.max_grad_norm)
+        optimizer.step()
+
+        ratio_data = np.asarray(ratio.data)
+        stats = {
+            "loss": loss.item(),
+            "actor_loss": actor_loss.item(),
+            "critic_loss": critic_loss.item(),
+            "entropy": float(entropy.data),
+            "mean_ratio": float(ratio_data.mean()),
+            "mean_return": float(returns.mean()),
+            # Mean(log π_old − log π): the standard cheap KL(π_old ‖ π)
+            # estimate; grows as the update walks away from π_old.
+            "approx_kl": float(np.mean(old_log_probs - np.asarray(log_probs.data))),
+            "clip_fraction": float(
+                np.mean(np.abs(ratio_data - 1.0) > cfg.clip_epsilon)
+            ),
+        }
+
+    return stats
+
+
+def annealed_lr(config: PPOConfig, fraction: float) -> float:
+    """The learning rate ``fraction`` (clamped to [0, 1]) along the linear decay."""
+    fraction = min(1.0, max(0.0, fraction))
+    return config.learning_rate + fraction * (
+        config.final_learning_rate - config.learning_rate
+    )
+
+
+class ActorCritic:
+    """What every PPO agent holds: ``policy`` and ``value`` networks, a
+    ``config``, and the learning rate ``lr`` of its next update."""
+
+    def parameters(self) -> list[Parameter]:
+        """Policy then value parameters, depth-first: the update's order."""
+        return self.policy.parameters() + self.value.parameters()
+
+    def set_lr_progress(self, fraction: float) -> None:
+        """Linearly anneal the learning rate; ``fraction`` in [0, 1]."""
+        self.lr = annealed_lr(self.config, fraction)
+
+    def state_dict(self) -> dict:
+        """All learnable state (policy + value)."""
+        return {"policy": self.policy.state_dict(), "value": self.value.state_dict()}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore from :meth:`state_dict` output."""
+        self.policy.load_state_dict(state["policy"])
+        self.value.load_state_dict(state["value"])
+
+
+class PPOAgent(ActorCritic):
+    """Actor-critic PPO over the 8-dim concurrency state space.
+
+    :meth:`update` runs the stacked engine
+    (:class:`~repro.nn.stacked.StackedPPOAgent`): a lone agent builds a
+    K=1 stack over its own parameters at its first update; a population
+    member updates its row of the population's stack.
+    """
 
     def __init__(
         self,
@@ -203,25 +305,20 @@ class PPOAgent:
             if name.rsplit(".", 1)[-1] == "weight"
         ))
         self.value = ValueNetwork(state_dim, cfg.hidden_dim, cfg.value_blocks, rng=self.rng)
-        self.optimizer = Adam(
-            self.policy.parameters() + self.value.parameters(), lr=cfg.learning_rate
-        )
         self.memory = RolloutMemory()
         #: Completed :meth:`update` calls — the x-axis of loss curves.
         self.updates = 0
+        #: Adam learning rate of the next :meth:`update`.
+        self.lr = cfg.learning_rate
+        # The stacked engine holding this agent's parameters and Adam
+        # moments, and this agent's row in it; bound by the engine itself.
+        self._stack = None
+        self._row = 0
         # Compiled zero-Tensor inference plan.  It dereferences
         # ``param.data`` at call time, so in-place updates, load_state_dict,
         # and stacked-engine row-view rebinds all stay visible without
         # invalidation.
         self._policy_plan = PolicyPlan(self.policy)
-
-    def set_lr_progress(self, fraction: float) -> None:
-        """Linearly anneal the learning rate; ``fraction`` in [0, 1]."""
-        fraction = min(1.0, max(0.0, fraction))
-        cfg = self.config
-        self.optimizer.lr = cfg.learning_rate + fraction * (
-            cfg.final_learning_rate - cfg.learning_rate
-        )
 
     # ----------------------------------------------------------------- acting
     def act(self, state: np.ndarray, *, deterministic: bool = False) -> tuple[np.ndarray, float]:
@@ -240,82 +337,25 @@ class PPOAgent:
     def update(self) -> dict[str, float]:
         """One Algorithm-2 update over the episode stored in ``self.memory``.
 
-        Returns diagnostics — losses, entropy, mean ratio, plus the PPO
-        health signals ``approx_kl`` (mean old−new log-prob gap) and
-        ``clip_fraction`` (share of ratios outside the clip band).  The
-        memory is left intact; callers clear it when starting the next
-        episode.  Under an active observability session the update runs in a
-        ``ppo/update`` span and every diagnostic is emitted as a metric
-        series keyed by update index.
+        Returns the diagnostics of :func:`autograd_ppo_update`, to which the
+        stacked engine is bit-identical.  The memory is left intact; callers
+        clear it when starting the next episode.  Under an active
+        observability session the update runs in a ``ppo/update`` span and
+        every diagnostic is emitted as a metric series keyed by update index.
         """
+        if self._stack is None:
+            from repro.nn.stacked import StackedPPOAgent  # imports this module
+
+            StackedPPOAgent.from_agents([self])
         with obs.span("ppo/update", transitions=len(self.memory)):
-            stats = self._update()
+            (stats,) = self._stack.update_rows([self._row], self.lr)
+        self.record_update(stats)
+        return stats
+
+    def record_update(self, stats: dict[str, float]) -> None:
+        """Count one update and emit its ``ppo/<key>`` series at ``t=updates``."""
         self.updates += 1
         sess = obs.active()
         if sess is not None:
             for key, value in stats.items():
                 sess.metric(f"ppo/{key}", value, t=float(self.updates))
-        return stats
-
-    def _update(self) -> dict[str, float]:
-        cfg = self.config
-        states, actions, old_log_probs, returns = self.memory.arrays()
-        returns_t = Tensor(returns)
-
-        stats: dict[str, float] = {}
-        for _ in range(cfg.update_epochs):
-            dist = self.policy(states)
-            log_probs = dist.log_prob(actions)
-            entropy = dist.entropy()  # scalar (state-independent std)
-
-            values = self.value(states)
-            advantages = returns - values.data  # A_t = G_t - V(s_t), no grad into actor
-            if cfg.normalize_advantages and len(advantages) > 1:
-                advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-            advantages_t = Tensor(advantages)
-
-            ratio = exp(log_probs - Tensor(old_log_probs))
-            surr1 = ratio * advantages_t
-            surr2 = clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantages_t
-            actor_loss = -minimum(surr1, surr2).mean()
-
-            diff = values - returns_t
-            critic_loss = (diff * diff).mean() * 0.5
-
-            loss = actor_loss + critic_loss * cfg.critic_coef - entropy * cfg.entropy_coef
-
-            self.optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(self.optimizer.parameters, cfg.max_grad_norm)
-            self.optimizer.step()
-
-            ratio_data = np.asarray(ratio.data)
-            stats = {
-                "loss": loss.item(),
-                "actor_loss": actor_loss.item(),
-                "critic_loss": critic_loss.item(),
-                "entropy": float(entropy.data),
-                "mean_ratio": float(ratio_data.mean()),
-                "mean_return": float(returns.mean()),
-                # Mean(log π_old − log π): the standard cheap KL(π_old ‖ π)
-                # estimate; grows as the update walks away from π_old.
-                "approx_kl": float(np.mean(old_log_probs - np.asarray(log_probs.data))),
-                "clip_fraction": float(
-                    np.mean(np.abs(ratio_data - 1.0) > cfg.clip_epsilon)
-                ),
-            }
-
-        return stats
-
-    # ------------------------------------------------------------- persistence
-    def state_dict(self) -> dict:
-        """All learnable state (policy + value)."""
-        return {
-            "policy": self.policy.state_dict(),
-            "value": self.value.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.policy.load_state_dict(state["policy"])
-        self.value.load_state_dict(state["value"])

@@ -31,6 +31,46 @@ def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:
     return norm
 
 
+def adam_step(
+    p: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    scratch: np.ndarray,
+    *,
+    step: int,
+    lr: float,
+    betas: tuple[float, float] = (0.9, 0.999),
+    eps: float = 1e-8,
+) -> None:
+    """Adam update number ``step`` of ``p`` with gradient ``g``, in place.
+
+    ``m``/``v`` are the first/second moment estimates and ``scratch`` a work
+    array, all shaped like ``p``.  Every operation is elementwise, so one
+    call over a flat buffer holding many parameters gives the same bits in
+    every slot as one call per parameter; the stacked policy engine
+    (:mod:`repro.nn.stacked`) relies on that.
+    """
+    b1, b2 = betas
+    scale = lr / (1.0 - b1**step)
+    inv_sqrt_c2 = 1.0 / np.sqrt(1.0 - b2**step)
+    # m = b1 m + (1 - b1) g ; v = b2 v + (1 - b2) g²
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=scratch)
+    m += scratch
+    v *= b2
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - b2
+    v += scratch
+    # p -= lr * m̂ / (sqrt(v̂) + eps), all in scratch
+    np.sqrt(v, out=scratch)
+    scratch *= inv_sqrt_c2
+    scratch += eps
+    np.divide(m, scratch, out=scratch)
+    scratch *= scale
+    p -= scratch
+
+
 class Optimizer:
     """Base optimizer: holds parameters, provides ``zero_grad``."""
 
@@ -94,27 +134,9 @@ class Adam(Optimizer):
     def step(self) -> None:
         """Apply one Adam update using the stored gradients (in place)."""
         self._step_count += 1
-        b1, b2 = self.beta1, self.beta2
-        correction1 = 1.0 - b1**self._step_count
-        correction2 = 1.0 - b2**self._step_count
-        scale = self.lr / correction1
-        inv_sqrt_c2 = 1.0 / np.sqrt(correction2)
         for p, m, v, scratch in zip(self.parameters, self._m, self._v, self._scratch):
-            if p.grad is None:
-                continue
-            g = p.grad
-            # m = b1 m + (1 - b1) g ; v = b2 v + (1 - b2) g²
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=scratch)
-            m += scratch
-            v *= b2
-            np.multiply(g, g, out=scratch)
-            scratch *= 1.0 - b2
-            v += scratch
-            # p -= lr * m̂ / (sqrt(v̂) + eps), all in scratch
-            np.sqrt(v, out=scratch)
-            scratch *= inv_sqrt_c2
-            scratch += self.eps
-            np.divide(m, scratch, out=scratch)
-            scratch *= scale
-            p.data -= scratch
+            if p.grad is not None:
+                adam_step(
+                    p.data, p.grad, m, v, scratch, step=self._step_count, lr=self.lr,
+                    betas=(self.beta1, self.beta2), eps=self.eps,
+                )

@@ -6,13 +6,15 @@ batch-1 networks: every population step paid K·layers Python dispatches, and
 every update re-walked K autograd graphs.  This module stores the whole
 population's weights as stacked ``(K, in, out)`` / ``(K, out)`` arrays and
 advances all members with **one ``np.matmul`` per layer** — forward,
-hand-rolled backward, and a stacked-K Adam step.
+hand-rolled backward, and a stacked-K Adam step.  It is the only Gaussian
+PPO update: a lone :class:`~repro.core.ppo.PPOAgent` runs it on a K=1 stack
+built at its first update.
 
 Bit-identity contract (DESIGN §17)
 ----------------------------------
-Results are bit-identical per member to the scalar
-:class:`~repro.core.ppo.PPOAgent` path, because every stacked operation is
-either
+Results are bit-identical per member to the autograd update,
+:func:`~repro.core.ppo.autograd_ppo_update` over the Gaussian policy's
+terms (the test oracle), because every stacked operation is either
 
 * elementwise (tanh, exp, clip, Adam's in-place update sequence) — batching
   does not change per-element float arithmetic;
@@ -31,8 +33,9 @@ log-prob, σ-path and entropy contributions in that order; each residual
 block's input takes the skip contribution before the matmul path; and the
 ``z·z`` / ``diff·diff`` duplicate-parent nodes accumulate as ``t + t``.
 Per-member gradient clipping reproduces ``clip_grad_norm``'s Python-float
-norm accumulation in optimizer parameter order, and unclipped members are
-scaled by exactly 1.0 (a bitwise identity).
+norm accumulation in parameter order (policy then value, depth-first —
+:meth:`PPOAgent.parameters <repro.core.ppo.PPOAgent.parameters>`), and
+unclipped members are scaled by exactly 1.0 (a bitwise identity).
 
 Partial populations (members that converged and deactivated) are handled by
 *gathering* the active rows into contiguous stacks, updating, and scattering
@@ -55,7 +58,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.ppo import PPOAgent, PPOConfig
+from repro.core.ppo import PPOAgent, PPOConfig, annealed_lr
+from repro.nn.optim import adam_step
 
 __all__ = ["StackedPPOAgent"]
 
@@ -120,20 +124,36 @@ class StackedPPOAgent:
     ) -> None:
         if not len(rngs):
             raise ValueError("StackedPPOAgent needs at least one member rng")
-        self.members = [
-            PPOAgent(state_dim, action_dim, config, rng=rng) for rng in rngs
-        ]
-        self.config = self.members[0].config
-        self.k = len(self.members)
+        self._bind([PPOAgent(state_dim, action_dim, config, rng=rng) for rng in rngs])
+
+    @classmethod
+    def from_agents(cls, agents: Sequence[PPOAgent]) -> StackedPPOAgent:
+        """Stack existing agents — a lone :class:`PPOAgent`'s K=1 engine."""
+        stack = cls.__new__(cls)
+        stack._bind(list(agents))
+        return stack
+
+    def _bind(self, members: list[PPOAgent]) -> None:
+        """Move the members' parameters into stacked storage and own them."""
+        if any(m._stack is not None for m in members):
+            raise ValueError("an agent's parameters already live in a stacked engine")
+        self.members = members
+        self.k = len(members)
         self.lr = self.config.learning_rate
         self._stack_parameters()
         self._build_structure_index()
-        n_params = len(self._params)
         self._flat_m = np.zeros_like(self._flat_params)
         self._flat_v = np.zeros_like(self._flat_params)
         self._flat_scratch = np.empty_like(self._flat_params)
         self._step_counts = np.zeros(self.k, dtype=np.int64)
-        self._n_params = n_params
+        self._n_params = len(self._params)
+        for row, member in enumerate(members):
+            member._stack, member._row = self, row
+
+    @property
+    def config(self) -> PPOConfig:
+        """The members' shared configuration (read at every update)."""
+        return self.members[0].config
 
     # ------------------------------------------------------------ construction
     def _stack_parameters(self) -> None:
@@ -145,7 +165,7 @@ class StackedPPOAgent:
         calls total instead of 12 × n_params — elementwise arithmetic is
         position-independent, so the fused sweep stays bit-identical.
         """
-        param_lists = [m.optimizer.parameters for m in self.members]
+        param_lists = [m.parameters() for m in self.members]
         n = len(param_lists[0])
         if any(len(lst) != n for lst in param_lists):
             raise ValueError("members disagree on parameter count")
@@ -203,9 +223,9 @@ class StackedPPOAgent:
         return views
 
     def _build_structure_index(self) -> None:
-        """Map network structure to optimizer-order stack indices."""
+        """Map network structure to update-order stack indices."""
         member = self.members[0]
-        index_of = {id(p): j for j, p in enumerate(member.optimizer.parameters)}
+        index_of = {id(p): j for j, p in enumerate(member.parameters())}
 
         def ix(param) -> int:
             return index_of[id(param)]
@@ -333,12 +353,8 @@ class StackedPPOAgent:
         return actions, per_dim.sum(axis=-1)
 
     def set_lr_progress(self, fraction: float) -> None:
-        """Linearly anneal the shared learning rate (scalar-path formula)."""
-        fraction = min(1.0, max(0.0, fraction))
-        cfg = self.config
-        self.lr = cfg.learning_rate + fraction * (
-            cfg.final_learning_rate - cfg.learning_rate
-        )
+        """Linearly anneal the shared learning rate (the lone agent's formula)."""
+        self.lr = annealed_lr(self.config, fraction)
 
     # ----------------------------------------------------------------- update
     def update_all(self, active_indices) -> list[dict[str, float]]:
@@ -347,12 +363,28 @@ class StackedPPOAgent:
         Equivalent to calling ``members[i].update()`` for each active ``i``
         (same epochs, loss, gradient clipping, Adam arithmetic — see the
         module docstring's bit-identity argument), executed as stacked
-        array programs.  Returns the per-member diagnostics dicts and
-        emits the same ``ppo/<key>`` metric series the scalar agents do.
+        array programs at the shared learning rate.  Returns the per-member
+        diagnostics dicts and emits the same ``ppo/<key>`` metric series
+        the lone agents do.
         """
         idx = np.asarray(active_indices, dtype=np.int64)
         if idx.size == 0:
             return []
+        transitions = sum(len(self.members[i].memory) for i in idx)
+        with obs.span("ppo/update_all", members=int(idx.size), transitions=transitions):
+            results = self.update_rows(idx, self.lr)
+        for i, stats in zip(idx, results):
+            self.members[i].record_update(stats)
+        return results
+
+    def update_rows(self, indices, lr: float) -> list[dict[str, float]]:
+        """One PPO update of the members at ``indices``, Adam at ``lr``.
+
+        The update of :func:`~repro.core.ppo.autograd_ppo_update`, bit for
+        bit, over each member's stored rollout.  Emits no telemetry; returns
+        one diagnostics dict per row.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
         counts = self._step_counts[idx]
         if not np.all(counts == counts[0]):
             raise RuntimeError(
@@ -397,14 +429,12 @@ class StackedPPOAgent:
         grad_views = self._segment_views(flat_g, rows)
 
         base_count = int(counts[0])
-        transitions = int(states.shape[0] * states.shape[1])
-        with obs.span("ppo/update_all", members=rows, transitions=transitions):
-            for epoch in range(self.config.update_epochs):
-                stats_rows = self._update_epoch(
-                    params, states, actions, old_log_probs, returns,
-                    grad_views, flat_p, flat_g, flat_m, flat_v, flat_scr,
-                    base_count + epoch + 1,
-                )
+        for epoch in range(self.config.update_epochs):
+            stats_rows = self._update_epoch(
+                params, states, actions, old_log_probs, returns,
+                grad_views, flat_p, flat_g, flat_m, flat_v, flat_scr,
+                base_count + epoch + 1, lr,
+            )
 
         if not full:
             for j in range(self._n_params):
@@ -412,18 +442,10 @@ class StackedPPOAgent:
                 full_m[j][idx] = m_views[j]
                 full_v[j][idx] = v_views[j]
         self._step_counts[idx] += self.config.update_epochs
-
-        sess = obs.active()
-        results: list[dict[str, float]] = []
-        for row, i in enumerate(idx):
-            member = self.members[i]
-            member.updates += 1
-            stats = {key: float(col[row]) for key, col in stats_rows.items()}
-            if sess is not None:
-                for key, value in stats.items():
-                    sess.metric(f"ppo/{key}", value, t=float(member.updates))
-            results.append(stats)
-        return results
+        return [
+            {key: float(col[row]) for key, col in stats_rows.items()}
+            for row in range(rows)
+        ]
 
     def _update_epoch(
         self,
@@ -439,6 +461,7 @@ class StackedPPOAgent:
         flat_v: np.ndarray,
         flat_scr: np.ndarray,
         step_count: int,
+        lr: float,
     ) -> dict[str, np.ndarray]:
         """One stacked epoch: forward, loss, backward, clip, Adam."""
         cfg = self.config
@@ -483,7 +506,7 @@ class StackedPPOAgent:
         # topological order; every accumulation below happens in the same
         # sequence (and with the same float expressions) as Tensor.backward.
         # Each gradient lands in its segment of the contiguous ``flat_g``
-        # buffer so clip + Adam can run on one 1-D array (see _adam_step).
+        # buffer so clip + Adam can run on one 1-D array (see adam_step below).
         grads = grad_views
 
         g_mn = np.full((A, B), -1.0 * inv_b)
@@ -562,7 +585,11 @@ class StackedPPOAgent:
 
         # ---------------------------------------------- clip_grad_norm + Adam
         self._clip_grad_norm(grads, cfg.max_grad_norm, A)
-        self._adam_step(flat_p, flat_g, flat_m, flat_v, flat_scr, step_count)
+        # Adam's elementwise op sequence once over the whole flat buffers:
+        # the same bits in every slot as one call per parameter, with ~12
+        # numpy dispatches per epoch instead of ~25 × 12 — the difference
+        # between the 2× and 5×+ stacked speedup at K ≥ 16.
+        adam_step(flat_p, flat_g, flat_m, flat_v, flat_scr, step=step_count, lr=lr)
 
         # -------------------------------------------------------- diagnostics
         return {
@@ -580,7 +607,7 @@ class StackedPPOAgent:
         """Per-member global-norm clip, replaying the scalar float order.
 
         The norm accumulates ``float(np.dot(flat, flat))`` per parameter in
-        optimizer order (Python-float addition, like ``clip_grad_norm``);
+        parameter order (Python-float addition, like ``clip_grad_norm``);
         unclipped members scale by exactly 1.0 — a bitwise identity — so
         one in-place multiply serves the whole stack.
         """
@@ -598,41 +625,3 @@ class StackedPPOAgent:
         if any_clipped:
             for g in grads:
                 g *= scale.reshape((rows,) + (1,) * (g.ndim - 1))
-
-    def _adam_step(
-        self,
-        p: np.ndarray,
-        g: np.ndarray,
-        m: np.ndarray,
-        v: np.ndarray,
-        s: np.ndarray,
-        step_count: int,
-    ) -> None:
-        """Fused stacked Adam over the flat 1-D buffers.
-
-        The scalar optimizer runs its in-place op sequence once per
-        parameter; every op is elementwise, so running the identical
-        sequence once over the concatenated flat buffers produces the
-        same bits in every slot while collapsing ~25 × 12 small numpy
-        dispatches per epoch into 12 large ones — the difference between
-        the 2× and 5×+ stacked speedup at K ≥ 16.
-        """
-        b1, b2 = 0.9, 0.999
-        eps = 1e-8
-        correction1 = 1.0 - b1 ** step_count
-        correction2 = 1.0 - b2 ** step_count
-        scale = self.lr / correction1
-        inv_sqrt_c2 = 1.0 / np.sqrt(correction2)
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=s)
-        m += s
-        v *= b2
-        np.multiply(g, g, out=s)
-        s *= 1.0 - b2
-        v += s
-        np.sqrt(v, out=s)
-        s *= inv_sqrt_c2
-        s += eps
-        np.divide(m, s, out=s)
-        s *= scale
-        p -= s

@@ -73,19 +73,7 @@ class IONetworkSimulator:
         Static scenario description (per-thread speeds, ceilings, buffers).
     sender_usage, receiver_usage:
         Initial staging-buffer occupancy in bytes (default empty).
-    cache_rates:
-        Memoize per-thread rates, chunk sizes and the initial task queue
-        per clamped thread triple (default on).  The config is frozen, so
-        these are pure functions of the triple; training loops revisit a
-        handful of triples millions of times and the recomputation used to
-        dominate :meth:`step_second` setup.  Results are bit-identical
-        either way.
     """
-
-    #: Distinct thread triples memoized before the cache resets.  Policies
-    #: visit far fewer than this (≤ max_threads³ bounded by exploration);
-    #: the cap only guards pathological sweeps over huge ``max_threads``.
-    _RATE_CACHE_MAX = 1024
 
     def __init__(
         self,
@@ -93,16 +81,12 @@ class IONetworkSimulator:
         *,
         sender_usage: float = 0.0,
         receiver_usage: float = 0.0,
-        cache_rates: bool = True,
     ) -> None:
         self.config = config
         self._validate_usage(sender_usage, receiver_usage)
         self._sender_usage = float(sender_usage)
         self._receiver_usage = float(receiver_usage)
         self._elapsed = 0.0
-        self.cache_rates = bool(cache_rates)
-        #: (n_r, n_n, n_w) -> (rates, chunks, initial queue); see step_second.
-        self._rate_cache: dict[tuple[int, int, int], tuple] = {}
         # Bound method lookup hoisted out of the per-step path.
         self._obs_active = obs.active
         #: Diagnostics of the most recent :meth:`step_second` call — how many
@@ -158,31 +142,18 @@ class IONetworkSimulator:
         cfg = self.config
         n = self._clamp_threads(threads)
 
-        cached = self._rate_cache.get(n) if self.cache_rates else None
-        if cached is None:
-            # Effective per-thread byte rates with the aggregate ceiling
-            # applied, the chunk each thread moves per task, and the t = 0
-            # task queue (Algorithm 1, line 29) — all pure in (config, n).
-            rates = [
-                mbps_to_bytes_per_sec(min(tpt, bw / n_i))
-                for tpt, bw, n_i in zip(cfg.tpt, cfg.bandwidth, n)
-            ]
-            chunks = [
-                max(cfg.min_chunk_bytes, rate * cfg.chunk_seconds) for rate in rates
-            ]
-            init_queue = initial_queue(n)
-            if self.cache_rates:
-                if len(self._rate_cache) >= self._RATE_CACHE_MAX:
-                    # FIFO eviction: drop the oldest triple (dict insertion
-                    # order) so a sweep of cold triples cannot wipe the
-                    # whole cache and with it the hot working set.
-                    del self._rate_cache[next(iter(self._rate_cache))]
-                self._rate_cache[n] = (rates, chunks, init_queue)
-        else:
-            rates, chunks, init_queue = cached
+        # Effective per-thread byte rates with the aggregate ceiling applied,
+        # and the chunk each thread moves per task.
+        rates = [
+            mbps_to_bytes_per_sec(min(tpt, bw / n_i))
+            for tpt, bw, n_i in zip(cfg.tpt, cfg.bandwidth, n)
+        ]
+        chunks = [
+            max(cfg.min_chunk_bytes, rate * cfg.chunk_seconds) for rate in rates
+        ]
 
         throughputs, sender, receiver, blocked_retries, _ = event_loop(
-            rates, chunks, init_queue, self._sender_usage, self._receiver_usage,
+            rates, chunks, initial_queue(n), self._sender_usage, self._receiver_usage,
             cfg.duration, cfg.epsilon, cfg.task_overhead,
             cfg.sender_buffer_capacity, cfg.receiver_buffer_capacity,
         )

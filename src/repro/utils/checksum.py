@@ -47,6 +47,8 @@ copying it.
 
 from __future__ import annotations
 
+import numpy as _np
+
 __all__ = [
     "CRC32C_VECTOR_MIN",
     "XXH32_VECTOR_MIN",
@@ -64,11 +66,6 @@ __all__ = [
     "xxh32_np",
     "xxh32_py",
 ]
-
-try:  # numpy is a core dependency, but the reference kernels must not need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
 
 #: Below these sizes the pure-python kernels win (table setup + numpy call
 #: overhead dominates); the dispatchers fall back automatically.
@@ -357,17 +354,17 @@ def crc32c(data, value: int = 0) -> int:
     """CRC32C of ``data``; ``value`` chains a previous digest (streaming).
 
     Dispatches to the vectorized kernel for buffers ≥
-    :data:`CRC32C_VECTOR_MIN` bytes when numpy is available; always
-    bit-identical to :func:`crc32c_py`.
+    :data:`CRC32C_VECTOR_MIN` bytes; always bit-identical to
+    :func:`crc32c_py`.
     """
-    if _np is not None and len(data) >= CRC32C_VECTOR_MIN:
+    if len(data) >= CRC32C_VECTOR_MIN:
         return crc32c_np(data, value)
     return crc32c_py(data, value)
 
 
 def xxh32(data, seed: int = 0) -> int:
     """XXH32 of ``data`` with ``seed`` (automatic kernel selection)."""
-    if _np is not None and len(data) >= XXH32_VECTOR_MIN:
+    if len(data) >= XXH32_VECTOR_MIN:
         return xxh32_np(data, seed)
     return xxh32_py(data, seed)
 
@@ -375,9 +372,9 @@ def xxh32(data, seed: int = 0) -> int:
 def kernel_info() -> dict:
     """Which kernels the dispatchers select (for benches and docs)."""
     return {
-        "numpy": _np is not None,
-        "crc32c": "numpy-slice8-fold" if _np is not None else "pure-python",
-        "xxh32": "numpy-lane-parallel" if _np is not None else "pure-python",
+        "numpy": True,
+        "crc32c": "numpy-slice8-fold",
+        "xxh32": "numpy-lane-parallel",
         "crc32c_vector_min": CRC32C_VECTOR_MIN,
         "xxh32_vector_min": XXH32_VECTOR_MIN,
     }
@@ -398,7 +395,7 @@ def crc32c_many(arena, offsets, lengths):
 
     ``arena`` is any bytes-like; record *i* is
     ``arena[offsets[i] : offsets[i] + lengths[i]]``.  Returns a
-    ``uint32`` array (pure-python fallback returns a list).  Records are
+    ``uint32`` array.  Records are
     processed byte-position-parallel: buffers are sorted by length once
     and each position updates the whole still-active prefix with one
     table gather — built for thousands of small records (manifest payload
@@ -406,8 +403,6 @@ def crc32c_many(arena, offsets, lengths):
     ``_MANY_MAX_RECORD`` bytes.
     """
     mv = memoryview(arena)
-    if _np is None:
-        return [crc32c_py(mv[o : o + ln]) for o, ln in zip(offsets, lengths)]
     offsets = _np.asarray(offsets, dtype=_np.int64)
     lengths = _np.asarray(lengths, dtype=_np.int64)
     n = len(offsets)
@@ -451,8 +446,6 @@ def xxh32_many(arena, offsets, lengths, seed: int = 0):
     """XXH32 of many records of one arena, buffer-parallel (see
     :func:`crc32c_many` for the arena convention and fallback rules)."""
     mv = memoryview(arena)
-    if _np is None:
-        return [xxh32_py(mv[o : o + ln], seed) for o, ln in zip(offsets, lengths)]
     seed &= _M32
     offsets = _np.asarray(offsets, dtype=_np.int64)
     lengths = _np.asarray(lengths, dtype=_np.int64)
@@ -609,7 +602,7 @@ class Xxh32Stream:
         if stripes:
             if self._v is None:
                 self._v = _lane_init(self._seed)
-            if _np is not None and stripes * 16 >= XXH32_VECTOR_MIN:
+            if stripes * 16 >= XXH32_VECTOR_MIN:
                 _lanes_np(self._v, mv, start, stripes)
             else:
                 _lanes_py(self._v, mv, start, stripes)

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.discrete import DiscretePPOAgent, JointDiscretePPOAgent
 from repro.core.ppo import PPOAgent, PPOConfig, RolloutMemory, discounted_returns
+from tests.nn.ppo_oracle import AutogradPPOAgent
 
 
 def tiny_config(**overrides) -> PPOConfig:
@@ -205,11 +207,46 @@ class TestAgentUpdate:
     def test_lr_progress_anneals(self):
         agent = PPOAgent(config=tiny_config(learning_rate=1e-3, final_learning_rate=1e-4), rng=0)
         agent.set_lr_progress(0.0)
-        assert agent.optimizer.lr == pytest.approx(1e-3)
+        assert agent.lr == pytest.approx(1e-3)
         agent.set_lr_progress(1.0)
-        assert agent.optimizer.lr == pytest.approx(1e-4)
+        assert agent.lr == pytest.approx(1e-4)
         agent.set_lr_progress(5.0)  # clamped
-        assert agent.optimizer.lr == pytest.approx(1e-4)
+        assert agent.lr == pytest.approx(1e-4)
+
+    def test_update_matches_autograd_oracle(self):
+        """The lone agent's K=1 stacked update is the autograd update, bit
+        for bit, across annealed learning rates."""
+        agent = PPOAgent(config=tiny_config(), rng=0)
+        oracle = AutogradPPOAgent(config=tiny_config(), rng=0)
+        for update, fraction in enumerate((0.0, 0.5, 1.0)):
+            for side in (agent, oracle):
+                self.fill_memory(side, seed=update)
+                side.set_lr_progress(fraction)
+            assert agent.update() == oracle.update()
+            agent.memory.clear()
+            oracle.memory.clear()
+            for (name, want), (_, got) in zip(
+                oracle.policy.named_parameters(), agent.policy.named_parameters()
+            ):
+                assert np.array_equal(want.data, got.data), name
+            for want, got in zip(oracle.value.parameters(), agent.value.parameters()):
+                assert np.array_equal(want.data, got.data)
+
+    def test_stack_is_built_at_the_first_update(self):
+        """Acting never allocates the engine; the first update builds one
+        K=1 stack over the agent's own parameters, and later updates reuse it."""
+        agent = PPOAgent(config=tiny_config(), rng=0)
+        agent.act(np.zeros(8))
+        assert agent._stack is None
+        self.fill_memory(agent)
+        agent.update()
+        stack = agent._stack
+        assert stack.k == 1 and stack.members == [agent]
+        for param in agent.parameters():
+            assert np.shares_memory(param.data, stack._flat_params)
+        agent.update()
+        assert agent._stack is stack
+        assert agent.updates == 2
 
 
 class TestStateDict:
@@ -235,3 +272,45 @@ class TestStateDict:
         assert digest.hexdigest() == (
             "1250dd665d7300c224f2d1fd06e48ec9dbe1303dffc2f254f327626a794d438b"
         )
+
+    @pytest.mark.parametrize("make,keys,expected", [
+        (
+            lambda: PPOAgent(config=PPOConfig(hidden_dim=16), rng=0),
+            ("loss", "actor_loss", "critic_loss", "entropy", "mean_ratio",
+             "mean_return", "approx_kl", "clip_fraction"),
+            "d0f4ba40f15f14e0ab6c3039296863049b98e2ae78d712bf10ba463a6eb65503",
+        ),
+        (
+            lambda: DiscretePPOAgent(8, max_threads=6, config=tiny_config(), rng=0),
+            ("loss", "actor_loss", "critic_loss", "entropy", "mean_return"),
+            "8e754635bf924b6a479c88cedadefaffa80ada324d2b555f1882652e166b779e",
+        ),
+        (
+            lambda: JointDiscretePPOAgent(8, max_threads=6, config=tiny_config(), rng=0),
+            ("loss", "actor_loss", "critic_loss", "entropy", "mean_return"),
+            "cee8587eddaf0750d0d4df3e48d185239755fbc84fc629e08da6a4aa0e15d210",
+        ),
+    ], ids=["gaussian", "discrete", "joint-discrete"])
+    def test_seeded_updates_are_pinned(self, make, keys, expected):
+        """Parameters and diagnostics after three seeded updates are
+        byte-stable.  An equality test between two update paths cannot
+        catch a shift both paths share; these digests can."""
+        agent = make()
+        rng = np.random.default_rng(7)
+        digest = hashlib.sha256()
+        for _ in range(3):
+            for _ in range(2):
+                for _ in range(5):
+                    state = rng.uniform(0.0, 1.0, 8)
+                    action, log_prob = agent.act(state)
+                    agent.memory.store(state, action, log_prob, float(rng.uniform()))
+                agent.memory.end_episode(agent.config.gamma)
+            stats = agent.update()
+            agent.memory.clear()
+            for key in keys:
+                digest.update(f"{key}={stats[key]!r}".encode())
+        for net, params in sorted(agent.state_dict().items()):
+            for name, array in sorted(params.items()):
+                digest.update(f"{net}.{name}".encode())
+                digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == expected

@@ -1,18 +1,21 @@
-"""Stacked-K engine vs the scalar PPOAgent oracle — exact, not approximate.
+"""Stacked-K engine vs the autograd PPO oracle — exact, not approximate.
 
 Every assertion here is ``==`` / ``array_equal``: the stacked forward,
 hand-rolled backward, gradient clipping and Adam step must reproduce the
-scalar agents bit-for-bit (see the bit-identity argument in
-``repro/nn/stacked.py`` and DESIGN §17).  Reference agents are built with
-the same seeds, stepped through identical rollouts, and compared on every
-parameter after every update.
+autograd update (:func:`repro.core.ppo.autograd_ppo_update`) bit-for-bit
+(see the bit-identity argument in ``repro/nn/stacked.py`` and DESIGN §17).
+Reference agents are built with the same seeds, stepped through identical
+rollouts, and compared on every parameter after every update.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.core.ppo import PPOAgent, PPOConfig
+from repro.core.ppo import PPOConfig
 from repro.nn.stacked import StackedPPOAgent
+from tests.nn.ppo_oracle import AutogradPPOAgent
 
 
 def tiny_config(**overrides) -> PPOConfig:
@@ -21,21 +24,21 @@ def tiny_config(**overrides) -> PPOConfig:
     return PPOConfig(**defaults)
 
 
-def _build(k: int, cfg: PPOConfig):
+def _build(k: int, cfg: PPOConfig, state_dim: int = 8, action_dim: int = 3):
     seeds = [1000 + 7 * i for i in range(k)]
-    reference = [PPOAgent(8, 3, cfg, rng=s) for s in seeds]
-    stacked = StackedPPOAgent(8, 3, cfg, rngs=seeds)
+    reference = [AutogradPPOAgent(state_dim, action_dim, cfg, rng=s) for s in seeds]
+    stacked = StackedPPOAgent(state_dim, action_dim, cfg, rngs=seeds)
     return reference, stacked
 
 
-def _rollout(reference, stacked, rng, *, steps, episodes, active=None):
+def _rollout(reference, stacked, rng, *, steps, episodes, active=None, state_dim=8):
     """Feed identical transitions to both sides, asserting act equality."""
     k = stacked.k
     gamma = stacked.config.gamma
     indices = list(range(k)) if active is None else list(active)
     mask = None if active is None else np.isin(np.arange(k), indices)
     for _ in range(episodes):
-        states = rng.uniform(0.0, 1.0, (k, 8))
+        states = rng.uniform(0.0, 1.0, (k, state_dim))
         for _ in range(steps):
             want = {i: reference[i].act(states[i]) for i in indices}
             acts, lps = stacked.act_all(states, active=mask)
@@ -47,7 +50,7 @@ def _rollout(reference, stacked, rng, *, steps, episodes, active=None):
                 stacked.members[i].memory.store(
                     states[i], acts[i].copy(), float(lps[i]), rewards[i]
                 )
-            states = rng.uniform(0.0, 1.0, (k, 8))
+            states = rng.uniform(0.0, 1.0, (k, state_dim))
         for i in indices:
             reference[i].memory.end_episode(gamma)
             stacked.members[i].memory.end_episode(gamma)
@@ -75,13 +78,37 @@ def _update_and_compare(reference, stacked, active):
     _assert_params_equal(reference, stacked)
 
 
-@pytest.mark.parametrize("k", [1, 2, 7, 64])
-def test_stacked_update_matches_scalar_oracle(k):
+#: Shapes and settings off the default path: (state_dim, action_dim,
+#: config overrides).  The first is the online-DRL baseline's agent.
+EDGE_CONFIGS = {
+    "online-drl": (4, 1, dict(hidden_dim=64, policy_blocks=1, value_blocks=1,
+                               update_epochs=4)),
+    "raw-advantages": (8, 3, dict(normalize_advantages=False)),
+    "one-epoch": (8, 3, dict(update_epochs=1)),
+    "log-std-above-range": (8, 3, dict(log_std_init=1.0)),
+    "log-std-below-range": (8, 3, dict(log_std_init=-5.0)),
+    "no-grad-clip": (8, 3, dict(max_grad_norm=math.inf)),
+    "no-residual-blocks": (8, 3, dict(policy_blocks=0, value_blocks=0)),
+}
+ORACLE_CASES = [
+    pytest.param(k, 8, 3, {}, 4, 2, id=str(k)) for k in (1, 2, 7, 64)
+] + [
+    pytest.param(k, s, a, overrides, batch, 1, id=f"{name}-k{k}-b{batch}")
+    for name, (s, a, overrides) in EDGE_CONFIGS.items()
+    for k in (1, 3)
+    for batch in (1, 7)
+]
+
+
+@pytest.mark.parametrize("k,state_dim,action_dim,overrides,steps,episodes", ORACLE_CASES)
+def test_stacked_update_matches_scalar_oracle(
+    k, state_dim, action_dim, overrides, steps, episodes
+):
     """Forward, backward, clip and Adam agree on every parameter, K-wide."""
-    cfg = tiny_config()
-    reference, stacked = _build(k, cfg)
+    cfg = tiny_config(**overrides)
+    reference, stacked = _build(k, cfg, state_dim, action_dim)
     rng = np.random.default_rng(3)
-    _rollout(reference, stacked, rng, steps=4, episodes=2)
+    _rollout(reference, stacked, rng, steps=steps, episodes=episodes, state_dim=state_dim)
     _update_and_compare(reference, stacked, list(range(k)))
 
 
@@ -113,15 +140,34 @@ def test_partial_active_gather_scatter():
     _rollout(reference, stacked, rng, steps=4, episodes=1)
     _update_and_compare(reference, stacked, [0, 1, 2, 3, 4])
     frozen = {
-        i: [p.data.copy() for p in stacked.members[i].optimizer.parameters]
+        i: [p.data.copy() for p in stacked.members[i].parameters()]
         for i in (1, 4)
     }
     active = [0, 2, 3]
     _rollout(reference, stacked, rng, steps=4, episodes=1, active=active)
     _update_and_compare(reference, stacked, active)
     for i, before in frozen.items():
-        for want, got in zip(before, stacked.members[i].optimizer.parameters):
+        for want, got in zip(before, stacked.members[i].parameters()):
             assert np.array_equal(want, got.data), i
+
+
+def test_member_update_stays_on_its_population_row():
+    """A member's own update() runs on its row of the population stack: no
+    private stack, no rebinding away from it, the other rows untouched."""
+    cfg = tiny_config()
+    reference, stacked = _build(3, cfg)
+    rng = np.random.default_rng(4)
+    _rollout(reference, stacked, rng, steps=4, episodes=1, active=[1])
+    member = stacked.members[1]
+    bound = [p.data for p in member.parameters()]
+    assert member.update() == reference[1].update()
+    assert member._stack is stacked and member.updates == 1
+    for param, view in zip(member.parameters(), bound):
+        assert param.data is view
+        assert np.shares_memory(param.data, stacked._flat_params)
+    _assert_params_equal(reference, stacked)
+    with pytest.raises(ValueError, match="already live"):
+        StackedPPOAgent.from_agents([member])
 
 
 def test_diverged_step_counts_rejected():
@@ -166,7 +212,7 @@ def test_set_lr_progress_matches_scalar_annealing():
     for fraction in (0.0, 0.3, 1.0, 2.0):
         reference[0].set_lr_progress(fraction)
         stacked.set_lr_progress(fraction)
-        assert stacked.lr == reference[0].optimizer.lr
+        assert stacked.lr == reference[0].lr
 
 
 def test_rejects_empty_population():

@@ -48,7 +48,7 @@ def drive_both(configs, threads_seq, *, resets=None):
     every simulator is reset to before that step.
     """
     resets = resets or {}
-    scalars = [IONetworkSimulator(c, cache_rates=True) for c in configs]
+    scalars = [IONetworkSimulator(c) for c in configs]
     batched = BatchedSimulator(configs)
     for step, threads in enumerate(threads_seq):
         if step in resets:
