@@ -17,7 +17,7 @@ repo root, like the other ``BENCH_*.json`` artifacts):
 * ``determinism`` — one drift case run twice: case fingerprints must be
   bit-identical.
 
-Run standalone (what the CI ``drift-soak-smoke`` job complements)::
+Run standalone (what the drift leg of the CI ``soak-smoke`` job complements)::
 
     PYTHONPATH=src python benchmarks/bench_adapt.py --quick
 

@@ -14,7 +14,7 @@ repo root, like the other ``BENCH_*.json`` artifacts):
   bit-identical.  Speed numbers are reported, not gated — they are
   hardware statements, not correctness ones.
 
-Run standalone (what the CI ``fleet-soak-smoke`` job complements)::
+Run standalone (what the fleet leg of the CI ``soak-smoke`` job complements)::
 
     PYTHONPATH=src python benchmarks/bench_fleet.py --quick
 
@@ -31,8 +31,6 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-FAIRNESS_BOUND = 2.5  # matches FleetSoakConfig.fairness_bound
 
 
 def _fleet_config(*, tenants: int, seed: int, faults, transfers: int):
@@ -107,18 +105,14 @@ def bench_fairness(out_dir: Path, *, transfers: int, tenants: int,
                    gigabytes: float) -> dict:
     """Chaos fleet: equal-weight tenants must end with comparable goodput."""
     from repro.fleet import JobFaultProfile
+    from repro.harness.soak import FleetSoakConfig, _fair_goodput_ratio
 
     chaos = JobFaultProfile(stall_probability=0.6, corruption_probability=0.5)
     report, wall = _run(
         out_dir / "chaos", transfers=transfers, tenants=tenants,
         gigabytes=gigabytes, seed=1, faults=chaos,
     )
-    rates = [
-        stats["goodput_bytes_per_s"]
-        for stats in report["tenants"].values()
-        if stats["completed"] > 0
-    ]
-    ratio = (max(rates) / min(rates)) if rates and min(rates) > 0 else float("inf")
+    ratio = _fair_goodput_ratio(report)
     incidents = sum(len(j["incidents"]) for j in report["jobs"])
     return {
         "transfers": transfers,
@@ -130,7 +124,7 @@ def bench_fairness(out_dir: Path, *, transfers: int, tenants: int,
         "unrecovered_jobs": report["unrecovered_jobs"],
         "goodput_ratio": round(ratio, 3),
         "wall_seconds": round(wall, 3),
-        "within_bound": ratio <= FAIRNESS_BOUND,
+        "within_bound": ratio <= FleetSoakConfig().fairness_bound,
         "all_recovered": not report["unrecovered_jobs"],
     }
 

@@ -32,7 +32,6 @@ from repro.adapt.guard import (
     LEGAL_TRANSITIONS,
     NOMINAL,
     ROLLED_BACK,
-    GuardTransition,
     RollbackGuard,
     transitions_legal,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "WindowedCusum",
     "SafetyEnvelope",
     "RollbackGuard",
-    "GuardTransition",
     "NOMINAL",
     "DRIFT_SUSPECTED",
     "CORRECTING",

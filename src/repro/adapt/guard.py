@@ -15,18 +15,17 @@ audit log the soak harness re-validates independently.  States::
 Attempting an illegal hop raises
 :class:`~repro.utils.errors.GuardTransitionError` immediately — an
 adaptation bug fails loudly instead of corrupting a production transfer.
+Validation, the log and its re-check come from
+:class:`~repro.utils.audited.AuditedMachine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
+from repro.utils.audited import AuditedMachine
 from repro.utils.errors import GuardTransitionError
 
 __all__ = [
     "RollbackGuard",
-    "GuardTransition",
     "NOMINAL",
     "DRIFT_SUSPECTED",
     "CORRECTING",
@@ -52,60 +51,18 @@ LEGAL_TRANSITIONS: frozenset[tuple[str, str]] = frozenset(
     }
 )
 
-#: Numeric encoding for the guard-state gauge (monitoring-friendly).
-STATE_CODES = {NOMINAL: 0, DRIFT_SUSPECTED: 1, CORRECTING: 2, ROLLED_BACK: 3}
 
-
-@dataclass(frozen=True)
-class GuardTransition:
-    """One audited state hop."""
-
-    t: float
-    src: str
-    dst: str
-    reason: str
-
-    kind: ClassVar[str] = "guard_transition"
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form for soak and fleet reports."""
-        return {"t": round(self.t, 3), "src": self.src, "dst": self.dst, "reason": self.reason}
-
-
-def transitions_legal(transitions) -> bool:
-    """Independently validate a transition log (the drift-soak invariant).
-
-    Every hop must be in :data:`LEGAL_TRANSITIONS`, the chain must be
-    contiguous (each hop starts where the previous one ended) and must
-    start from NOMINAL — the only birth state.
-    """
-    previous = NOMINAL
-    for tr in transitions:
-        src, dst = (tr.src, tr.dst) if isinstance(tr, GuardTransition) else (tr[0], tr[1])
-        if src != previous or (src, dst) not in LEGAL_TRANSITIONS:
-            return False
-        previous = dst
-    return True
-
-
-class RollbackGuard:
+class RollbackGuard(AuditedMachine):
     """Legal-transition state machine driving one adaptive controller."""
 
+    STATES = (NOMINAL, DRIFT_SUSPECTED, CORRECTING, ROLLED_BACK)  # gauge codes 0…3
+    LEGAL = LEGAL_TRANSITIONS
+    ERROR = GuardTransitionError
+
     def __init__(self, *, name: str = "") -> None:
-        self.name = name
-        self.state = NOMINAL
+        super().__init__(name)
         self.rollbacks = 0
         self.promotions = 0
-        self.transitions: list[GuardTransition] = []
-
-    def _transition(self, dst: str, t: float, reason: str) -> None:
-        if (self.state, dst) not in LEGAL_TRANSITIONS:
-            raise GuardTransitionError(
-                f"rollback guard {self.name!r}: illegal transition {self.state} -> {dst} "
-                f"at t={t:.1f} ({reason})"
-            )
-        self.transitions.append(GuardTransition(t, self.state, dst, reason))
-        self.state = dst
 
     # ------------------------------------------------------------ the driver
     def suspect(self, t: float, reason: str) -> None:
@@ -130,7 +87,6 @@ class RollbackGuard:
         """Guarded control recovered: ROLLED_BACK → NOMINAL."""
         self._transition(NOMINAL, t, reason)
 
-    @property
-    def state_code(self) -> int:
-        """Numeric gauge encoding (0 nominal … 3 rolled back)."""
-        return STATE_CODES[self.state]
+
+#: Re-validate a guard transition log (records or ``(src, dst)`` pairs).
+transitions_legal = RollbackGuard.transitions_legal

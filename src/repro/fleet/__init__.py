@@ -32,7 +32,6 @@ from repro.fleet.breaker import (
     LEGAL_TRANSITIONS,
     OPEN,
     BreakerConfig,
-    BreakerTransition,
     CircuitBreaker,
     transitions_legal,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionQueue",
     "BreakerConfig",
-    "BreakerTransition",
     "Bulkhead",
     "CircuitBreaker",
     "CLOSED",

@@ -15,19 +15,20 @@ independently (each hop in the legal set, the chain contiguous, starting
 from CLOSED), which is the soak harness's breaker invariant.  Attempting an
 illegal hop raises :class:`~repro.utils.errors.BreakerTransitionError`
 immediately — a scheduler bug fails loudly instead of corrupting the fleet.
+Validation, the log and its re-check come from
+:class:`~repro.utils.audited.AuditedMachine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
+from repro.utils.audited import AuditedMachine
 from repro.utils.config import require_positive
 from repro.utils.errors import BreakerTransitionError
 
 __all__ = [
     "BreakerConfig",
-    "BreakerTransition",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",
@@ -45,9 +46,6 @@ LEGAL_TRANSITIONS: frozenset[tuple[str, str]] = frozenset(
     {(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED), (HALF_OPEN, OPEN)}
 )
 
-#: Numeric encoding for the breaker-state gauge (monitoring-friendly).
-STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
-
 
 @dataclass(frozen=True)
 class BreakerConfig:
@@ -63,59 +61,20 @@ class BreakerConfig:
         require_positive(self.half_open_successes, "half_open_successes")
 
 
-@dataclass(frozen=True)
-class BreakerTransition:
-    """One audited state hop."""
-
-    t: float
-    src: str
-    dst: str
-    reason: str
-
-    kind: ClassVar[str] = "breaker_transition"
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form for fleet reports."""
-        return {"t": round(self.t, 3), "src": self.src, "dst": self.dst, "reason": self.reason}
-
-
-def transitions_legal(transitions) -> bool:
-    """Independently validate a transition log (the soak invariant).
-
-    Every hop must be in :data:`LEGAL_TRANSITIONS`, the chain must be
-    contiguous (each hop starts where the previous one ended) and must
-    start from CLOSED — the only birth state.
-    """
-    previous = CLOSED
-    for tr in transitions:
-        src, dst = (tr.src, tr.dst) if isinstance(tr, BreakerTransition) else (tr[0], tr[1])
-        if src != previous or (src, dst) not in LEGAL_TRANSITIONS:
-            return False
-        previous = dst
-    return True
-
-
-class CircuitBreaker:
+class CircuitBreaker(AuditedMachine):
     """Failure-counting breaker for one supervised transfer."""
 
+    STATES = (CLOSED, HALF_OPEN, OPEN)  # gauge codes 0 / 1 / 2
+    LEGAL = LEGAL_TRANSITIONS
+    ERROR = BreakerTransitionError
+
     def __init__(self, config: BreakerConfig | None = None, *, name: str = "") -> None:
+        super().__init__(name)
         self.config = config or BreakerConfig()
-        self.name = name
-        self.state = CLOSED
         self.consecutive_failures = 0
         self.opened_at: float | None = None
         self.times_opened = 0
         self._probe_successes = 0
-        self.transitions: list[BreakerTransition] = []
-
-    def _transition(self, dst: str, t: float, reason: str) -> None:
-        if (self.state, dst) not in LEGAL_TRANSITIONS:
-            raise BreakerTransitionError(
-                f"breaker {self.name!r}: illegal transition {self.state} -> {dst} "
-                f"at t={t:.1f} ({reason})"
-            )
-        self.transitions.append(BreakerTransition(t, self.state, dst, reason))
-        self.state = dst
 
     # ------------------------------------------------------------ the driver
     def poll(self, t: float) -> str:
@@ -155,7 +114,6 @@ class CircuitBreaker:
                 self._transition(CLOSED, t, "probe_succeeded")
         return self.state
 
-    @property
-    def state_code(self) -> int:
-        """Numeric gauge encoding (0 closed / 1 half-open / 2 open)."""
-        return STATE_CODES[self.state]
+
+#: Re-validate a breaker transition log (records or ``(src, dst)`` pairs).
+transitions_legal = CircuitBreaker.transitions_legal

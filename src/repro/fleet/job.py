@@ -51,7 +51,7 @@ class _SlicePause(Exception):
 
 
 class _SimulatedCrash(Exception):
-    """Raised by the slice observer at a scheduled crash instant."""
+    """Raised by a slice or chaos-soak observer at a scheduled crash instant."""
 
     def __init__(self, t: float) -> None:
         super().__init__(f"simulated crash at t={t:.1f}s")

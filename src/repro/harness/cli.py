@@ -512,12 +512,18 @@ def _cmd_transfer(args) -> int:
     return 0 if result.completed else 1
 
 
+def _finish_soak(report: dict, render) -> int:
+    """Print a soak report and where it was saved; exit 1 on any violation."""
+    print(render(report), end="")
+    if "report_path" in report:
+        print(f"report saved to {report['report_path']}")
+    return 0 if report["all_passed"] else 1
+
+
 def _cmd_soak(args) -> int:
-    from repro.harness.soak import SoakConfig, render_soak_report, run_soak
+    import dataclasses
 
     if args.drift:
-        import dataclasses
-
         from repro.harness.drift import (
             DriftSoakConfig,
             render_drift_soak_report,
@@ -527,38 +533,25 @@ def _cmd_soak(args) -> int:
         if args.quick:
             config = DriftSoakConfig.quick(root_seed=args.seed)
         else:
-            config = DriftSoakConfig(
-                cases=args.cases, root_seed=args.seed, workers=args.workers
-            )
-        config = dataclasses.replace(config, latency_bound_s=args.latency_bound)
-        report = run_drift_soak(config, out_dir=args.out)
-        print(render_drift_soak_report(report), end="")
-        if args.out:
-            print(f"report saved to {report['report_path']}")
-        return 0 if report["all_passed"] else 1
+            config = DriftSoakConfig(cases=args.cases, root_seed=args.seed)
+        config = dataclasses.replace(
+            config, latency_bound_s=args.latency_bound, workers=args.workers
+        )
+        return _finish_soak(run_drift_soak(config, out_dir=args.out), render_drift_soak_report)
+
+    from repro.harness.soak import SoakConfig, render_soak_report, run_soak
 
     if args.quick:
         config = SoakConfig.quick(root_seed=args.seed)
     else:
-        config = SoakConfig(
-            cases=args.cases,
-            root_seed=args.seed,
-            gigabytes=args.gb,
-            workers=args.workers,
-        )
-    if args.no_crashes:
-        import dataclasses
-
-        config = dataclasses.replace(config, crashes=False)
-    if args.no_corruption:
-        import dataclasses
-
-        config = dataclasses.replace(config, corruption=False)
-    report = run_soak(config, out_dir=args.out)
-    print(render_soak_report(report), end="")
-    if args.out:
-        print(f"report saved to {report['report_path']}")
-    return 0 if report["all_passed"] else 1
+        config = SoakConfig(cases=args.cases, root_seed=args.seed, gigabytes=args.gb)
+    config = dataclasses.replace(
+        config,
+        corruption=not args.no_corruption,
+        crashes=not args.no_crashes,
+        workers=args.workers,
+    )
+    return _finish_soak(run_soak(config, out_dir=args.out), render_soak_report)
 
 
 def _cmd_fleet(args) -> int:
@@ -593,19 +586,15 @@ def _cmd_fleet(args) -> int:
                 gigabytes=args.gb,
                 quantum=args.quantum,
                 max_parallel=args.max_parallel,
-                workers=args.workers,
             )
         config = dataclasses.replace(
             config,
             stalls=not args.no_stalls,
             corruption=not args.no_corruption,
             crashes=not args.no_crashes,
+            workers=args.workers,
         )
-        report = run_fleet_soak(config, out_dir=args.out)
-        print(render_fleet_soak_report(report), end="")
-        if args.out:
-            print(f"report saved to {report['report_path']}")
-        return 0 if report["all_passed"] else 1
+        return _finish_soak(run_fleet_soak(config, out_dir=args.out), render_fleet_soak_report)
 
     out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="fleet-"))
     tenants = tuple(

@@ -40,32 +40,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.adapt import (
-    CORRECTING,
-    DRIFT_SUSPECTED,
-    NOMINAL,
-    AdaptConfig,
-    AdaptiveController,
-    SafetyEnvelope,
-    transitions_legal,
-)
-from repro.baselines import StaticController
+from repro.adapt import CORRECTING, DRIFT_SUSPECTED, NOMINAL, transitions_legal
 from repro.emulator.faults import BandwidthRamp, FaultSchedule, StepChange, StorageStall
-from repro.emulator.presets import fig5_read_bottleneck
-from repro.emulator.testbed import Testbed
-from repro.harness.soak import _record_soak_report
-from repro.parallel.pool import ParallelMap
+from repro.harness.soak import make_case_dir, render_cases, run_cases, run_twice, verified_case
 from repro.parallel.seeds import derive_seed, spawn_key
-from repro.transfer.engine import EngineConfig, ModularTransferEngine
-from repro.transfer.files import uniform_dataset
-from repro.transfer.integrity import IntegrityConfig, VerifiedTransfer
-from repro.transfer.supervisor import SupervisorConfig, TransferSupervisor
 from repro.utils.config import dump_json, require_positive
 
 __all__ = [
@@ -183,42 +166,14 @@ def _run_once(index: int, config: DriftSoakConfig, case_dir: Path) -> dict:
     seed = derive_seed(config.root_seed, index)
     scenario = _case_scenario(index, seed)
     case_dir.mkdir(parents=True, exist_ok=True)
-
-    testbed_config = fig5_read_bottleneck()
-    testbed = Testbed(
-        testbed_config,
-        rng=spawn_key(seed, (3,)),
-        faults=FaultSchedule(scenario["events"]),
-    )
-    dataset = uniform_dataset(
-        max(1, round(config.gigabytes * 4)), 0.25e9, name=f"drift-{index:03d}"
-    )
-    adaptive = AdaptiveController(
-        StaticController(testbed_config.optimal_threads()),
-        AdaptConfig(envelope=SafetyEnvelope.from_testbed_config(testbed_config)),
-        name=f"drift-{index:03d}",
-    )
-    engine = ModularTransferEngine(
-        testbed,
-        dataset,
-        adaptive,
-        EngineConfig(max_seconds=config.max_seconds, seed=spawn_key(seed, (4,))),
-    )
-    supervisor = TransferSupervisor(engine, SupervisorConfig(seed=spawn_key(seed, (5,))))
-    verified = VerifiedTransfer.for_supervisor(
-        supervisor,
-        case_dir,
-        IntegrityConfig(
-            chunk_size=config.chunk_size,
-            seed=spawn_key(seed, (6,)),
-            content_seed=seed,
-            journal_flush_every=8,
-        ),
+    verified = verified_case(
+        config, seed, case_dir, f"drift-{index:03d}", FaultSchedule(scenario["events"]),
+        adaptive=True,
     )
     result = verified.run()
     verified.journal.close()
 
-    adapt_report = adaptive.report()
+    adapt_report = verified.supervisor.engine.controller.report()
     suspects = [
         tr["t"]
         for tr in adapt_report["transitions"]
@@ -257,17 +212,12 @@ def _run_once(index: int, config: DriftSoakConfig, case_dir: Path) -> dict:
 
 def _run_case(index: int, config: DriftSoakConfig, out_dir: str | None) -> dict:
     """One drift case with invariants (and the optional determinism replay)."""
-    case_dir = (
-        Path(out_dir) / f"drift{index:03d}"
-        if out_dir
-        else Path(tempfile.mkdtemp(prefix=f"drift-case{index:03d}-"))
+    case_dir = make_case_dir(out_dir, f"drift{index:03d}")
+    record, deterministic = run_twice(
+        lambda run_dir: _run_once(index, config, run_dir),
+        case_dir,
+        config.determinism_check,
     )
-    record = _run_once(index, config, case_dir / "run0")
-
-    deterministic = True
-    if config.determinism_check:
-        replay = _run_once(index, config, case_dir / "run1")
-        deterministic = replay["fingerprint"] == record["fingerprint"]
 
     expect_rollback = record["scenario"] == "rollback"
     invariants = {
@@ -295,83 +245,47 @@ def _run_case(index: int, config: DriftSoakConfig, out_dir: str | None) -> dict:
     return record
 
 
-def run_drift_soak(
-    config: DriftSoakConfig | None = None, *, out_dir: str | Path | None = None
-) -> dict:
-    """Run the whole drift soak; returns (and optionally writes) the report."""
-    config = config or DriftSoakConfig()
-    out = str(out_dir) if out_dir is not None else None
-    pool = ParallelMap(
-        lambda index: _run_case(index, config, out), workers=max(1, config.workers)
-    )
-    cases = pool.map_values(list(range(config.cases)))
-
-    failures = [c["case"] for c in cases if not c["passed"]]
+def _drift_totals(cases: list[dict]) -> dict:
+    """The drift report's totals over its case records."""
     latencies = [
         c["detection_latency_s"] for c in cases if c["detection_latency_s"] is not None
     ]
-    report = {
-        "config": {
-            "cases": config.cases,
-            "root_seed": config.root_seed,
-            "gigabytes": config.gigabytes,
-            "chunk_size": config.chunk_size,
-            "latency_bound_s": config.latency_bound_s,
-            "determinism_check": config.determinism_check,
-            "workers": config.workers,
-        },
-        "cases": cases,
-        "all_passed": not failures,
-        "failed_cases": failures,
+    return {
         "total_detections": sum(c["detections"] for c in cases),
         "total_promotions": sum(c["promotions"] for c in cases),
         "total_rollbacks": sum(c["rollbacks"] for c in cases),
         "max_detection_latency_s": max(latencies) if latencies else None,
     }
-    if out_dir is not None:
-        path = Path(out_dir) / "drift_soak_report.json"
-        dump_json(report, path)
-        report["report_path"] = str(path)
-    _record_soak_report("drift_soak", report, config.root_seed)
-    return report
+
+
+def run_drift_soak(
+    config: DriftSoakConfig | None = None, *, out_dir: str | Path | None = None
+) -> dict:
+    """Run the whole drift soak; returns (and optionally writes) the report."""
+    return run_cases(
+        "drift_soak", _run_case, config or DriftSoakConfig(), out_dir, _drift_totals
+    )
 
 
 def render_drift_soak_report(report: dict) -> str:
     """Human-readable drift-soak summary for the CLI."""
-    from repro.utils.tables import render_table
-
-    rows = [
-        [
-            c["case"],
-            "PASS" if c["passed"] else "FAIL",
+    return render_cases(
+        report,
+        "drift soak",
+        ["scenario", "latency", "promos", "rollbacks", "state"],
+        lambda c: [
             c["scenario"],
             "-" if c["detection_latency_s"] is None else f"{c['detection_latency_s']:.1f}s",
             c["promotions"],
             c["rollbacks"],
             c["final_state"],
-            "".join(
-                flag if passed else flag.upper()
-                for flag, passed in zip("dalsrf", c["invariants"].values())
-            ),
-        ]
-        for c in report["cases"]
-    ]
-    table = render_table(
-        ["case", "result", "scenario", "latency", "promos", "rollbacks", "state", "inv"],
-        rows,
-        title=(
-            f"drift soak — {len(report['cases'])} case(s), "
-            f"root seed {report['config']['root_seed']}"
-        ),
-    )
-    verdict = (
-        "ALL INVARIANTS HELD"
-        if report["all_passed"]
-        else f"FAILED cases: {report['failed_cases']}"
-    )
-    return (
-        f"{table}\n"
-        "inv flags: d=detected a=acted l=transitions_legal s=no_data_loss "
-        "r=restored f=deterministic (uppercase = violated)\n"
-        f"{verdict}\n"
+        ],
+        {
+            "d": "detected",
+            "a": "acted",
+            "l": "transitions_legal",
+            "s": "no_data_loss",
+            "r": "restored",
+            "f": "deterministic",
+        },
     )

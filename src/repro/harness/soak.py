@@ -25,16 +25,23 @@ Cases fan out over :class:`repro.parallel.pool.ParallelMap`; seeds are a
 pure function of ``(root_seed, case_index)``, so parallel soak results are
 bit-identical to serial ones.  ``automdt soak`` is the CLI entry point and
 exits non-zero when any invariant fails.
+
+The soak kit below is shared by this soak, the fleet soak and the drift
+soak (:mod:`repro.harness.drift`); each soak declares its cases, totals
+and CLI table on it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.adapt import AdaptConfig, AdaptiveController, SafetyEnvelope
 from repro.baselines import StaticController
 from repro.emulator.faults import (
     DataCorruption,
@@ -44,6 +51,15 @@ from repro.emulator.faults import (
 )
 from repro.emulator.presets import fig5_read_bottleneck
 from repro.emulator.testbed import Testbed
+from repro.fleet import (
+    FleetConfig,
+    FleetScheduler,
+    JobFaultProfile,
+    Priority,
+    TenantSpec,
+    TransferRequest,
+)
+from repro.fleet.job import _SimulatedCrash
 from repro.parallel.pool import ParallelMap
 from repro.parallel.seeds import derive_seed, spawn_key
 from repro.transfer.engine import EngineConfig, ModularTransferEngine
@@ -60,6 +76,163 @@ __all__ = [
     "run_fleet_soak",
     "run_soak",
 ]
+
+
+# ----------------------------------------------------------------------- kit
+
+
+def make_case_dir(out_dir: str | None, name: str) -> Path:
+    """A case's directory: ``out_dir/name``, or a fresh temp dir without one."""
+    case_dir = (
+        Path(out_dir) / name if out_dir else Path(tempfile.mkdtemp(prefix=f"soak-{name}-"))
+    )
+    case_dir.mkdir(parents=True, exist_ok=True)
+    return case_dir
+
+
+def run_twice(run: Callable[[Path], dict], case_dir: Path, check: bool) -> tuple[dict, bool]:
+    """``run(case_dir / "run0")`` and, with ``check``, a replay into ``run1``.
+
+    Returns the first run's result and whether the replay reproduced its
+    ``fingerprint`` (True when unchecked): the soaks' same-seed
+    determinism invariant.
+    """
+    first = run(case_dir / "run0")
+    if not check:
+        return first, True
+    return first, run(case_dir / "run1")["fingerprint"] == first["fingerprint"]
+
+
+def verified_case(
+    config, seed: int, run_dir: Path, name: str, faults: FaultSchedule, *, adaptive: bool = False
+) -> VerifiedTransfer:
+    """The seeded verified, supervised transfer one chaos or drift case runs.
+
+    A ``config.gigabytes`` dataset of 0.25 GB files crosses the Fig. 5
+    read-bottleneck testbed under ``faults`` at the preset's optimal static
+    threads, behind an :class:`~repro.adapt.AdaptiveController` when
+    ``adaptive``.  ``spawn_key`` lanes 3–6 of ``seed`` seed the testbed,
+    engine, supervisor and integrity layer; lower lanes are left to the
+    case's own draws.  The journal lives in ``run_dir``.
+    """
+    testbed_config = fig5_read_bottleneck()
+    controller = StaticController(testbed_config.optimal_threads())
+    if adaptive:
+        controller = AdaptiveController(
+            controller,
+            AdaptConfig(envelope=SafetyEnvelope.from_testbed_config(testbed_config)),
+            name=name,
+        )
+    engine = ModularTransferEngine(
+        Testbed(testbed_config, rng=spawn_key(seed, (3,)), faults=faults),
+        uniform_dataset(max(1, round(config.gigabytes * 4)), 0.25e9, name=name),
+        controller,
+        EngineConfig(max_seconds=config.max_seconds, seed=spawn_key(seed, (4,))),
+    )
+    supervisor = TransferSupervisor(engine, SupervisorConfig(seed=spawn_key(seed, (5,))))
+    return VerifiedTransfer.for_supervisor(
+        supervisor,
+        run_dir,
+        IntegrityConfig(
+            chunk_size=config.chunk_size,
+            seed=spawn_key(seed, (6,)),
+            content_seed=seed,
+            journal_flush_every=8,
+        ),
+    )
+
+
+def run_cases(kind: str, run_case: Callable, config, out_dir, totals: Callable) -> dict:
+    """Run a soak's cases, aggregate them into its report, and record it.
+
+    Case ``i`` is ``run_case(i, config, out_dir)``, a pure function of
+    ``derive_seed(config.root_seed, i)``; cases fan out over
+    :class:`~repro.parallel.pool.ParallelMap` with ``config.workers``
+    workers, so parallel reports are bit-identical to serial ones.  The
+    report holds the whole config, the case records, the failed case
+    indices and ``totals(cases)``.  With ``out_dir`` it is also written to
+    ``out_dir/<kind>_report.json``.  The active results store, if any,
+    ingests it as one run: scalar report fields become plain metrics, each
+    case's pass/fail a labelled ``case.passed`` metric, and the report
+    file an artifact.
+    """
+    from repro.obs.store import flatten_numeric, record_report
+
+    out = str(out_dir) if out_dir is not None else None
+    pool = ParallelMap(
+        lambda index: run_case(index, config, out), workers=max(1, config.workers)
+    )
+    cases = pool.map_values(list(range(config.cases)))
+
+    failures = [c["case"] for c in cases if not c["passed"]]
+    report = {
+        "config": dataclasses.asdict(config),
+        "cases": cases,
+        "all_passed": not failures,
+        "failed_cases": failures,
+        **totals(cases),
+    }
+    if out_dir is not None:
+        path = Path(out_dir) / f"{kind}_report.json"
+        dump_json(report, path)
+        report["report_path"] = str(path)
+    record_report(
+        kind,
+        kind,
+        seed=config.root_seed,
+        config=report["config"],
+        metrics=flatten_numeric(
+            {k: v for k, v in report.items() if k not in ("cases", "config")}
+        ),
+        labelled_metrics=[
+            ("case.passed", float(c["passed"]), {"case": str(c["case"])}) for c in cases
+        ],
+        artifacts=[report["report_path"]] if "report_path" in report else [],
+    )
+    return report
+
+
+def render_cases(
+    report: dict, title: str, columns: list, row: Callable, flags: dict, detail: str = ""
+) -> str:
+    """A soak report as the CLI's case table, flag legend and verdict.
+
+    Each case row is its index, PASS/FAIL, ``row(case)`` under ``columns``,
+    and one letter per invariant of ``flags`` (letter → invariant name),
+    uppercased when the invariant is violated.
+    """
+    from repro.utils.tables import render_table
+
+    rows = [
+        [
+            c["case"],
+            "PASS" if c["passed"] else "FAIL",
+            *row(c),
+            "".join(
+                letter if c["invariants"][name] else letter.upper()
+                for letter, name in flags.items()
+            ),
+        ]
+        for c in report["cases"]
+    ]
+    table = render_table(
+        ["case", "result", *columns, "inv"],
+        rows,
+        title=(
+            f"{title} — {len(report['cases'])} case(s){detail}, "
+            f"root seed {report['config']['root_seed']}"
+        ),
+    )
+    legend = " ".join(f"{letter}={name}" for letter, name in flags.items())
+    verdict = (
+        "ALL INVARIANTS HELD"
+        if report["all_passed"]
+        else f"FAILED cases: {report['failed_cases']}"
+    )
+    return f"{table}\ninv flags: {legend} (uppercase = violated)\n{verdict}\n"
+
+
+# --------------------------------------------------------------------- chaos
 
 
 @dataclass(frozen=True)
@@ -89,46 +262,6 @@ class SoakConfig:
     def quick(cls, root_seed: int = 0) -> "SoakConfig":
         """The CI smoke preset: 3 small seeded cases, corruption + crashes."""
         return cls(cases=3, root_seed=root_seed, gigabytes=1.0, max_crashes=1)
-
-
-def _record_soak_report(kind: str, report: dict, root_seed: int) -> None:
-    """Ingest a soak/fleet-soak report into the active results store, if any.
-
-    One run per soak: scalar report fields become plain metrics, each
-    case's pass/fail becomes a labelled ``case.passed`` metric, and the
-    written report file (when present) is attached as an artifact.
-    """
-    from repro.obs.store import flatten_numeric, record_report, resolve_store
-
-    sink = resolve_store(None)
-    if sink is None:
-        return
-    metrics = flatten_numeric(
-        {k: v for k, v in report.items() if k not in ("cases", "config")}
-    )
-    labelled = [
-        ("case.passed", float(case["passed"]), {"case": str(case["case"])})
-        for case in report["cases"]
-    ]
-    artifacts = [report["report_path"]] if "report_path" in report else []
-    record_report(
-        kind,
-        kind,
-        seed=root_seed,
-        config=report["config"],
-        metrics=metrics,
-        labelled_metrics=labelled,
-        artifacts=artifacts,
-        store=sink,
-    )
-
-
-class _SimulatedCrash(Exception):
-    """Raised by the soak observer at a scheduled crash instant."""
-
-    def __init__(self, t: float) -> None:
-        super().__init__(f"simulated crash at t={t:.1f}s")
-        self.t = t
 
 
 def _case_faults(config: SoakConfig, seed: int) -> FaultSchedule:
@@ -177,36 +310,9 @@ def _crash_plan(config: SoakConfig, seed: int) -> tuple[list[float], list[bool]]
 def _run_case(index: int, config: SoakConfig, out_dir: str | None) -> dict:
     """One seeded soak case; returns a JSON-able case record."""
     seed = derive_seed(config.root_seed, index)
-    case_dir = (
-        Path(out_dir) / f"case{index:03d}"
-        if out_dir
-        else Path(tempfile.mkdtemp(prefix=f"soak-case{index:03d}-"))
-    )
-    case_dir.mkdir(parents=True, exist_ok=True)
-
-    testbed_config = fig5_read_bottleneck()
-    testbed = Testbed(
-        testbed_config, rng=spawn_key(seed, (3,)), faults=_case_faults(config, seed)
-    )
-    dataset = uniform_dataset(
-        max(1, round(config.gigabytes * 4)), 0.25e9, name=f"soak-{index:03d}"
-    )
-    engine = ModularTransferEngine(
-        testbed,
-        dataset,
-        StaticController(testbed_config.optimal_threads()),
-        EngineConfig(max_seconds=config.max_seconds, seed=spawn_key(seed, (4,))),
-    )
-    supervisor = TransferSupervisor(engine, SupervisorConfig(seed=spawn_key(seed, (5,))))
-    verified = VerifiedTransfer.for_supervisor(
-        supervisor,
-        case_dir,
-        IntegrityConfig(
-            chunk_size=config.chunk_size,
-            seed=spawn_key(seed, (6,)),
-            content_seed=seed,
-            journal_flush_every=8,
-        ),
+    case_dir = make_case_dir(out_dir, f"case{index:03d}")
+    verified = verified_case(
+        config, seed, case_dir, f"soak-{index:03d}", _case_faults(config, seed)
     )
 
     crash_times, crash_torn = _crash_plan(config, seed)
@@ -283,7 +389,7 @@ def _run_case(index: int, config: SoakConfig, out_dir: str | None) -> dict:
         "unrecovered_chunks": list(result.unrecovered_chunk_ids),
         "destination": ledger.status_counts(),
         "total_bytes": total,
-        "source_read_bytes": testbed.total_read,
+        "source_read_bytes": verified.supervisor.engine.testbed.total_read,
         "supervisor_retries": result.supervised.retries_used,
         "completion_time_s": round(result.supervised.completion_time, 1),
     }
@@ -299,39 +405,38 @@ def run_soak(config: SoakConfig | None = None, *, out_dir: str | Path | None = N
     ``out_dir/caseNNN/`` — each directory is `automdt verify`-able — and
     the aggregate lands in ``out_dir/soak_report.json``.
     """
-    config = config or SoakConfig()
-    out = str(out_dir) if out_dir is not None else None
-    pool = ParallelMap(
-        lambda index: _run_case(index, config, out), workers=max(1, config.workers)
-    )
-    cases = pool.map_values(list(range(config.cases)))
-
-    failures = [c["case"] for c in cases if not c["passed"]]
-    report = {
-        "config": {
-            "cases": config.cases,
-            "root_seed": config.root_seed,
-            "gigabytes": config.gigabytes,
-            "chunk_size": config.chunk_size,
-            "corruption": config.corruption,
-            "torn_writes": config.torn_writes,
-            "truncation": config.truncation,
-            "crashes": config.crashes,
-            "workers": config.workers,
+    return run_cases(
+        "soak",
+        _run_case,
+        config or SoakConfig(),
+        out_dir,
+        lambda cases: {
+            "total_crashes": sum(c["crashes"] for c in cases),
+            "total_resent_chunks": sum(len(c["resent_chunks"]) for c in cases),
+            "total_repair_rounds": sum(c["repair_rounds"] for c in cases),
         },
-        "cases": cases,
-        "all_passed": not failures,
-        "failed_cases": failures,
-        "total_crashes": sum(c["crashes"] for c in cases),
-        "total_resent_chunks": sum(len(c["resent_chunks"]) for c in cases),
-        "total_repair_rounds": sum(c["repair_rounds"] for c in cases),
-    }
-    if out_dir is not None:
-        path = Path(out_dir) / "soak_report.json"
-        dump_json(report, path)
-        report["report_path"] = str(path)
-    _record_soak_report("soak", report, config.root_seed)
-    return report
+    )
+
+
+def render_soak_report(report: dict) -> str:
+    """Human-readable soak summary for the CLI."""
+    return render_cases(
+        report,
+        "chaos soak",
+        ["crashes", "resumed-ok", "resent", "repairs"],
+        lambda c: [
+            c["crashes"],
+            c["resume_verified_chunks"],
+            len(c["resent_chunks"]),
+            c["repair_rounds"],
+        ],
+        {
+            "v": "all_verified",
+            "d": "no_double_count",
+            "r": "replay_idempotent",
+            "c": "conservation",
+        },
+    )
 
 
 # --------------------------------------------------------------------- fleet
@@ -392,8 +497,6 @@ class FleetSoakConfig:
 
 def _fleet_case_config(config: FleetSoakConfig, seed: int):
     """The per-case fleet configuration (pure function of the seed)."""
-    from repro.fleet import FleetConfig, JobFaultProfile, TenantSpec
-
     per_tenant = max(2, config.max_parallel // config.tenants + 1)
     tenants = tuple(
         TenantSpec(f"tenant{i}", max_concurrency=per_tenant)
@@ -421,8 +524,6 @@ def _fleet_case_config(config: FleetSoakConfig, seed: int):
 
 def _fleet_requests(config: FleetSoakConfig, case: int) -> list:
     """The case's request list: equal workloads, round-robin tenants."""
-    from repro.fleet import Priority, TransferRequest
-
     return [
         TransferRequest(
             tenant=f"tenant{i % config.tenants}",
@@ -448,30 +549,15 @@ def _fair_goodput_ratio(report: dict) -> float:
 
 def _run_fleet_case(index: int, config: FleetSoakConfig, out_dir: str | None) -> dict:
     """One seeded fleet case; returns a JSON-able case record."""
-    from repro.fleet import FleetScheduler
-
     seed = derive_seed(config.root_seed, index)
-    case_dir = (
-        Path(out_dir) / f"fleet{index:03d}"
-        if out_dir
-        else Path(tempfile.mkdtemp(prefix=f"fleet-case{index:03d}-"))
+    case_dir = make_case_dir(out_dir, f"fleet{index:03d}")
+    report, deterministic = run_twice(
+        lambda run_dir: FleetScheduler(
+            _fleet_case_config(config, seed), _fleet_requests(config, index), run_dir
+        ).run(),
+        case_dir,
+        config.determinism_check,
     )
-    case_dir.mkdir(parents=True, exist_ok=True)
-
-    report = FleetScheduler(
-        _fleet_case_config(config, seed),
-        _fleet_requests(config, index),
-        case_dir / "run0",
-    ).run()
-
-    deterministic = True
-    if config.determinism_check:
-        replay = FleetScheduler(
-            _fleet_case_config(config, seed),
-            _fleet_requests(config, index),
-            case_dir / "run1",
-        ).run()
-        deterministic = replay["fingerprint"] == report["fingerprint"]
 
     ratio = _fair_goodput_ratio(report)
     invariants = dict(report["invariants"])
@@ -511,126 +597,41 @@ def run_fleet_soak(
     :class:`~repro.parallel.pool.ParallelMap` — so parallel results are
     bit-identical to serial ones, exactly like :func:`run_soak`.
     """
-    config = config or FleetSoakConfig()
-    out = str(out_dir) if out_dir is not None else None
-    pool = ParallelMap(
-        lambda index: _run_fleet_case(index, config, out),
-        workers=max(1, config.workers),
-    )
-    cases = pool.map_values(list(range(config.cases)))
-
-    failures = [c["case"] for c in cases if not c["passed"]]
-    report = {
-        "config": {
-            "cases": config.cases,
-            "root_seed": config.root_seed,
-            "tenants": config.tenants,
-            "transfers": config.transfers,
-            "gigabytes": config.gigabytes,
-            "quantum": config.quantum,
-            "max_parallel": config.max_parallel,
-            "stalls": config.stalls,
-            "corruption": config.corruption,
-            "crashes": config.crashes,
-            "fairness_bound": config.fairness_bound,
-            "determinism_check": config.determinism_check,
-            "workers": config.workers,
+    return run_cases(
+        "fleet_soak",
+        _run_fleet_case,
+        config or FleetSoakConfig(),
+        out_dir,
+        lambda cases: {
+            "total_incidents": sum(c["incidents"] for c in cases),
+            "total_crashes": sum(c["crashes"] for c in cases),
+            "total_breakers_opened": sum(c["breakers_opened"] for c in cases),
         },
-        "cases": cases,
-        "all_passed": not failures,
-        "failed_cases": failures,
-        "total_incidents": sum(c["incidents"] for c in cases),
-        "total_crashes": sum(c["crashes"] for c in cases),
-        "total_breakers_opened": sum(c["breakers_opened"] for c in cases),
-    }
-    if out_dir is not None:
-        path = Path(out_dir) / "fleet_soak_report.json"
-        dump_json(report, path)
-        report["report_path"] = str(path)
-    _record_soak_report("fleet_soak", report, config.root_seed)
-    return report
+    )
 
 
 def render_fleet_soak_report(report: dict) -> str:
     """Human-readable fleet-soak summary for the CLI."""
-    from repro.utils.tables import render_table
-
-    rows = [
-        [
-            c["case"],
-            "PASS" if c["passed"] else "FAIL",
+    config = report["config"]
+    return render_cases(
+        report,
+        "fleet soak",
+        ["done", "incidents", "crashes", "opened", "fair"],
+        lambda c: [
             f"{c['completed']}/{c['admitted']}",
             c["incidents"],
             c["crashes"],
             c["breakers_opened"],
             f"{c['fair_goodput_ratio']:.2f}",
-            "".join(
-                flag if passed else flag.upper()
-                for flag, passed in zip("lrscbfd", c["invariants"].values())
-            ),
-        ]
-        for c in report["cases"]
-    ]
-    table = render_table(
-        ["case", "result", "done", "incidents", "crashes", "opened", "fair", "inv"],
-        rows,
-        title=(
-            f"fleet soak — {len(report['cases'])} case(s) × "
-            f"{report['config']['transfers']} transfers / "
-            f"{report['config']['tenants']} tenants, "
-            f"root seed {report['config']['root_seed']}"
-        ),
+        ],
+        {
+            "l": "no_data_loss",
+            "r": "all_recovered",
+            "s": "no_starvation",
+            "c": "capacity_respected",
+            "b": "breaker_transitions_legal",
+            "f": "fair_goodput",
+            "d": "deterministic",
+        },
+        detail=f" × {config['transfers']} transfers / {config['tenants']} tenants",
     )
-    verdict = (
-        "ALL INVARIANTS HELD"
-        if report["all_passed"]
-        else f"FAILED cases: {report['failed_cases']}"
-    )
-    return (
-        f"{table}\n"
-        "inv flags: l=no_data_loss r=all_recovered s=no_starvation "
-        "c=capacity_respected b=breaker_transitions_legal f=fair_goodput "
-        "d=deterministic (uppercase = violated)\n"
-        f"{verdict}\n"
-    )
-
-
-def render_soak_report(report: dict) -> str:
-    """Human-readable soak summary for the CLI."""
-    from repro.utils.tables import render_table
-
-    rows = [
-        [
-            c["case"],
-            "PASS" if c["passed"] else "FAIL",
-            c["crashes"],
-            c["resume_verified_chunks"],
-            len(c["resent_chunks"]),
-            c["repair_rounds"],
-            "".join(
-                flag if passed else flag.upper()
-                for flag, passed in zip("vdrc", c["invariants"].values())
-            ),
-        ]
-        for c in report["cases"]
-    ]
-    table = render_table(
-        ["case", "result", "crashes", "resumed-ok", "resent", "repairs", "inv"],
-        rows,
-        title=(
-            f"chaos soak — {len(report['cases'])} case(s), "
-            f"root seed {report['config']['root_seed']}"
-        ),
-    )
-    verdict = (
-        "ALL INVARIANTS HELD"
-        if report["all_passed"]
-        else f"FAILED cases: {report['failed_cases']}"
-    )
-    return (
-        f"{table}\n"
-        "inv flags: v=all_verified d=no_double_count r=replay_idempotent "
-        "c=conservation (uppercase = violated)\n"
-        f"{verdict}\n"
-    )
-

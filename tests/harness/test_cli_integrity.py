@@ -19,11 +19,14 @@ class TestSoakCommand:
         assert len(report["cases"]) == 1
 
     def test_soak_quick_preset_flag(self, capsys, tmp_path):
-        code = main(["soak", "--quick", "--no-crashes", "--out", str(tmp_path)])
+        code = main(
+            ["soak", "--quick", "--no-crashes", "--workers", "2", "--out", str(tmp_path)]
+        )
         assert code == 0
         report = json.loads((tmp_path / "soak_report.json").read_text())
         assert len(report["cases"]) == 3  # quick preset pins the case count
         assert not report["config"]["crashes"]
+        assert report["config"]["workers"] == 2  # applied on top of the preset
 
 
 class TestVerifyCommand:

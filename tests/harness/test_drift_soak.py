@@ -33,19 +33,6 @@ class TestDriftSoak:
             c["fingerprint"] for c in two["cases"]
         ]
 
-    def test_parallel_identical_to_serial(self, tmp_path):
-        serial = run_drift_soak(
-            DriftSoakConfig(cases=3, determinism_check=False, workers=1),
-            out_dir=tmp_path / "serial",
-        )
-        pooled = run_drift_soak(
-            DriftSoakConfig(cases=3, determinism_check=False, workers=3),
-            out_dir=tmp_path / "pooled",
-        )
-        assert [c["fingerprint"] for c in serial["cases"]] == [
-            c["fingerprint"] for c in pooled["cases"]
-        ]
-
     def test_render_lists_every_case(self, tmp_path):
         report = run_drift_soak(
             DriftSoakConfig(cases=1, determinism_check=False), out_dir=tmp_path
