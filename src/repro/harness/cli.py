@@ -192,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-parallel", type=int, default=8, help="global dispatch slots per round"
     )
     fleet.add_argument(
-        "--horizon", type=float, default=3600.0,
-        help="virtual-time budget for the whole fleet (s)",
+        "--horizon", type=float, default=None,
+        help="virtual-time budget for the whole fleet (s; default: the fleet "
+        "or soak preset's)",
     )
     fleet.add_argument("--no-stalls", action="store_true", help="disable stall faults")
     fleet.add_argument(
@@ -575,6 +576,10 @@ def _cmd_fleet(args) -> int:
     from repro.utils.config import dump_json
 
     if args.soak:
+        if args.capacity_mbps is not None:
+            print("fleet --soak has no --capacity-mbps: each case uses the "
+                  "testbed bottleneck", file=sys.stderr)
+            return 2
         if args.quick:
             config = FleetSoakConfig.quick(root_seed=args.seed)
         else:
@@ -594,6 +599,8 @@ def _cmd_fleet(args) -> int:
             crashes=not args.no_crashes,
             workers=args.workers,
         )
+        if args.horizon is not None:
+            config = dataclasses.replace(config, horizon=args.horizon)
         return _finish_soak(run_fleet_soak(config, out_dir=args.out), render_fleet_soak_report)
 
     out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="fleet-"))
@@ -613,7 +620,6 @@ def _cmd_fleet(args) -> int:
         quantum=args.quantum,
         capacity_mbps=args.capacity_mbps,
         max_parallel=args.max_parallel,
-        horizon=args.horizon,
         stall_intervals=4,
         admission_limit=max(64, args.transfers),
         per_tenant_queue=max(32, args.transfers),
@@ -623,6 +629,8 @@ def _cmd_fleet(args) -> int:
             crashes=not args.no_crashes,
         ),
     )
+    if args.horizon is not None:
+        config = dataclasses.replace(config, horizon=args.horizon)
     report = FleetScheduler(config, requests, out_dir / "jobs").run()
     print(render_fleet_report(report), end="")
     path = out_dir / "fleet_report.json"

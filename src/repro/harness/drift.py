@@ -210,7 +210,7 @@ def _run_once(index: int, config: DriftSoakConfig, case_dir: Path) -> dict:
     return record
 
 
-def _run_case(index: int, config: DriftSoakConfig, out_dir: str | None) -> dict:
+def _run_case(index: int, config: DriftSoakConfig, out_dir: str) -> dict:
     """One drift case with invariants (and the optional determinism replay)."""
     case_dir = make_case_dir(out_dir, f"drift{index:03d}")
     record, deterministic = run_twice(

@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import tempfile
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,11 +82,9 @@ __all__ = [
 # ----------------------------------------------------------------------- kit
 
 
-def make_case_dir(out_dir: str | None, name: str) -> Path:
-    """A case's directory: ``out_dir/name``, or a fresh temp dir without one."""
-    case_dir = (
-        Path(out_dir) / name if out_dir else Path(tempfile.mkdtemp(prefix=f"soak-{name}-"))
-    )
+def make_case_dir(out_dir: str, name: str) -> Path:
+    """A case's directory, ``out_dir/name``, created if missing."""
+    case_dir = Path(out_dir) / name
     case_dir.mkdir(parents=True, exist_ok=True)
     return case_dir
 
@@ -151,18 +150,26 @@ def run_cases(kind: str, run_case: Callable, config, out_dir, totals: Callable) 
     workers, so parallel reports are bit-identical to serial ones.  The
     report holds the whole config, the case records, the failed case
     indices and ``totals(cases)``.  With ``out_dir`` it is also written to
-    ``out_dir/<kind>_report.json``.  The active results store, if any,
-    ingests it as one run: scalar report fields become plain metrics, each
-    case's pass/fail a labelled ``case.passed`` metric, and the report
-    file an artifact.
+    ``out_dir/<kind>_report.json``; without one the cases run in a temp
+    dir that is removed once they are aggregated, and each case's ``dir``
+    is None.  The active results store, if any, ingests the report as one
+    run: scalar report fields become plain metrics, each case's pass/fail
+    a labelled ``case.passed`` metric, and the report file an artifact.
     """
     from repro.obs.store import flatten_numeric, record_report
 
-    out = str(out_dir) if out_dir is not None else None
-    pool = ParallelMap(
-        lambda index: run_case(index, config, out), workers=max(1, config.workers)
-    )
-    cases = pool.map_values(list(range(config.cases)))
+    with (
+        nullcontext(str(out_dir))
+        if out_dir is not None
+        else tempfile.TemporaryDirectory(prefix=f"{kind}-")
+    ) as out:
+        pool = ParallelMap(
+            lambda index: run_case(index, config, out), workers=max(1, config.workers)
+        )
+        cases = pool.map_values(list(range(config.cases)))
+    if out_dir is None:
+        for case in cases:
+            case["dir"] = None
 
     failures = [c["case"] for c in cases if not c["passed"]]
     report = {
@@ -307,7 +314,7 @@ def _crash_plan(config: SoakConfig, seed: int) -> tuple[list[float], list[bool]]
     return times, torn
 
 
-def _run_case(index: int, config: SoakConfig, out_dir: str | None) -> dict:
+def _run_case(index: int, config: SoakConfig, out_dir: str) -> dict:
     """One seeded soak case; returns a JSON-able case record."""
     seed = derive_seed(config.root_seed, index)
     case_dir = make_case_dir(out_dir, f"case{index:03d}")
@@ -547,7 +554,7 @@ def _fair_goodput_ratio(report: dict) -> float:
     return max(rates) / min(rates)
 
 
-def _run_fleet_case(index: int, config: FleetSoakConfig, out_dir: str | None) -> dict:
+def _run_fleet_case(index: int, config: FleetSoakConfig, out_dir: str) -> dict:
     """One seeded fleet case; returns a JSON-able case record."""
     seed = derive_seed(config.root_seed, index)
     case_dir = make_case_dir(out_dir, f"fleet{index:03d}")

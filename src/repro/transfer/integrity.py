@@ -7,18 +7,14 @@ every previously counted byte.  This module adds the verification layer
 production transfer services (GridFTP/Globus-style) treat as table stakes:
 
 * :class:`TransferManifest` — the dataset split into fixed-size chunks,
-  each with an expected digest (:func:`repro.utils.checksum.crc32c` or
-  :func:`~repro.utils.checksum.xxh32`).  Chunk payload tags live in one
-  shared arena digested with the buffer-parallel batch kernels
-  (:func:`~repro.utils.checksum.crc32c_many`), and :meth:`payload_of`
-  hands out ``memoryview`` slices of it — building and verifying a
-  manifest never copies chunk content.
+  each with an expected CRC32C digest of its payload tag; every tag is
+  digested in one :func:`~repro.utils.checksum.crc32c_many` sweep.
 * :class:`ChunkJournal` — an append-only JSONL write-ahead journal of
-  chunk completions with a **coalescing batch writer**: a verification
-  pass's claims fold into one buffered ``chunkbatch`` record, flushed
+  chunk completions with a **coalescing writer**: a sync's claims fold
+  into one buffered ``chunkbatch`` or ``chunkrun`` record, flushed
   whenever ``flush_every`` claims are buffered, so a crash still loses at
   most ``flush_every`` claims.  Replayed with the torn-tail-tolerant
-  reader and last-record-wins semantics, batch or single records alike.
+  reader and last-record-wins semantics.
 * :class:`DestinationLedger` — the emulator-side destination truth,
   stored **columnar** (numpy per-chunk status/digest/send-count arrays)
   so verification sweeps are single vector ops; the ``status`` /
@@ -76,7 +72,7 @@ from repro.transfer.supervisor import (
     TransferCheckpoint,
     TransferSupervisor,
 )
-from repro.utils.checksum import Xxh32Stream, crc32c, crc32c_many, xxh32, xxh32_many
+from repro.utils.checksum import crc32c, crc32c_many
 from repro.utils.config import dump_json, load_json, require_positive
 from repro.utils.errors import IntegrityError
 from repro.parallel.seeds import spawn_key
@@ -92,14 +88,11 @@ __all__ = [
     "verify_artifacts",
 ]
 
-#: Digest algorithms available for manifests.
-ALGORITHMS: dict[str, Callable[[bytes], int]] = {"crc32c": crc32c, "xxh32": xxh32}
-
-#: Batch digest kernels (arena + offsets/lengths) per algorithm.
-_BATCH_KERNELS = {"crc32c": crc32c_many, "xxh32": xxh32_many}
-
 #: Serialization version for manifest / destination-ledger JSON files.
 MANIFEST_VERSION = 1
+
+#: The digest algorithm a manifest file names; the only one there is.
+_ALGORITHM = "crc32c"
 
 #: Engine completion tolerance (the engine declares a transfer done at
 #: ``total - 0.5`` bytes), reused as the chunk-completion epsilon so the
@@ -110,7 +103,6 @@ _COMPLETE_EPS = 0.5
 #: journaling inside the transfer loop costs one list append.  A
 #: ``chunkbatch`` record carries a whole sync's completions; ``%s`` on a
 #: list of ints renders valid JSON (``[1, 2, 3]``).
-_JOURNAL_FMT = '{"type":"chunk","id":%d,"digest":%d,"t":%.3f}'
 _BATCH_FMT = '{"type":"chunkbatch","t":%.3f,"ids":%s,"digests":%s}'
 _RUN_FMT = '{"type":"chunkrun","t":%.3f,"lo":%d,"hi":%d}'
 
@@ -158,14 +150,12 @@ class TransferManifest:
     """Per-file chunk digests for one dataset — what "correct" means.
 
     The emulator is a fluid model: there are no real bytes to hash, so each
-    chunk's canonical content is a deterministic payload tag derived from
-    ``(dataset, file, chunk index, content_seed)``.  Two manifests built
+    chunk's canonical content is a deterministic payload tag,
+    ``f"{dataset}:{file}:{index}:{content_seed}"``.  Two manifests built
     with the same arguments are identical; a different ``content_seed``
-    models a different dataset's contents.
-
-    Tags are packed into one bytes arena and digested in a single
-    buffer-parallel kernel pass; :meth:`payload_of` returns zero-copy
-    ``memoryview`` slices of the arena.
+    models a different dataset's contents.  The tags are packed into one
+    bytes arena for a single :func:`~repro.utils.checksum.crc32c_many`
+    sweep, then dropped: only their digests are kept.
     """
 
     def __init__(
@@ -173,18 +163,12 @@ class TransferManifest:
         dataset_name: str,
         files: tuple[tuple[str, float], ...],
         chunk_size: float,
-        algorithm: str = "crc32c",
         content_seed: int = 0,
     ) -> None:
         require_positive(chunk_size, "chunk_size")
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown digest algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-            )
         self.dataset_name = dataset_name
         self.files = tuple((str(n), float(s)) for n, s in files)
         self.chunk_size = float(chunk_size)
-        self.algorithm = algorithm
         self.content_seed = int(content_seed)
         # Columnar chunk table, built with vector ops: plain arrays of
         # numbers are invisible to the cyclic GC, where thousands of
@@ -224,11 +208,7 @@ class TransferManifest:
         tag_offsets = np.zeros(total_chunks, dtype=np.int64)
         if total_chunks:
             tag_offsets[1:] = np.cumsum(tag_lengths)[:-1]
-        self._arena = b"".join(tags)
-        self._arena_view = memoryview(self._arena)
-        self._tag_offsets = tag_offsets
-        self._tag_lengths = tag_lengths
-        digests = _BATCH_KERNELS[algorithm](self._arena, tag_offsets, tag_lengths)
+        digests = crc32c_many(b"".join(tags), tag_offsets, tag_lengths)
 
         self.chunk_files: tuple[int, ...] = tuple(file_idx.tolist())
         self.chunk_indices: tuple[int, ...] = tuple(indices.tolist())
@@ -260,36 +240,15 @@ class TransferManifest:
 
     @classmethod
     def from_dataset(
-        cls,
-        dataset,
-        chunk_size: float,
-        *,
-        algorithm: str = "crc32c",
-        content_seed: int = 0,
+        cls, dataset, chunk_size: float, *, content_seed: int = 0
     ) -> "TransferManifest":
         """Build from a :class:`repro.transfer.files.Dataset`."""
         return cls(
             dataset.name,
             tuple((f.name, f.size) for f in dataset),
             chunk_size,
-            algorithm=algorithm,
             content_seed=content_seed,
         )
-
-    # ------------------------------------------------------------- content
-    def payload(self, file: str, index: int) -> bytes:
-        """Canonical content tag of one chunk (what gets digested)."""
-        return f"{self.dataset_name}:{file}:{index}:{self.content_seed}".encode()
-
-    def payload_of(self, chunk_id: int) -> memoryview:
-        """Canonical content tag of one chunk by id — a zero-copy view of
-        the manifest's tag arena."""
-        offset = int(self._tag_offsets[chunk_id])
-        return self._arena_view[offset : offset + int(self._tag_lengths[chunk_id])]
-
-    def digest_fn(self) -> Callable[[bytes], int]:
-        """The manifest's digest function."""
-        return ALGORITHMS[self.algorithm]
 
     def expected(self) -> dict[int, int]:
         """``{chunk_id: expected digest}`` for every chunk."""
@@ -308,7 +267,7 @@ class TransferManifest:
         return {
             "version": MANIFEST_VERSION,
             "dataset": self.dataset_name,
-            "algorithm": self.algorithm,
+            "algorithm": _ALGORITHM,
             "chunk_size": self.chunk_size,
             "content_seed": self.content_seed,
             "files": [[n, s] for n, s in self.files],
@@ -322,11 +281,15 @@ class TransferManifest:
     def from_dict(cls, data: dict) -> "TransferManifest":
         """Rebuild from :meth:`to_dict` output (digests are re-derived and
         cross-checked, so a tampered manifest file fails loudly)."""
+        if data["algorithm"] != _ALGORITHM:
+            raise IntegrityError(
+                f"manifest for {data['dataset']!r} uses digest algorithm "
+                f"{data['algorithm']!r}; only {_ALGORITHM!r} is supported"
+            )
         manifest = cls(
             data["dataset"],
             tuple((n, float(s)) for n, s in data["files"]),
             float(data["chunk_size"]),
-            algorithm=data["algorithm"],
             content_seed=int(data.get("content_seed", 0)),
         )
         recorded = {int(row[0]): int(row[5]) for row in data["chunks"]}
@@ -349,8 +312,7 @@ class TransferManifest:
 class ChunkJournal:
     """Append-only write-ahead journal of chunk completions (JSONL).
 
-    Three record shapes share the log: ``chunk`` (one completion with its
-    digest, the :meth:`record` lane), ``chunkbatch`` (a whole sync's
+    Two record shapes share the log: ``chunkbatch`` (a whole sync's
     completions + digests coalesced by :meth:`record_batch` into a single
     buffered write — the faulted-transfer lane, where destination digests
     can differ from the manifest's), and ``chunkrun`` (a contiguous id
@@ -358,7 +320,7 @@ class ChunkJournal:
     :meth:`record_runs` — the clean-transfer lane, where serialising tens
     of thousands of known digest values would dominate the verification
     overhead budget; replaying it therefore requires the ``expected``
-    digest table).  All go through
+    digest table).  Both go through
     :meth:`JsonlEventWriter.write_sample`'s deferred-format lane, so
     journaling inside the transfer loop costs one list append;
     serialisation happens at flush time.  The journal flushes itself
@@ -393,13 +355,6 @@ class ChunkJournal:
         #: most :meth:`record_runs` calls just advance ``hi``.  Counts as
         #: buffered (lost on crash), like any unflushed record.
         self._run: list | None = None
-
-    def record(self, chunk_id: int, digest: int, t: float) -> None:
-        """Journal one chunk completion (hot path: deferred format)."""
-        if self._run is not None:
-            self._emit_run()
-        self._writer.write_sample(_JOURNAL_FMT, (chunk_id, digest, t))
-        self._bump(1)
 
     def record_batch(self, chunk_ids, digests, t: float) -> None:
         """Journal a whole sync's completions as one coalesced record.
@@ -464,22 +419,6 @@ class ChunkJournal:
         self._run = None
         self._writer.write_sample(_RUN_FMT, (t, lo, hi))
 
-    def record_span(self, lo: int, hi: int, t: float) -> None:
-        """Journal the contiguous id run ``[lo, hi)`` at expected digests.
-
-        The no-slice variant of :meth:`record_runs` for callers whose
-        pending queue is the identity (chunk id == queue position).
-        """
-        run = self._run
-        if run is not None and run[1] == lo:
-            run[1] = hi
-            run[2] = t
-        else:
-            if run is not None:
-                self._emit_run()
-            self._run = [lo, hi, t]
-        self._bump(hi - lo)
-
     def _bump(self, claims: int) -> None:
         self._claims_buffered += claims
         if self._claims_buffered >= self._flush_every:
@@ -518,8 +457,8 @@ class ChunkJournal:
         """Fold the journal into ``{chunk_id: last claimed digest}``.
 
         Missing file → no claims.  A torn final line is truncated away so
-        subsequent appends start clean.  ``chunkbatch`` records replay as
-        if their claims had been appended individually, in order.
+        subsequent appends start clean.  A ``chunkbatch`` record's claims
+        replay in order, as if appended one by one.
         """
         if not self.path.exists():
             return {}
@@ -532,9 +471,7 @@ class ChunkJournal:
         claims: dict[int, int] = {}
         for record in read_events(self.path):
             kind = record.get("type")
-            if kind == "chunk":
-                claims[int(record["id"])] = int(record["digest"])
-            elif kind == "chunkbatch":
+            if kind == "chunkbatch":
                 for cid, digest in zip(record["ids"], record["digests"]):
                     claims[int(cid)] = int(digest)
             elif kind == "chunkrun":
@@ -738,24 +675,14 @@ class DestinationLedger:
     def _divergent_digest(self, chunk_id: int, marker: bytes) -> int:
         """A digest deterministically different from the chunk's expected one.
 
-        Zero-copy: equals ``digest(payload + marker [+ "!"*k])`` without
-        re-reading (CRC32C chains linearly off the expected digest) or
-        copying (XXH32 streams over the arena view) the payload bytes.
+        Equals ``crc32c(payload + marker [+ "!"*k])``, chained off the
+        expected digest: ``crc32c(a + b) == crc32c(b, value=crc32c(a))``,
+        and the payload's digest is the manifest's expected value.
         """
         expected = self._expected[chunk_id]
-        if self.manifest.algorithm == "crc32c":
-            # crc32c(a + b) == crc32c(b, value=crc32c(a)), and the payload's
-            # digest IS the manifest's expected value.
-            digest = crc32c(marker, value=expected)
-            while digest == expected:  # 2**-32 collision: keep salting
-                digest = crc32c(b"!", value=digest)
-            return digest
-        stream = Xxh32Stream()
-        stream.update(self.manifest.payload_of(chunk_id)).update(marker)
-        digest = stream.digest()
-        while digest == expected:
-            stream.update(b"!")
-            digest = stream.digest()
+        digest = crc32c(marker, value=expected)
+        while digest == expected:  # 2**-32 collision: keep salting
+            digest = crc32c(b"!", value=digest)
         return digest
 
     def _ordered_ids(self) -> set[int]:
@@ -967,9 +894,6 @@ class DestinationLedger:
             if journal is None:
                 ids = self._pending[head:new_head]
                 completed = list(zip(ids, self._pend_dig[head:new_head]))
-            elif self._pending is self._all_ids:
-                # Full pass: queue position == chunk id, no slicing needed.
-                journal.record_span(head, new_head, t)
             else:
                 # Clean completions carry the manifest digests by
                 # construction — journal them as digest-elided runs.
@@ -1116,14 +1040,12 @@ class IntegrityConfig:
 
     #: Verification/recovery granularity.  Smaller chunks bound the bytes
     #: re-sent per corrupt/torn unit more tightly and make resume
-    #: checkpoints finer.  With the vectorized checksum kernels, columnar
+    #: checkpoints finer.  With the one-sweep manifest digest, columnar
     #: ledger sweeps and batched WAL appends, 4 MB keeps even a
     #: multi-hundred-GB transfer (tens of thousands of chunks) within the
     #: ≤5% clean-path verification budget that previously required 128 MB
-    #: chunks (``benchmarks/bench_integrity.py`` holds the line;
-    #: ``benchmarks/bench_dataplane.py`` gates the kernels).
+    #: chunks (``benchmarks/bench_integrity.py`` holds the line).
     chunk_size: float = 4e6
-    algorithm: str = "crc32c"
     max_repair_rounds: int = 3
     #: Journal claims buffered between fsync-like flushes.  A crash loses
     #: at most this many claims (conservative resume re-sends them); the
@@ -1139,11 +1061,6 @@ class IntegrityConfig:
         require_positive(self.chunk_size, "chunk_size")
         require_positive(self.max_repair_rounds, "max_repair_rounds")
         require_positive(self.journal_flush_every, "journal_flush_every")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown digest algorithm {self.algorithm!r}; "
-                f"choose from {sorted(ALGORITHMS)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -1209,7 +1126,6 @@ class VerifiedTransfer:
         manifest = TransferManifest.from_dataset(
             engine.dataset,
             config.chunk_size,
-            algorithm=config.algorithm,
             content_seed=config.content_seed,
         )
         ledger = DestinationLedger(
@@ -1425,7 +1341,7 @@ def verify_artifacts(run_dir: str | Path) -> dict:
 
     report: dict = {
         "dataset": manifest.dataset_name,
-        "algorithm": manifest.algorithm,
+        "algorithm": _ALGORITHM,
         "chunks_total": len(manifest),
         "total_bytes": manifest.total_bytes,
         "journal_claims": len(claims),

@@ -54,3 +54,17 @@ class TestFleetSoakCommand:
         report = json.loads((tmp_path / "fleet_soak_report.json").read_text())
         assert report["all_passed"]
         assert len(report["cases"]) == 1
+
+    def test_soak_mode_honours_horizon(self, capsys, tmp_path):
+        # --horizon applies on top of --quick, like --workers; a 10 s
+        # budget cannot finish the jobs, so the soak fails its invariants.
+        code = main(["fleet", "--soak", "--quick", "--horizon", "10", "--out", str(tmp_path)])
+        assert code == 1
+        report = json.loads((tmp_path / "fleet_soak_report.json").read_text())
+        assert report["config"]["horizon"] == 10.0
+
+    def test_soak_mode_rejects_capacity(self, capsys, tmp_path):
+        code = main(["fleet", "--soak", "--capacity-mbps", "800", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--capacity-mbps" in capsys.readouterr().err
+        assert not (tmp_path / "fleet_soak_report.json").exists()

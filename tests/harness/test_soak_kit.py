@@ -8,6 +8,7 @@ stay pinned.
 import dataclasses
 import hashlib
 import json
+import tempfile
 
 import pytest
 
@@ -89,3 +90,13 @@ def test_quick_preset_output_is_pinned(soak, tmp_path):
     cases_digest, text_digest = QUICK_DIGESTS[soak]
     assert sha256(json.dumps(strip_dirs(report), sort_keys=True)) == cases_digest
     assert sha256(render(report)) == text_digest
+
+
+def test_soak_without_out_dir_leaves_no_temp_dirs(tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    report = run_soak(dataclasses.replace(SMALL["chaos"], cases=1))
+    assert report["all_passed"]
+    assert [case["dir"] for case in report["cases"]] == [None]
+    assert list(scratch.iterdir()) == []

@@ -82,4 +82,4 @@ def test_repo_bench_artifacts_ingest_cleanly(tmp_path):
     store = ResultsStore(db)
     assert store.counts()["runs"] == len(artifacts)
     suites = {row["scenario"] for row in store.runs(kind="bench")}
-    assert {"dataplane", "fleet", "integrity", "parallel"} <= suites
+    assert {"fleet", "integrity", "parallel"} <= suites

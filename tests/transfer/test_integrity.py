@@ -1,5 +1,7 @@
 """End-to-end integrity: manifest, journal, ledger, verified resume/repair."""
 
+import hashlib
+
 import pytest
 
 from repro.baselines import StaticController
@@ -26,6 +28,7 @@ from repro.transfer import (
     verify_artifacts,
 )
 from repro.transfer.files import uniform_dataset
+from repro.utils.checksum import crc32c
 from repro.utils.errors import IntegrityError
 from repro.utils.units import GiB
 
@@ -71,11 +74,11 @@ class TestManifest:
         assert make_manifest().expected() != make_manifest(content_seed=1).expected()
 
     def test_roundtrip(self, tmp_path):
-        manifest = make_manifest(algorithm="xxh32", content_seed=3)
+        manifest = make_manifest(content_seed=3)
         manifest.save(tmp_path / "manifest.json")
         loaded = TransferManifest.load(tmp_path / "manifest.json")
         assert loaded.expected() == manifest.expected()
-        assert loaded.algorithm == "xxh32"
+        assert loaded.to_dict() == manifest.to_dict()
 
     def test_tampered_manifest_fails_loudly(self, tmp_path):
         manifest = make_manifest()
@@ -85,16 +88,46 @@ class TestManifest:
             TransferManifest.from_dict(blob)
 
     def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            make_manifest(algorithm="md5")
+        # A manifest file comes from outside the program: one naming any
+        # digest but CRC32C is refused, not re-derived with CRC32C.
+        for algorithm in ("xxh32", "md5"):
+            blob = make_manifest().to_dict()
+            blob["algorithm"] = algorithm
+            with pytest.raises(IntegrityError):
+                TransferManifest.from_dict(blob)
+
+    @pytest.mark.parametrize(
+        ("name", "files", "content_seed", "digest"),
+        [
+            (
+                "ds",
+                (("f00", 1e9), ("f01", 1e9)),
+                0,
+                "52951b05a2c2b3ca6f9e9c79ac83292b934505e479979da1a11e474cca7d40c1",
+            ),
+            (
+                "ragged-set",
+                (("a", 1e9), ("bb", 0.3e9), ("dir/ccc.h5", 2.7e9), ("e", 1.0)),
+                7,
+                "897e4a9f836b2b9c79adadfdd8c043a198e3e17b7874a49f60389f2bae10b9ca",
+            ),
+        ],
+        ids=["two-files", "ragged"],
+    )
+    def test_manifest_file_is_pinned(self, tmp_path, name, files, content_seed, digest):
+        # sha256 of the saved to_dict() JSON: chunking, tag digests and the
+        # file layout (its "algorithm" field included) must not move.
+        manifest = TransferManifest(name, files, 0.25e9, content_seed=content_seed)
+        manifest.save(tmp_path / "manifest.json")
+        assert hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest() == digest
 
 
 class TestJournal:
     def test_replay_last_record_wins(self, tmp_path):
         with ChunkJournal(tmp_path / "j.jsonl") as journal:
-            journal.record(0, 111, 1.0)
-            journal.record(1, 222, 2.0)
-            journal.record(0, 333, 3.0)  # re-send supersedes
+            journal.record_batch([0], [111], 1.0)
+            journal.record_batch([1], [222], 2.0)
+            journal.record_batch([0], [333], 3.0)  # re-send supersedes
         journal = ChunkJournal(tmp_path / "j.jsonl")
         assert journal.replay() == {0: 333, 1: 222}
         journal.close()
@@ -105,26 +138,26 @@ class TestJournal:
 
     def test_crash_loses_unflushed_buffer(self, tmp_path):
         journal = ChunkJournal(tmp_path / "j.jsonl", flush_every=1000)
-        journal.record(0, 111, 1.0)
+        journal.record_batch([0], [111], 1.0)
         journal.flush()
-        journal.record(1, 222, 2.0)  # buffered, never flushed
+        journal.record_batch([1], [222], 2.0)  # buffered, never flushed
         journal.crash()
         assert ChunkJournal(tmp_path / "j.jsonl").replay() == {0: 111}
 
     def test_torn_tail_truncated_and_appendable(self, tmp_path):
         journal = ChunkJournal(tmp_path / "j.jsonl", flush_every=1)
-        journal.record(0, 111, 1.0)
+        journal.record_batch([0], [111], 1.0)
         journal.crash(torn_tail=True)
         resumed = ChunkJournal(tmp_path / "j.jsonl", flush_every=1)
         assert resumed.replay() == {0: 111}  # torn fragment dropped
-        resumed.record(1, 222, 2.0)  # post-recovery append lands cleanly
+        resumed.record_batch([1], [222], 2.0)  # post-recovery append lands cleanly
         resumed.close()
         assert ChunkJournal(tmp_path / "j.jsonl").replay() == {0: 111, 1: 222}
 
     def test_replay_idempotent(self, tmp_path):
         journal = ChunkJournal(tmp_path / "j.jsonl", flush_every=1)
         for i in range(10):
-            journal.record(i, i * 7, float(i))
+            journal.record_batch([i], [i * 7], float(i))
         journal.crash(torn_tail=True)
         journal = ChunkJournal(tmp_path / "j.jsonl")
         first = journal.replay()
@@ -379,7 +412,7 @@ class TestBatchedJournal:
     def test_record_batch_replays_like_singles(self, tmp_path):
         journal = ChunkJournal(tmp_path / "j.jsonl", flush_every=1)
         journal.record_batch([3, 1, 4], [30, 10, 40], 1.0)
-        journal.record(1, 99, 2.0)  # later single record wins for chunk 1
+        journal.record_batch([1], [99], 2.0)  # later single claim wins for chunk 1
         journal.close()
         assert journal.replay() == {3: 30, 1: 99, 4: 40}
 
@@ -453,35 +486,57 @@ class TestBatchedJournal:
         text = (tmp_path / "j.jsonl").read_text()
         assert "chunkbatch" in text and "chunkrun" not in text
 
+    @pytest.mark.parametrize(
+        ("faulted", "digest"),
+        [
+            (False, "a87a7675a461f4d799203dcb2f44c19bb3d870eae79e3389dc1f7d178c7ac7ed"),
+            (True, "b1d834d77c259b7694ffcbfe48ae5585add393c6a6c27086d15a87b7ad6aedb8"),
+        ],
+        ids=["clean", "faulted"],
+    )
+    def test_journal_file_is_pinned(self, tmp_path, faulted, digest):
+        # sha256 of journal.jsonl: chunkrun records on the clean path,
+        # chunkbatch records with divergent digests on the faulted one.
+        faults = FaultSchedule(
+            [
+                DataCorruption(start=2.0, duration=8.0, rate=0.4),
+                TornWrite(at=5.0),
+                SilentTruncation(at=12.0, chunks=2),
+            ]
+        ) if faulted else None
+        vt = VerifiedTransfer.for_supervisor(
+            make_supervisor(faults),
+            tmp_path,
+            IntegrityConfig(chunk_size=16e6, journal_flush_every=32, seed=1),
+        )
+        assert vt.run().clean
+        vt.journal.close()
+        assert hashlib.sha256((tmp_path / "journal.jsonl").read_bytes()).hexdigest() == digest
+
 
 class TestZeroCopyPipeline:
-    def test_payload_of_is_arena_view(self):
-        manifest = make_manifest()
-        for chunk in manifest.chunks:
-            view = manifest.payload_of(chunk.chunk_id)
-            assert isinstance(view, memoryview)
-            assert bytes(view) == manifest.payload(chunk.file, chunk.index)
+    """Tag digests come from one arena sweep; divergent digests chain off
+    the expected value without the payload bytes."""
 
     def test_digests_match_per_chunk_oracle(self):
-        for algorithm in ("crc32c", "xxh32"):
-            manifest = make_manifest(algorithm=algorithm)
-            digest_fn = manifest.digest_fn()
-            for chunk in manifest.chunks:
-                assert chunk.digest == digest_fn(
-                    manifest.payload(chunk.file, chunk.index)
-                )
+        manifest = make_manifest(content_seed=3)
+        for chunk in manifest.chunks:
+            tag = f"{manifest.dataset_name}:{chunk.file}:{chunk.index}:{manifest.content_seed}"
+            assert chunk.digest == crc32c(tag.encode())
 
     def test_divergent_digests_unique_per_marker(self):
-        # Zero-copy divergent digests (chained off the expected value) must
-        # still differ from the expected digest and from each other.
-        for algorithm in ("crc32c", "xxh32"):
-            manifest = make_manifest(algorithm=algorithm)
-            ledger = DestinationLedger(manifest, FaultSchedule(TornWrite(at=1.0)))
-            seen = {manifest.chunk_digests[0]}
-            for marker in (b"|torn:1", b"|flip:1", b"|rest:1", b"|torn:2"):
-                digest = ledger._divergent_digest(0, marker)
-                assert digest not in seen
-                seen.add(digest)
+        # Divergent digests differ from the expected digest and from each
+        # other.  They are pinned too: journals and destination files hold
+        # them.
+        manifest = make_manifest()
+        ledger = DestinationLedger(manifest, FaultSchedule(TornWrite(at=1.0)))
+        markers = (b"|torn:1", b"|flip:1", b"|rest:1", b"|torn:2")
+        digests = [ledger._divergent_digest(c, m) for c in (0, 5) for m in markers]
+        assert digests == [
+            1008849964, 2345802399, 985935019, 795944920,
+            3322313657, 1911928074, 3236135742, 3579217997,
+        ]
+        assert len({manifest.chunk_digests[0], *digests[:4]}) == 5
 
 
 class TestColumnarLedgerViews:

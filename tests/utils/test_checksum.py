@@ -1,47 +1,36 @@
-"""Known-answer vectors, kernel equivalence, and streaming algebra.
+"""Known-answer vectors, kernel equivalence, and chaining algebra.
 
-The pure-python digests are the *reference oracle*; the vectorized numpy
-kernels, the buffer-parallel batch kernels, and the streaming wrappers
-must all be bit-identical to them on every input shape.  The property
-tests here sweep the shapes that matter: every small length (all
-head/tail lane combinations), a log-spread of large lengths, random
-streaming split points, and batch arenas with empty/ragged records.
+:func:`crc32c` is the *reference oracle*: it is pinned against the
+standard check values, and the buffer-parallel :func:`crc32c_many` must
+be bit-identical to it on every arena shape.  The property tests here
+sweep the shapes that matter: every small length, a log-spread of long
+records, random chaining split points, and arenas with empty/ragged
+records.
 """
 
 import random
 
-from repro.utils.checksum import (
-    CRC32C_VECTOR_MIN,
-    XXH32_VECTOR_MIN,
-    Crc32cStream,
-    Xxh32Stream,
-    crc32c,
-    crc32c_many,
-    crc32c_np,
-    crc32c_py,
-    digest_many,
-    kernel_info,
-    stream_for,
-    xxh32,
-    xxh32_many,
-    xxh32_np,
-    xxh32_py,
-)
+from repro.utils.checksum import crc32c, crc32c_many
 
 
 def _seeded_buffers(count: int, max_len: int, seed: int) -> list[bytes]:
-    """Deterministic random buffers covering all tail-lane cases.
-
-    Lengths 0..~560 exhaustively (every (n % 8, n % 16, n % 4) tail
-    combination for both kernels), then log-uniform up to ``max_len`` so
-    the big-buffer paths (pairwise CRC fold depth, long lane runs) are
-    hit without quadratic test time.
-    """
+    """Deterministic random buffers: lengths 0..560 exhaustively, then
+    log-uniform up to ``max_len`` so long records are hit without
+    quadratic test time."""
     rng = random.Random(seed)
     lengths = list(range(min(561, count)))
     while len(lengths) < count:
         lengths.append(int(2 ** rng.uniform(0, max_len.bit_length() - 1)) + rng.randrange(16))
     return [rng.randbytes(n) for n in lengths[:count]]
+
+
+def _arena(buffers):
+    offsets, lengths, pos = [], [], 0
+    for b in buffers:
+        offsets.append(pos)
+        lengths.append(len(b))
+        pos += len(b)
+    return b"".join(buffers), offsets, lengths
 
 
 class TestCrc32c:
@@ -66,174 +55,63 @@ class TestCrc32c:
         flipped = bytes([data[0] ^ 0x01]) + data[1:]
         assert crc32c(data) != crc32c(flipped)
 
-
-class TestXxh32:
-    def test_pinned_vectors(self):
-        # Reference xxHash32 vectors (seed 0).
-        assert xxh32(b"") == 0x02CC5D05
-        assert xxh32(b"a") == 0x550D7456
-        assert xxh32(b"abc") == 0x32D153FF
-        assert xxh32(b"123456789") == 0x937BAD67
-
-    def test_seed_changes_digest(self):
-        assert xxh32(b"abc", seed=1) != xxh32(b"abc")
-        # Reference vector: empty input, seed 1.
-        assert xxh32(b"", seed=1) == 0x0B2CB792
-
-    def test_all_length_paths(self):
-        # <16 bytes (no lanes), multiples of 16, and ragged tails all
-        # exercise distinct branches of the reference algorithm.
-        data = bytes(range(64))
-        digests = {xxh32(data[:n]) for n in range(40)}
-        assert len(digests) == 40  # no accidental collisions on prefixes
-
     def test_unsigned_32_bit(self):
         for data in (b"", b"x", bytes(1000)):
-            for fn in (crc32c, xxh32):
-                assert 0 <= fn(data) <= 0xFFFFFFFF
+            assert 0 <= crc32c(data) <= 0xFFFFFFFF
 
 
 class TestVectorizedEqualsPure:
-    """The vectorized kernels are bit-identical to the pure-python oracle."""
+    """The buffer-parallel sweep is bit-identical to the oracle."""
 
     def test_crc32c_pinned_vectors(self):
-        for data in (b"", b"a", b"abc", b"123456789", b"\x00" * 32):
-            assert crc32c_np(data) == crc32c_py(data)
-        assert crc32c_np(b"123456789") == 0xE3069283
-
-    def test_xxh32_pinned_vectors(self):
-        for data in (b"", b"a", b"abc", b"123456789"):
-            assert xxh32_np(data) == xxh32_py(data)
-        assert xxh32_np(b"123456789") == 0x937BAD67
+        vectors = [b"", b"a", b"abc", b"123456789", b"\x00" * 32]
+        out = list(crc32c_many(*_arena(vectors)))
+        assert out == [0x00000000, 0xC1D04330, 0x364B3FB7, 0xE3069283, 0x8A9136AA]
 
     def test_crc32c_seeded_sweep(self):
-        # 1k buffers, lengths 0..~70k: every (n % 8) head/tail case plus
-        # all pairwise-fold depths of the blockwise kernel.
-        for data in _seeded_buffers(1000, 70_000, seed=1):
-            assert crc32c_np(data) == crc32c_py(data), len(data)
-
-    def test_xxh32_seeded_sweep(self):
-        for data in _seeded_buffers(1000, 70_000, seed=2):
-            assert xxh32_np(data) == xxh32_py(data), len(data)
-
-    def test_nonzero_init_and_seed(self):
-        rng = random.Random(3)
-        for n in (0, 1, 7, 8, 9, 255, 4096, 70_001):
-            data = rng.randbytes(n)
-            assert crc32c_np(data, value=0xDEADBEEF) == crc32c_py(data, value=0xDEADBEEF)
-            assert xxh32_np(data, seed=42) == xxh32_py(data, seed=42)
+        # 1k records in one arena, lengths 0..~70k: every record ends at a
+        # different sweep position, and the long ones run far past the rest.
+        buffers = _seeded_buffers(1000, 70_000, seed=1)
+        out = list(crc32c_many(*_arena(buffers)))
+        assert out == [crc32c(b) for b in buffers]
 
     def test_memoryview_input(self):
         data = random.Random(4).randbytes(10_000)
         view = memoryview(data)[17:8971]
-        assert crc32c_np(view) == crc32c_py(bytes(view))
-        assert xxh32_np(view) == xxh32_py(bytes(view))
-
-    def test_dispatch_is_equivalent_across_threshold(self):
-        # The public crc32c/xxh32 select a kernel by input size; both
-        # sides of each threshold must agree with the oracle.
-        for n in (
-            CRC32C_VECTOR_MIN - 1,
-            CRC32C_VECTOR_MIN,
-            CRC32C_VECTOR_MIN + 1,
-            XXH32_VECTOR_MIN - 1,
-            XXH32_VECTOR_MIN,
-            XXH32_VECTOR_MIN + 1,
-        ):
-            data = random.Random(n).randbytes(n)
-            assert crc32c(data) == crc32c_py(data)
-            assert xxh32(data) == xxh32_py(data)
-
-    def test_kernel_info_reports_vectorized(self):
-        info = kernel_info()
-        assert info["numpy"] is True
-        assert info["crc32c"] == "numpy-slice8-fold"
-        assert info["xxh32"] == "numpy-lane-parallel"
+        assert crc32c(view) == crc32c(bytes(view))
+        assert list(crc32c_many(view, [0, 100], [len(view), 50])) == [
+            crc32c(bytes(view)),
+            crc32c(bytes(view[100:150])),
+        ]
 
 
 class TestStreaming:
-    """Streaming digests over arbitrary split points == whole-buffer digest."""
+    """Chaining over arbitrary split points == the whole-buffer digest."""
 
     def test_crc_stream_random_splits(self):
         rng = random.Random(10)
         for trial in range(50):
             data = rng.randbytes(rng.randrange(0, 20_000))
-            stream = Crc32cStream()
+            digest = 0
             i = 0
             while i < len(data):
                 j = min(len(data), i + rng.randrange(1, 4097))
-                stream.update(data[i:j])
+                digest = crc32c(data[i:j], digest)
                 i = j
-            assert stream.digest() == crc32c_py(data), (trial, len(data))
-
-    def test_xxh_stream_random_splits(self):
-        rng = random.Random(11)
-        for trial in range(50):
-            data = rng.randbytes(rng.randrange(0, 20_000))
-            stream = Xxh32Stream()
-            i = 0
-            while i < len(data):
-                j = min(len(data), i + rng.randrange(1, 4097))
-                stream.update(data[i:j])
-                i = j
-            assert stream.digest() == xxh32_py(data), (trial, len(data))
-
-    def test_xxh_digest_is_non_destructive(self):
-        # digest() finalizes a copy: more updates may follow.
-        stream = Xxh32Stream()
-        stream.update(b"hello ")
-        assert stream.digest() == xxh32(b"hello ")
-        stream.update(b"world")
-        assert stream.digest() == xxh32(b"hello world")
-
-    def test_stream_for_dispatch(self):
-        s = stream_for("crc32c", init=crc32c(b"ab"))
-        s.update(b"c")
-        assert s.digest() == crc32c(b"abc")
-        s = stream_for("xxh32", seed=1)
-        s.update(b"abc")
-        assert s.digest() == xxh32(b"abc", seed=1)
+            assert digest == crc32c(data), (trial, len(data))
 
 
 class TestBatchKernels:
     """Buffer-parallel kernels digest a whole arena in one pass."""
 
-    @staticmethod
-    def _arena(buffers):
-        offsets, lengths, pos = [], [], 0
-        for b in buffers:
-            offsets.append(pos)
-            lengths.append(len(b))
-            pos += len(b)
-        return b"".join(buffers), offsets, lengths
-
     def test_crc32c_many_matches_per_buffer(self):
         buffers = _seeded_buffers(200, 4000, seed=20)
-        arena, offsets, lengths = self._arena(buffers)
-        out = list(crc32c_many(arena, offsets, lengths))
-        assert out == [crc32c_py(b) for b in buffers]
-
-    def test_xxh32_many_matches_per_buffer(self):
-        buffers = _seeded_buffers(200, 4000, seed=21)
-        arena, offsets, lengths = self._arena(buffers)
-        out = list(xxh32_many(arena, offsets, lengths))
-        assert out == [xxh32_py(b) for b in buffers]
+        out = list(crc32c_many(*_arena(buffers)))
+        assert out == [crc32c(b) for b in buffers]
 
     def test_empty_and_ragged_records(self):
-        buffers = [b"", b"x", b"", random.Random(22).randbytes(33), b""]
-        arena, offsets, lengths = self._arena(buffers)
-        assert list(crc32c_many(arena, offsets, lengths)) == [crc32c_py(b) for b in buffers]
-        assert list(xxh32_many(arena, offsets, lengths)) == [xxh32_py(b) for b in buffers]
-
-    def test_large_record_fallback(self):
-        # Records beyond the byte-sweep cutoff fall back to the per-buffer
-        # kernel — still bit-identical.
-        buffers = [random.Random(23).randbytes(5000), b"tiny", b""]
-        arena, offsets, lengths = self._arena(buffers)
-        assert list(crc32c_many(arena, offsets, lengths)) == [crc32c_py(b) for b in buffers]
-        assert list(xxh32_many(arena, offsets, lengths)) == [xxh32_py(b) for b in buffers]
-
-    def test_digest_many(self):
-        buffers = [b"abc", b"", b"123456789"]
-        assert digest_many(buffers, "crc32c") == [crc32c(b) for b in buffers]
-        assert digest_many(buffers, "xxh32") == [xxh32(b) for b in buffers]
+        rng = random.Random(22)
+        buffers = [b"", b"x", b"", rng.randbytes(33), b"", rng.randbytes(5000), b"tiny"]
+        assert list(crc32c_many(*_arena(buffers))) == [crc32c(b) for b in buffers]
+        assert list(crc32c_many(b"", [0, 0], [0, 0])) == [0, 0]
+        assert len(crc32c_many(b"", [], [])) == 0
