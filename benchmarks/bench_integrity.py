@@ -1,20 +1,27 @@
 """Verification overhead: supervised transfer with vs without integrity.
 
-The integrity layer (:mod:`repro.transfer.integrity`) promises that
-per-chunk checksumming, WAL journaling and final verification cost **≤ 5%**
-of transfer-loop CPU time on a clean (fault-free) run — the common case a
+The integrity layer (:mod:`repro.transfer.integrity`) targets **≤ 5%** of
+transfer-loop CPU time for per-chunk checksumming, WAL journaling and
+final verification on a clean (fault-free) run — the common case a
 production service pays on every transfer.  Same estimator as
 ``bench_observability``: runs alternate in tight (no-verify, verify) pairs
 timed with ``time.process_time``, and the reported overhead is the median
-of per-pair CPU-time ratios, which survives noisy shared machines.
+of per-pair CPU-time ratios.
 
-Run standalone (what the CI ``bench-smoke`` job does)::
+Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_integrity.py --quick
 
 writes ``BENCH_integrity.json`` at the repo root and exits 1 if the
 measured overhead exceeds ``--budget`` (default 0.05).  Also collectable
 by pytest, where the same measurement runs in quick mode.
+
+This is a local, ungated measurement: no CI job runs it, and its result
+spreads widely from run to run.  Four back-to-back ``--quick`` runs on a
+2-vCPU Intel Xeon virtual machine of a shared host gave median overheads
+of 1.1 %, 2.2 %, 3.1 % and 20 %, and best-CPU overheads from -2.7 % to
+11 %.  Which estimator the budget means is open (ROADMAP, "Honest
+artifacts").
 """
 
 from __future__ import annotations

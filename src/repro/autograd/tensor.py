@@ -15,7 +15,7 @@ Implementation notes
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -32,11 +32,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations currently record the autodiff graph."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -474,7 +469,3 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         return tuple(np.split(grad, offsets, axis=axis))
 
     return tensors[0]._make(out_data, tuple(tensors), backward)
-
-
-def _iter_parameters(tensors: Iterable[Tensor]) -> Iterable[Tensor]:  # pragma: no cover
-    return (t for t in tensors if t.requires_grad)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro import obs
 from repro.core.checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
 from repro.core.env import SimulatorEnv
@@ -161,8 +159,3 @@ class AutoMDT:
         if self.profile is None:
             raise ConfigError("no exploration profile available")
         return self.profile.max_reward(self.utility)
-
-
-def default_rng_for(seed: int) -> np.random.Generator:  # pragma: no cover - helper
-    """Deterministic generator helper used by examples."""
-    return np.random.default_rng(seed)

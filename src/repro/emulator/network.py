@@ -64,11 +64,6 @@ class NetworkConfig:
             return self.degradation_knee
         return int(math.ceil(self.capacity / self.tpt)) + 4
 
-    @property
-    def saturation_streams(self) -> int:
-        """Smallest stream count that fills the path (without background)."""
-        return int(math.ceil(self.capacity / self.tpt))
-
 
 class NetworkPath:
     """Fluid-rate model of the wide-area path, with connection ramp state.

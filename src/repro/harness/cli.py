@@ -281,11 +281,6 @@ def _failure_mode(summary: dict) -> str | None:
     return None
 
 
-def _transfer_failed(summary: dict) -> bool:
-    """Whether an experiment summary reports a failed supervised/verified transfer."""
-    return _failure_mode(summary) is not None
-
-
 def _report_failure(name: str, mode: str) -> None:
     if mode == "budget_exhausted":
         print(
@@ -668,11 +663,12 @@ def _cmd_fleet(args) -> int:
 
 def _cmd_verify(args) -> int:
     from repro.transfer.integrity import verify_artifacts
+    from repro.utils.errors import IntegrityError
     from repro.utils.tables import render_kv
 
     try:
         report = verify_artifacts(args.run_dir)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, IntegrityError) as exc:
         print(f"cannot verify {args.run_dir}: {exc}", file=sys.stderr)
         return 2
     print(render_kv(report, title=f"integrity verification — {args.run_dir}"))

@@ -868,7 +868,7 @@ def experiment_integrity(*, fast: bool = True, seed: int = 0) -> ExperimentResul
             baseline_sup, tmp, IntegrityConfig(chunk_size=64e6, seed=seed)
         )
         baseline_vt.ledger.begin_pass(
-            [c.chunk_id for c in baseline_vt.manifest.chunks], start_bytes=0.0
+            range(len(baseline_vt.manifest)), start_bytes=0.0
         )
         baseline = baseline_sup.run(
             observer=lambda o: baseline_vt.ledger.sync(

@@ -24,7 +24,6 @@ from repro.transfer.files import Dataset, FileSpec
 from repro.transfer.guarded import GuardedController
 from repro.transfer.integrity import (
     ChunkJournal,
-    ChunkSpec,
     DestinationLedger,
     IntegrityConfig,
     TransferManifest,
@@ -62,7 +61,6 @@ __all__ = [
     "MonolithicController",
     "GuardedController",
     "ChunkJournal",
-    "ChunkSpec",
     "DestinationLedger",
     "IntegrityConfig",
     "TransferManifest",

@@ -14,11 +14,12 @@ production transfer services (GridFTP/Globus-style) treat as table stakes:
   into one buffered ``chunkbatch`` or ``chunkrun`` record, flushed
   whenever ``flush_every`` claims are buffered, so a crash still loses at
   most ``flush_every`` claims.  Replayed with the torn-tail-tolerant
-  reader and last-record-wins semantics.
+  reader and last-record-wins semantics into a **claim column** (the
+  digest last claimed per chunk id, ``-1`` = unclaimed).
 * :class:`DestinationLedger` — the emulator-side destination truth,
-  stored **columnar** (numpy per-chunk status/digest/send-count arrays)
-  so verification sweeps are single vector ops; the ``status`` /
-  ``digests`` / ``send_counts`` attributes remain dict-like views.  The
+  stored **columnar** (numpy per-chunk status, digest, send-count and
+  completion-sequence arrays indexed by chunk id) so verification sweeps
+  and verified resume are single vector ops.  The
   fluid model moves byte *counts*, not bytes, so each chunk's content is
   identified by a deterministic payload tag; data-plane faults
   (:class:`~repro.emulator.faults.DataCorruption`,
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, compress
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,7 +80,6 @@ from repro.parallel.seeds import spawn_key
 
 __all__ = [
     "ChunkJournal",
-    "ChunkSpec",
     "DestinationLedger",
     "IntegrityConfig",
     "TransferManifest",
@@ -128,24 +128,6 @@ _STATUS_CODES = {name: code for code, name in enumerate(_STATUS_NAMES)}
 _MISSING, _OK, _CORRUPT, _TORN = range(4)
 
 
-@dataclass(frozen=True, slots=True)
-class ChunkSpec:
-    """One manifest chunk: a contiguous byte range of one file.
-
-    Slotted: a big transfer holds thousands of these for its whole
-    lifetime, and per-instance ``__dict__``s would both double the memory
-    and make every GC generation scan measurably slower (the verification
-    overhead budget counts that).
-    """
-
-    chunk_id: int
-    file: str
-    index: int  # chunk index within the file
-    offset: float  # global byte offset in the dataset
-    size: float
-    digest: int  # expected digest of the chunk's (synthesised) content
-
-
 class TransferManifest:
     """Per-file chunk digests for one dataset — what "correct" means.
 
@@ -174,8 +156,7 @@ class TransferManifest:
         # numbers are invisible to the cyclic GC, where thousands of
         # per-chunk objects would be rescanned on every collection for the
         # whole transfer (a measurable slice of the verification overhead
-        # budget).  Chunk ids are row indices; the object view
-        # (:attr:`chunks`) is built lazily for inspection/serialization.
+        # budget).  Chunk ids are row indices.
         file_sizes = np.array([s for _, s in self.files], dtype=np.float64)
         counts = np.maximum(
             1, np.ceil(file_sizes / self.chunk_size).astype(np.int64)
@@ -210,33 +191,19 @@ class TransferManifest:
             tag_offsets[1:] = np.cumsum(tag_lengths)[:-1]
         digests = crc32c_many(b"".join(tags), tag_offsets, tag_lengths)
 
-        self.chunk_files: tuple[int, ...] = tuple(file_idx.tolist())
-        self.chunk_indices: tuple[int, ...] = tuple(indices.tolist())
-        self.chunk_offsets: tuple[float, ...] = tuple(offsets.tolist())
+        # File, in-file index and dataset offset of each chunk: only
+        # :meth:`to_dict` reads them.
+        self._file_idx = file_idx
+        self._indices = indices
+        self._offsets = offsets
+        #: Per-chunk sizes and expected digests as tuples: hot paths index
+        #: them one scalar at a time, where a tuple beats a numpy array.
         self.chunk_sizes: tuple[float, ...] = tuple(chunk_bytes.tolist())
         self.chunk_digests: tuple[int, ...] = tuple(int(d) for d in digests)
         #: Vector views of the chunk table for the ledger's sweep kernels.
         self.sizes_np = chunk_bytes
         self.digests_np = np.asarray(digests, dtype=np.int64)
         self.total_bytes = float(running[-1]) if total_chunks else 0.0
-        self._chunks_cache: tuple[ChunkSpec, ...] | None = None
-
-    @property
-    def chunks(self) -> tuple[ChunkSpec, ...]:
-        """The chunk table as :class:`ChunkSpec` rows (lazily materialised)."""
-        if self._chunks_cache is None:
-            self._chunks_cache = tuple(
-                ChunkSpec(
-                    chunk_id=cid,
-                    file=self.files[self.chunk_files[cid]][0],
-                    index=self.chunk_indices[cid],
-                    offset=self.chunk_offsets[cid],
-                    size=self.chunk_sizes[cid],
-                    digest=self.chunk_digests[cid],
-                )
-                for cid in range(len(self.chunk_sizes))
-            )
-        return self._chunks_cache
 
     @classmethod
     def from_dataset(
@@ -250,10 +217,6 @@ class TransferManifest:
             content_seed=content_seed,
         )
 
-    def expected(self) -> dict[int, int]:
-        """``{chunk_id: expected digest}`` for every chunk."""
-        return dict(enumerate(self.chunk_digests))
-
     def size_of(self, chunk_id: int) -> float:
         """Byte size of one chunk."""
         return self.chunk_sizes[chunk_id]
@@ -263,7 +226,19 @@ class TransferManifest:
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> dict:
-        """JSON-friendly form (inverse of :meth:`from_dict`)."""
+        """JSON-friendly form (inverse of :meth:`from_dict`).
+
+        Each chunk is one ``[chunk_id, file, index, offset, size, digest]``
+        row.
+        """
+        names = [name for name, _ in self.files]
+        rows = zip(
+            self._file_idx.tolist(),
+            self._indices.tolist(),
+            self._offsets.tolist(),
+            self.chunk_sizes,
+            self.chunk_digests,
+        )
         return {
             "version": MANIFEST_VERSION,
             "dataset": self.dataset_name,
@@ -272,8 +247,8 @@ class TransferManifest:
             "content_seed": self.content_seed,
             "files": [[n, s] for n, s in self.files],
             "chunks": [
-                [c.chunk_id, c.file, c.index, c.offset, c.size, c.digest]
-                for c in self.chunks
+                [cid, names[file], index, offset, size, digest]
+                for cid, (file, index, offset, size, digest) in enumerate(rows)
             ],
         }
 
@@ -293,7 +268,7 @@ class TransferManifest:
             content_seed=int(data.get("content_seed", 0)),
         )
         recorded = {int(row[0]): int(row[5]) for row in data["chunks"]}
-        if recorded != manifest.expected():
+        if recorded != dict(enumerate(manifest.chunk_digests)):
             raise IntegrityError(
                 f"manifest digests for {data['dataset']!r} do not match re-derived values"
             )
@@ -319,8 +294,8 @@ class ChunkJournal:
     run claimed *at the manifest's expected digests*, written by
     :meth:`record_runs` — the clean-transfer lane, where serialising tens
     of thousands of known digest values would dominate the verification
-    overhead budget; replaying it therefore requires the ``expected``
-    digest table).  Both go through
+    overhead budget; replaying it therefore requires the manifest's
+    ``expected`` digest column).  Both go through
     :meth:`JsonlEventWriter.write_sample`'s deferred-format lane, so
     journaling inside the transfer loop costs one list append;
     serialisation happens at flush time.  The journal flushes itself
@@ -328,27 +303,28 @@ class ChunkJournal:
     batching never weakens the durability bound: a crash loses at most
     ``flush_every`` claims, exactly as with per-record appends.
 
-    :meth:`replay` folds the log into a last-record-wins
-    ``{chunk_id: digest}`` map with the torn-tail-tolerant reader, and
-    self-heals a torn tail (truncating the record the dying process never
-    finished) so post-recovery appends can't corrupt the next record.
-    Replay is idempotent: replaying an unchanged journal any number of
-    times yields the same claims.
+    :meth:`replay` folds the log into a last-record-wins claim column
+    with the torn-tail-tolerant reader, and self-heals a torn tail
+    (truncating the record the dying process never finished) so
+    post-recovery appends can't corrupt the next record.  Replay is
+    idempotent: replaying an unchanged journal any number of times yields
+    the same claims.
     """
 
     def __init__(
         self,
         path: str | Path,
+        expected,
         *,
         flush_every: int = 64,
-        expected=None,
     ) -> None:
         self.path = Path(path)
         self._flush_every = max(1, int(flush_every))
         self._writer = JsonlEventWriter(self.path, mode="a", flush_every=flush_every)
         self._claims_buffered = 0
-        #: Manifest digest table (``expected[chunk_id]``) — required to
-        #: resolve digest-elided ``chunkrun`` records at replay.
+        #: The manifest's digest column (``manifest.chunk_digests``): its
+        #: length is the chunk count, and it resolves digest-elided
+        #: ``chunkrun`` records at replay.
         self._expected = expected
         #: Open coalescing run ``[lo, hi, t]`` not yet handed to the
         #: writer: consecutive clean syncs complete consecutive ids, so
@@ -453,143 +429,57 @@ class ChunkJournal:
             with self.path.open("a") as fh:
                 fh.write('{"type":"chunk","id":99')  # deliberately torn
 
-    def replay(self) -> dict[int, int]:
-        """Fold the journal into ``{chunk_id: last claimed digest}``.
+    def replay(self) -> np.ndarray:
+        """Fold the journal into its claim column.
 
-        Missing file → no claims.  A torn final line is truncated away so
-        subsequent appends start clean.  A ``chunkbatch`` record's claims
-        replay in order, as if appended one by one.
+        Returns an int64 array with one entry per manifest chunk: the
+        digest last claimed for it, ``-1`` if it is unclaimed.  A
+        ``chunkbatch`` record's claims land in record order, as if appended
+        one by one; a ``chunkrun`` claims its ids at the manifest's
+        digests.  Missing file → no claims.  A torn final line is truncated
+        away so subsequent appends start clean.  A claim on a chunk id
+        outside the manifest raises :class:`IntegrityError`: the journal
+        belongs to another manifest, or is damaged.
         """
+        expected = self._expected
+        n = len(expected)
+        # A list fold, converted once: most records claim a few ids, where
+        # a numpy call per record costs more than the list writes.
+        claims = [-1] * n
         if not self.path.exists():
-            return {}
+            return np.array(claims, dtype=np.int64)
         text = self.path.read_text()
         if text and not text.endswith("\n"):
             # Self-heal: truncate the torn tail (a record the dying process
             # never finished) so later appends cannot glue onto it and turn
             # recoverable wreckage into mid-file corruption.
             self.path.write_text(text[: text.rfind("\n") + 1])
-        claims: dict[int, int] = {}
         for record in read_events(self.path):
             kind = record.get("type")
             if kind == "chunkbatch":
-                for cid, digest in zip(record["ids"], record["digests"]):
+                ids = record["ids"]
+                if ids and (min(ids) < 0 or max(ids) >= n):
+                    self._out_of_range(min(ids), max(ids), n)
+                for cid, digest in zip(ids, record["digests"]):
                     claims[int(cid)] = int(digest)
             elif kind == "chunkrun":
-                if self._expected is None:
-                    raise IntegrityError(
-                        "journal contains digest-elided chunkrun records; "
-                        "replay requires the manifest's expected digests"
-                    )
-                expected = self._expected
-                for cid in range(int(record["lo"]), int(record["hi"])):
-                    claims[cid] = expected[cid]
-        return claims
+                lo, hi = int(record["lo"]), int(record["hi"])
+                if lo < 0 or hi > n:
+                    self._out_of_range(lo, hi - 1, n)
+                claims[lo:hi] = expected[lo:hi]
+        return np.array(claims, dtype=np.int64)
+
+    def _out_of_range(self, lo: int, hi: int, n: int) -> None:
+        raise IntegrityError(
+            f"journal {self.path} claims chunk ids {lo}..{hi}, "
+            f"outside its manifest's {n} chunks"
+        )
 
     def __enter__(self) -> "ChunkJournal":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class _ChunkColumn:
-    """Dict-like view over one per-chunk ledger column (keys = chunk ids).
-
-    The ledger stores chunk state columnar — numpy arrays indexed by chunk
-    id — so verification sweeps are single vector ops; these views keep
-    the external dict API (``ledger.status[3]``, ``.values()``, equality)
-    working against the arrays.  Every access folds the ledger's deferred
-    fast-path completions first (:meth:`DestinationLedger._materialize`),
-    so readers never observe stale columns.
-    """
-
-    __slots__ = ("_ledger", "_arr")
-    __hash__ = None
-
-    def __init__(self, ledger, arr) -> None:
-        self._ledger = ledger
-        self._arr = arr
-
-    def _decode(self, raw: int):
-        return raw
-
-    def _encode(self, value) -> int:
-        return value
-
-    def __getitem__(self, chunk_id: int):
-        self._ledger._materialize()
-        return self._decode(int(self._arr[chunk_id]))
-
-    def __setitem__(self, chunk_id: int, value) -> None:
-        self._ledger._materialize()  # a later fold must not clobber this write
-        self._arr[chunk_id] = self._encode(value)
-
-    def __len__(self) -> int:
-        return len(self._arr)
-
-    def __iter__(self):
-        return iter(range(len(self._arr)))
-
-    def __contains__(self, chunk_id) -> bool:
-        return isinstance(chunk_id, int) and 0 <= chunk_id < len(self._arr)
-
-    def keys(self):
-        return range(len(self._arr))
-
-    def values(self) -> list:
-        self._ledger._materialize()
-        decode = self._decode
-        return [decode(raw) for raw in self._arr.tolist()]
-
-    def items(self):
-        return list(enumerate(self.values()))
-
-    def get(self, chunk_id: int, default=None):
-        if 0 <= chunk_id < len(self._arr):
-            return self[chunk_id]
-        return default
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _ChunkColumn):
-            self._ledger._materialize()
-            other._ledger._materialize()
-            return type(other) is type(self) and bool(np.array_equal(self._arr, other._arr))
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _StatusColumn(_ChunkColumn):
-    """Status codes decoded to their names (``missing``/``ok``/…)."""
-
-    __slots__ = ()
-
-    def _decode(self, raw: int) -> str:
-        return _STATUS_NAMES[raw]
-
-    def _encode(self, value: str) -> int:
-        return _STATUS_CODES[value]
-
-
-class _DigestColumn(_ChunkColumn):
-    """Digests with ``-1`` decoding to ``None`` (chunk not durable)."""
-
-    __slots__ = ()
-
-    def _decode(self, raw: int):
-        return None if raw < 0 else raw
-
-    def _encode(self, value) -> int:
-        return -1 if value is None else int(value)
-
-
-class _CountColumn(_ChunkColumn):
-    """Plain integer counts (send counts)."""
-
-    __slots__ = ()
 
 
 class DestinationLedger:
@@ -604,11 +494,11 @@ class DestinationLedger:
     :class:`DataCorruption`) strike between syncs.  **No byte count ever
     changes** — damage is visible only to verification, which is the point.
 
-    State is columnar (status codes, digests, send counts as numpy arrays
-    indexed by chunk id) with dict-like views for external readers.  On
-    the fault-free path :meth:`sync` is fully vectorized: one
-    ``searchsorted`` against the pending queue's cumulative sizes maps a
-    byte delta onto every chunk it completes.
+    State is columnar: status codes, digests, send counts and completion
+    sequence numbers as numpy arrays indexed by chunk id.  On the
+    fault-free path :meth:`sync` only advances the pending queue's head:
+    one ``bisect`` against the queue's cumulative sizes maps a byte delta
+    onto every chunk it completes.
 
     Statuses: ``missing`` (not durable), ``ok`` (digest matches manifest),
     ``corrupt`` (bit-flipped in flight or at rest), ``torn`` (partial
@@ -631,24 +521,18 @@ class DestinationLedger:
         self._expected_np = manifest.digests_np
         n = len(manifest)
         # NOTE: the columns are updated lazily for fault-free ledgers —
-        # read them through the query methods (verify/matches/status_counts/
-        # to_dict), which fold in deferred completions first.
+        # read them through the query methods (verify/verified_mask/
+        # status_counts/send_counts/to_dict), which fold in deferred
+        # completions first.
         self._status_arr = np.zeros(n, dtype=np.uint8)  # _MISSING
         self._digest_arr = np.full(n, -1, dtype=np.int64)
         self._send_arr = np.zeros(n, dtype=np.int64)
-        self.status = _StatusColumn(self, self._status_arr)
-        self.digests = _DigestColumn(self, self._digest_arr)
-        self.send_counts = _CountColumn(self, self._send_arr)
-        self._order: list[int] = []  # durable chunks, completion order (for truncation)
-        self._order_set: set[int] = set()  # membership mirror: keeps the hot
-        # completion path O(1) instead of scanning _order per chunk
-        self._order_set_stale = False  # _materialize defers the set rebuild
-        self._order_head = 0  # pending-queue entries already folded into _order
-        #: Index into ``_order`` up to which the columns reflect
-        #: completions.  The fault-free completion path only appends to
-        #: ``_order``; :meth:`_materialize` folds the tail into the
-        #: columns (one vector op) before any of them is read.
-        self._clean_tail = 0
+        #: Completion sequence number of each durable chunk, ``-1`` when it
+        #: is not durable.  A re-send takes the next number, so the durable
+        #: chunks sorted by it are the destination's write order (what
+        #: :class:`SilentTruncation` cuts from the end of).
+        self._seq_arr = np.full(n, -1, dtype=np.int64)
+        self._next_seq = 0
         # Full-pass queue state, precomputed once: plain python lists, not
         # arrays — per-sync batches are ~tens of chunks, where C-level list
         # slicing and ``bisect`` beat numpy's per-call dispatch overhead.
@@ -656,8 +540,8 @@ class DestinationLedger:
         self._full_cum: list[float] = np.cumsum(self._sizes_np).tolist()
         self._pending: list[int] = self._all_ids
         self._pend_cum: list[float] = self._full_cum
-        self._pend_dig = self._expected  # digests aligned with _pending
         self._head = 0  # completed entries of the pending queue
+        self._folded = 0  # completed entries already folded into the columns
         self._partial = 0.0  # bytes already written into the head chunk
         self._consumed = 0.0  # bytes mapped into the current pass's queue
         self._synced_bytes = 0.0  # engine byte count already mapped
@@ -685,15 +569,6 @@ class DestinationLedger:
             digest = crc32c(b"!", value=digest)
         return digest
 
-    def _ordered_ids(self) -> set[int]:
-        """Membership set over ``_order``, rebuilt lazily after deferred
-        fast-path completions (building a 50k-int set per verification
-        sweep would cost more than the sweep itself)."""
-        if self._order_set_stale:
-            self._order_set = set(self._order)
-            self._order_set_stale = False
-        return self._order_set
-
     def _complete_chunk(self, chunk_id: int, t: float) -> int:
         """Mark one chunk durable; returns the digest the destination holds."""
         send = int(self._send_arr[chunk_id]) + 1
@@ -711,50 +586,39 @@ class DestinationLedger:
                 code, digest = _OK, self._expected[chunk_id]
         self._status_arr[chunk_id] = code
         self._digest_arr[chunk_id] = digest
-        order_set = self._ordered_ids()
-        if chunk_id in order_set:  # re-send: move to the tail (rare)
-            self._order.remove(chunk_id)
-        else:
-            order_set.add(chunk_id)
-        self._order.append(chunk_id)
-        self._clean_tail = len(self._order)  # columns are current for this entry
+        self._seq_arr[chunk_id] = self._next_seq
+        self._next_seq += 1
         return digest
 
     def _materialize(self) -> None:
         """Fold deferred fast-path completions into the chunk columns.
 
         The fault-free completion path in :meth:`sync` records durability
-        as a bare ``_order`` extend (plus the journal record) and defers
-        the status/digest/send-count writes; every reader of those columns
-        calls this first — one fancy-indexed vector op for the whole tail.
-        No-op for faulted ledgers, where :meth:`_complete_chunk` keeps the
-        columns current in-line.
+        by advancing the pending queue's head alone and defers every column
+        write; each reader of the columns calls this first, which folds
+        ``pending[folded:head]`` as one vector op.  No-op for faulted
+        ledgers, where :meth:`_complete_chunk` keeps the columns current
+        in-line.
         """
-        if self.faults is None and self._order_head < self._head:
-            # Fold the deferred completion order first: the clean sync path
-            # advances only its queue head.
-            self._order.extend(self._pending[self._order_head : self._head])
-            self._order_head = self._head
-        order = self._order
-        if self._clean_tail == len(order):
+        head = self._head
+        if self.faults is not None or self._folded == head:
             return
-        tail = order[self._clean_tail :]
-        # Within one deferred tail ids are strictly increasing (the clean
-        # path completes pending chunks in id order), so a full-span check
-        # detects the contiguous common case and folds it as one slice.
-        lo, hi = tail[0], tail[-1] + 1
-        if hi - lo == len(tail):
-            sl = slice(lo, hi)
-            self._status_arr[sl] = _OK
-            self._digest_arr[sl] = self._expected_np[sl]
-            self._send_arr[sl] += 1
-        else:
-            ids = np.fromiter(tail, count=len(tail), dtype=np.int64)
-            self._status_arr[ids] = _OK
-            self._digest_arr[ids] = self._expected_np[ids]
-            self._send_arr[ids] += 1
-        self._order_set_stale = True  # rebuilt lazily by _ordered_ids
-        self._clean_tail = len(order)
+        ids = self._pending[self._folded : head]
+        # The queue is in id order, so a full-span check detects the
+        # contiguous common case and folds it as a slice.
+        lo, hi = ids[0], ids[-1] + 1
+        index = slice(lo, hi) if hi - lo == len(ids) else np.array(ids)
+        self._status_arr[index] = _OK
+        self._digest_arr[index] = self._expected_np[index]
+        self._send_arr[index] += 1
+        self._seq_arr[index] = np.arange(self._next_seq, self._next_seq + len(ids))
+        self._next_seq += len(ids)
+        self._folded = head
+
+    def _durable_ids(self) -> np.ndarray:
+        """Durable chunk ids in completion order, oldest first."""
+        durable = np.flatnonzero(self._seq_arr >= 0)
+        return durable[np.argsort(self._seq_arr[durable])]
 
     def _apply_instant(self, event) -> None:
         if isinstance(event, TornWrite):
@@ -763,15 +627,12 @@ class DestinationLedger:
                 self._torn_pending = True
         elif isinstance(event, SilentTruncation):
             # The destination silently loses its most recent durable chunks.
-            lost = self._order[-event.chunks :]
-            if lost:
-                ids = np.asarray(lost, dtype=np.int64)
-                self._status_arr[ids] = _MISSING
-                self._digest_arr[ids] = -1
-                self._ordered_ids().difference_update(lost)
-            del self._order[len(self._order) - min(event.chunks, len(self._order)) :]
+            lost = self._durable_ids()[-event.chunks :]
+            self._status_arr[lost] = _MISSING
+            self._digest_arr[lost] = -1
+            self._seq_arr[lost] = -1
         elif isinstance(event, DataCorruption):  # site == "storage", at-rest
-            for chunk_id in list(self._order):
+            for chunk_id in self._durable_ids().tolist():
                 if self._status_arr[chunk_id] != _OK:
                     continue
                 send = int(self._send_arr[chunk_id])
@@ -790,7 +651,6 @@ class DestinationLedger:
         (whose checkpoints rewind the byte count) stay consistent.
         """
         self._materialize()  # fold the previous pass before swapping queues
-        self._order_head = 0
         if isinstance(chunk_ids, range) and chunk_ids == range(len(self._all_ids)):
             ids = None  # full pass, checked O(1)
         elif isinstance(chunk_ids, range):
@@ -802,16 +662,15 @@ class DestinationLedger:
             and (not ids or (ids[0] == 0 and ids[-1] == len(ids) - 1))
         ):
             # Full pass (sorted distinct ids spanning 0..n-1): reuse the
-            # precomputed queue instead of rebuilding 3 × n-element lists.
+            # precomputed queue instead of rebuilding n-element lists.
             self._pending = self._all_ids
             self._pend_cum = self._full_cum
-            self._pend_dig = self._expected
         else:
-            sizes, expected = self._sizes, self._expected
+            sizes = self._sizes
             self._pending = ids
             self._pend_cum = list(accumulate(sizes[c] for c in ids))
-            self._pend_dig = [expected[c] for c in ids]
         self._head = 0
+        self._folded = 0
         self._partial = 0.0
         self._consumed = 0.0
         self._synced_bytes = float(start_bytes)
@@ -822,23 +681,20 @@ class DestinationLedger:
         bytes_total: float,
         t: float,
         journal: "ChunkJournal | None" = None,
-    ) -> list[tuple[int, int]]:
+    ) -> None:
         """Map the engine's durable byte count onto chunk completions.
 
         Fires pending data-plane fault instants in ``[last sync, t)``,
-        then maps the byte delta onto the pending queue.  Returns the
-        ``(chunk_id, digest)`` pairs newly completed — the caller journals
-        them.  With ``journal`` the completions go straight to
-        :meth:`ChunkJournal.record_batch` as one coalesced record and the
-        return value is empty.  Byte counts only move forward; a smaller
-        ``bytes_total`` than already synced is ignored (stale observation).
+        then maps the byte delta onto the pending queue.  With ``journal``
+        the completions are journaled as they land.  Byte counts only move
+        forward; a smaller ``bytes_total`` than already synced is ignored
+        (stale observation).
 
-        Fault-free ledgers take a fully vectorized path: one
-        ``searchsorted`` against the queue's cumulative sizes finds every
-        chunk the delta completes, and the status/digest/send-count
-        column writes are deferred to :meth:`_materialize`.  Faulted
-        ledgers route per-chunk through :meth:`_complete_chunk`, which
-        handles torn/corrupt outcomes and re-send bookkeeping.
+        Fault-free ledgers only advance the queue head (one ``bisect``
+        against the queue's cumulative sizes finds every chunk the delta
+        completes) and defer the column writes to :meth:`_materialize`.
+        Faulted ledgers route per-chunk through :meth:`_complete_chunk`,
+        which handles torn/corrupt outcomes and re-send bookkeeping.
         """
         if self.faults is not None:
             for event in self.faults.take_data_events(self._clock, t):
@@ -847,10 +703,11 @@ class DestinationLedger:
                 self._clock = t
             delta = bytes_total - self._synced_bytes
             if delta <= 0.0:
-                return []
+                return
             self._synced_bytes = bytes_total
             self.bytes_applied_total += delta
-            return self._sync_faulted(delta, t, journal)
+            self._sync_faulted(delta, t, journal)
+            return
 
         # Fault-free hot path, inlined (runs once per engine interval).
         # One ``bisect`` against the pending queue's cumulative sizes finds
@@ -860,7 +717,7 @@ class DestinationLedger:
             self._clock = t
         delta = bytes_total - self._synced_bytes
         if delta <= 0.0:
-            return []
+            return
         self._synced_bytes = bytes_total
         self.bytes_applied_total += delta
         cum = self._pend_cum
@@ -884,28 +741,23 @@ class DestinationLedger:
             raise IntegrityError(
                 f"destination received {overflow:.0f} bytes beyond the pending chunk set"
             )
-        completed: list[tuple[int, int]] = []
         if new_head > head:
-            # Durability is recorded by advancing the head alone; both the
-            # ``_order`` extend and the column writes are deferred to
-            # :meth:`_materialize`.  (Safe because a queued chunk is never
-            # already durable: :meth:`begin_pass` callers demote first.)
+            # Durability is recorded by advancing the head alone; the
+            # column writes are deferred to :meth:`_materialize`.  (Safe
+            # because a queued chunk is never already durable:
+            # :meth:`begin_pass` callers demote first.)
             consumed = max(consumed, cum[new_head - 1])
-            if journal is None:
-                ids = self._pending[head:new_head]
-                completed = list(zip(ids, self._pend_dig[head:new_head]))
-            else:
+            if journal is not None:
                 # Clean completions carry the manifest digests by
                 # construction — journal them as digest-elided runs.
                 journal.record_runs(self._pending[head:new_head], t)
         self._head = new_head
         self._consumed = consumed
         self._partial = consumed - (cum[new_head - 1] if new_head else 0.0)
-        return completed
 
     def _sync_faulted(
         self, delta: float, t: float, journal: "ChunkJournal | None"
-    ) -> list[tuple[int, int]]:
+    ) -> None:
         """Scalar delta mapping for faulted ledgers (torn/corrupt outcomes)."""
         pending, sizes, head, partial = (
             self._pending,
@@ -914,7 +766,8 @@ class DestinationLedger:
             self._partial,
         )
         count = len(pending)
-        completed: list[tuple[int, int]] = []
+        ids: list[int] = []
+        digests: list[int] = []
         while delta > 0.0 and head < count:
             chunk_id = pending[head]
             need = sizes[chunk_id] - partial
@@ -922,7 +775,8 @@ class DestinationLedger:
                 delta -= need
                 partial = 0.0
                 head += 1
-                completed.append((chunk_id, self._complete_chunk(chunk_id, t)))
+                ids.append(chunk_id)
+                digests.append(self._complete_chunk(chunk_id, t))
             else:
                 partial += delta
                 delta = 0.0
@@ -932,18 +786,14 @@ class DestinationLedger:
             raise IntegrityError(
                 f"destination received {delta:.0f} bytes beyond the pending chunk set"
             )
-        if journal is not None and completed:
-            journal.record_batch(
-                [c for c, _ in completed], [d for _, d in completed], t
-            )
-            return []
-        return completed
+        if journal is not None:
+            journal.record_batch(ids, digests, t)
 
     # ------------------------------------------------------------- queries
-    def matches(self, chunk_id: int) -> bool:
-        """Whether the destination's digest equals the manifest's."""
+    def verified_mask(self) -> np.ndarray:
+        """Boolean column: the destination holds the manifest's digest."""
         self._materialize()
-        return bool(self._digest_arr[chunk_id] == self._expected_np[chunk_id])
+        return self._digest_arr == self._expected_np
 
     def verify(self) -> list[int]:
         """Chunk ids whose destination digest is missing or wrong.
@@ -951,27 +801,27 @@ class DestinationLedger:
         One vector comparison over the digest column — this is the
         verification sweep the repair loop runs after every pass.
         """
-        self._materialize()
-        return np.nonzero(self._digest_arr != self._expected_np)[0].tolist()
+        return np.flatnonzero(~self.verified_mask()).tolist()
 
     def demote(self, chunk_ids: list[int]) -> None:
         """Mark chunks non-durable so a repair pass re-transfers them."""
         self._materialize()
         if len(chunk_ids):
-            ids = np.asarray(list(chunk_ids), dtype=np.int64)
+            ids = np.asarray(chunk_ids, dtype=np.int64)
             self._status_arr[ids] = _MISSING
             self._digest_arr[ids] = -1
-            dropped = set(int(c) for c in chunk_ids) & self._ordered_ids()
-            if dropped:
-                self._order = [c for c in self._order if c not in dropped]
-                self._order_set -= dropped
-        self._clean_tail = len(self._order)
+            self._seq_arr[ids] = -1
 
     @property
     def verified_bytes(self) -> float:
         """Bytes whose chunks verify against the manifest."""
+        return float(self._sizes_np[self.verified_mask()].sum())
+
+    @property
+    def send_counts(self) -> dict[int, int]:
+        """Snapshot ``{chunk_id: times sent}``; writing to it changes nothing."""
         self._materialize()
-        return float(self._sizes_np[self._digest_arr == self._expected_np].sum())
+        return dict(enumerate(self._send_arr.tolist()))
 
     def status_counts(self) -> dict[str, int]:
         """Histogram of chunk statuses (``ok``/``corrupt``/``torn``/``missing``)."""
@@ -983,19 +833,28 @@ class DestinationLedger:
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> dict:
-        """JSON-friendly destination snapshot (inverse of :meth:`from_dict`)."""
+        """JSON-friendly destination snapshot (inverse of :meth:`from_dict`).
+
+        ``order`` lists the durable chunks in completion order.
+        """
         self._materialize()
-        statuses = self.status.values()
-        digests = self.digests.values()
-        sends = self._send_arr.tolist()
+        columns = zip(
+            self._status_arr.tolist(),
+            self._digest_arr.tolist(),
+            self._send_arr.tolist(),
+        )
         return {
             "version": MANIFEST_VERSION,
             "seed": self.seed,
             "chunks": {
-                str(cid): {"status": statuses[cid], "digest": digests[cid], "sends": sends[cid]}
-                for cid in range(len(statuses))
+                str(cid): {
+                    "status": _STATUS_NAMES[code],
+                    "digest": None if digest < 0 else digest,
+                    "sends": sends,
+                }
+                for cid, (code, digest, sends) in enumerate(columns)
             },
-            "order": list(self._order),
+            "order": self._durable_ids().tolist(),
             "synced_bytes": self._synced_bytes,
             "applied_bytes": self.bytes_applied_total,
             "clock": self._clock,
@@ -1008,22 +867,32 @@ class DestinationLedger:
         data: dict,
         faults: FaultSchedule | None = None,
     ) -> "DestinationLedger":
-        """Rebuild a destination snapshot against its manifest."""
+        """Rebuild a destination snapshot against its manifest.
+
+        An ``order`` that repeats a chunk id or names one outside the
+        manifest raises :class:`IntegrityError`.
+        """
         ledger = cls(manifest, faults, seed=int(data.get("seed", 0)))
         chunks = data["chunks"]
-        if len(chunks) != len(manifest):
+        n = len(manifest)
+        if len(chunks) != n:
             raise IntegrityError(
-                f"destination snapshot has {len(chunks)} chunks, manifest {len(manifest)}"
+                f"destination snapshot has {len(chunks)} chunks, manifest {n}"
             )
         for key, entry in chunks.items():
             cid = int(key)
-            ledger.status[cid] = entry["status"]
+            ledger._status_arr[cid] = _STATUS_CODES[entry["status"]]
             digest = entry["digest"]
-            ledger.digests[cid] = None if digest is None else int(digest)
-            ledger.send_counts[cid] = int(entry["sends"])
-        ledger._order = [int(c) for c in data.get("order", [])]
-        ledger._order_set = set(ledger._order)
-        ledger._clean_tail = len(ledger._order)  # snapshot columns are current
+            ledger._digest_arr[cid] = -1 if digest is None else int(digest)
+            ledger._send_arr[cid] = int(entry["sends"])
+        order = [int(c) for c in data.get("order", [])]
+        if len(set(order)) != len(order) or any(not 0 <= c < n for c in order):
+            raise IntegrityError(
+                f"destination order for {manifest.dataset_name!r} repeats a chunk "
+                f"id or names one outside the manifest's {n} chunks"
+            )
+        ledger._seq_arr[order] = np.arange(len(order))
+        ledger._next_seq = len(order)
         ledger._synced_bytes = float(data.get("synced_bytes", 0.0))
         ledger.bytes_applied_total = float(data.get("applied_bytes", 0.0))
         ledger._clock = float(data.get("clock", 0.0))
@@ -1133,8 +1002,8 @@ class VerifiedTransfer:
         )
         journal = ChunkJournal(
             Path(run_dir) / "journal.jsonl",
+            manifest.chunk_digests,
             flush_every=config.journal_flush_every,
-            expected=manifest.chunk_digests,
         )
         return cls(supervisor, manifest, ledger, journal, config)
 
@@ -1193,33 +1062,22 @@ class VerifiedTransfer:
         A chunk counts as verified only when the journal *claims* it, the
         claim equals the manifest digest, **and** the destination still
         holds that digest (at-rest damage after journaling is caught
-        here).  Everything else is queued for (re-)transfer; claimed-but-
-        mismatching chunks are demoted first and reported as re-sent.
+        here).  Every other chunk is demoted and queued for (re-)transfer,
+        and the claimed ones among them are reported as re-sent.
+        Unclaimed-but-durable chunks (journal buffer lost in the crash)
+        are NOT trusted: conservative WAL semantics re-transfer them.
         """
         claims = self.journal.replay()
-        expected = self.manifest.expected()
-        verified: list[int] = []
-        resent: list[int] = []
-        for chunk_id, claim in claims.items():
-            if chunk_id not in expected:
-                continue  # journal from another manifest; ignore the claim
-            if claim == expected[chunk_id] and self.ledger.matches(chunk_id):
-                verified.append(chunk_id)
-            else:
-                resent.append(chunk_id)
-        self.ledger.demote(resent)
-        # Unclaimed-but-durable chunks (journal buffer lost in the crash)
-        # are NOT trusted: conservative WAL semantics re-transfer them.
-        resent_set = set(resent)
-        unclaimed = [
-            cid
-            for cid in range(len(self.manifest))
-            if cid not in claims or cid in resent_set
-        ]
-        self.ledger.demote([c for c in unclaimed if c not in resent_set])
-        start_bytes = sum(self.manifest.size_of(c) for c in verified)
-        self.ledger.begin_pass(unclaimed, start_bytes=start_bytes)
-        return start_bytes, len(verified), resent
+        ok = (claims == self.manifest.digests_np) & self.ledger.verified_mask()
+        pending = np.flatnonzero(~ok).tolist()
+        self.ledger.demote(pending)
+        # Python's sum in ascending id order, not numpy's pairwise one: the
+        # resume checkpoint, and with it every fingerprint, carries its
+        # rounding.
+        start_bytes = sum(compress(self.manifest.chunk_sizes, ok.tolist()))
+        self.ledger.begin_pass(pending, start_bytes=start_bytes)
+        resent = np.flatnonzero((claims >= 0) & ~ok).tolist()
+        return start_bytes, int(np.count_nonzero(ok)), resent
 
     # ------------------------------------------------------------------ run
     def run(
@@ -1326,27 +1184,29 @@ def verify_artifacts(run_dir: str | Path) -> dict:
     Reads ``manifest.json``, ``journal.jsonl`` and ``destination.json``
     (each optional except the manifest), cross-checks journal claims and
     destination digests against the manifest, and confirms journal-replay
-    idempotence.  This is what ``automdt verify`` prints.
+    idempotence.  This is what ``automdt verify`` prints.  A file that
+    fails validation raises :class:`IntegrityError`: a manifest whose
+    digests or algorithm do not re-derive, a journal claim outside the
+    manifest, or a destination ``order`` that repeats or leaves it.
     """
     run_dir = Path(run_dir)
     manifest = TransferManifest.load(run_dir / "manifest.json")
-    expected = manifest.expected()
 
-    journal = ChunkJournal(run_dir / "journal.jsonl", expected=manifest.chunk_digests)
+    journal = ChunkJournal(run_dir / "journal.jsonl", manifest.chunk_digests)
     claims = journal.replay()
-    replay_idempotent = journal.replay() == claims
+    replay_idempotent = bool(np.array_equal(journal.replay(), claims))
     journal.close()
-    claimed_ok = [cid for cid, d in claims.items() if expected.get(cid) == d]
-    claimed_bad = [cid for cid, d in claims.items() if expected.get(cid) != d]
+    claimed = claims >= 0
+    claimed_ok = claims == manifest.digests_np
 
     report: dict = {
         "dataset": manifest.dataset_name,
         "algorithm": _ALGORITHM,
         "chunks_total": len(manifest),
         "total_bytes": manifest.total_bytes,
-        "journal_claims": len(claims),
-        "journal_claims_ok": len(claimed_ok),
-        "journal_claims_bad": sorted(claimed_bad),
+        "journal_claims": int(np.count_nonzero(claimed)),
+        "journal_claims_ok": int(np.count_nonzero(claimed_ok)),
+        "journal_claims_bad": np.flatnonzero(claimed & ~claimed_ok).tolist(),
         "replay_idempotent": replay_idempotent,
     }
 
@@ -1359,7 +1219,5 @@ def verify_artifacts(run_dir: str | Path) -> dict:
         report["verified_bytes"] = ledger.verified_bytes
         report["all_verified"] = not bad
     else:
-        report["all_verified"] = (
-            not claimed_bad and len(claimed_ok) == len(manifest)
-        )
+        report["all_verified"] = bool(claimed_ok.all())
     return report

@@ -33,11 +33,6 @@ def require_in_range(value: float, lo: float, hi: float, name: str) -> None:
     require(lo <= value <= hi, f"{name} must be in [{lo}, {hi}], got {value}")
 
 
-def asdict_shallow(obj: Any) -> dict[str, Any]:
-    """Shallow dataclass -> dict (does not recurse into nested dataclasses)."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert dataclasses / numpy scalars / paths to JSON types."""
     import numpy as np

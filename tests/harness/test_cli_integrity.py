@@ -1,9 +1,30 @@
 """CLI integrity surface: soak / verify subcommands and run exit codes."""
 
 import json
+import shutil
+
+import pytest
 
 from repro.harness.cli import main
 from repro.harness.experiments import EXPERIMENTS, ExperimentResult
+
+
+@pytest.fixture(scope="module")
+def soak_case(tmp_path_factory):
+    """One chaos soak case directory, written once for the tampering tests."""
+    out = tmp_path_factory.mktemp("soak")
+    assert main(["soak", "--cases", "1", "--gb", "0.5", "--out", str(out)]) == 0
+    return out / "case000"
+
+
+def _tampered(soak_case, tmp_path, name, tamper):
+    """A copy of ``soak_case`` with ``tamper`` applied to its JSON file ``name``."""
+    case = tmp_path / "case"
+    shutil.copytree(soak_case, case)
+    blob = json.loads((case / name).read_text())
+    tamper(blob)
+    (case / name).write_text(json.dumps(blob))
+    return case
 
 
 class TestSoakCommand:
@@ -53,6 +74,41 @@ class TestVerifyCommand:
         code = main(["verify", str(tmp_path / "case000")])
         assert code == 1
         assert "VERIFICATION FAILED" in capsys.readouterr().out
+
+
+    def test_verify_manifest_with_unknown_algorithm_is_usage_error(
+        self, capsys, tmp_path, soak_case
+    ):
+        case = _tampered(
+            soak_case, tmp_path, "manifest.json", lambda m: m.update(algorithm="xxh32")
+        )
+        capsys.readouterr()
+        assert main(["verify", str(case)]) == 2
+        assert "cannot verify" in capsys.readouterr().err
+
+    def test_verify_journal_claim_outside_manifest_is_usage_error(
+        self, capsys, tmp_path, soak_case
+    ):
+        case = _tampered(soak_case, tmp_path, "manifest.json", lambda m: None)
+        chunks = len(json.loads((case / "manifest.json").read_text())["chunks"])
+        with (case / "journal.jsonl").open("a") as fh:
+            fh.write(
+                '{"type":"chunkbatch","t":99.000,"ids":[%d],"digests":[1]}\n' % chunks
+            )
+        capsys.readouterr()
+        assert main(["verify", str(case)]) == 2
+        assert "cannot verify" in capsys.readouterr().err
+
+    def test_verify_destination_repeating_an_order_id_is_usage_error(
+        self, capsys, tmp_path, soak_case
+    ):
+        case = _tampered(
+            soak_case, tmp_path, "destination.json",
+            lambda d: d["order"].append(d["order"][0]),
+        )
+        capsys.readouterr()
+        assert main(["verify", str(case)]) == 2
+        assert "cannot verify" in capsys.readouterr().err
 
 
 class TestRunExitCodes:

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.baselines import StaticController
@@ -29,8 +30,10 @@ from repro.transfer import (
 )
 from repro.transfer.files import uniform_dataset
 from repro.utils.checksum import crc32c
+from repro.utils.config import dump_json, load_json
 from repro.utils.errors import IntegrityError
 from repro.utils.units import GiB
+from tests.transfer import journal_oracle
 
 
 def make_supervisor(faults=None, *, max_seconds=240.0, gigabytes=2):
@@ -61,23 +64,42 @@ def make_manifest(*, files=2, size=1e9, chunk_size=0.25e9, **kwargs):
     )
 
 
+def statuses(ledger):
+    """Per-chunk status names, read through the ledger's snapshot."""
+    chunks = ledger.to_dict()["chunks"]
+    return [chunks[str(cid)]["status"] for cid in range(len(chunks))]
+
+
+#: Faults of the pinned faulted input: in-flight corruption, a tear and a
+#: truncation, so re-sends and truncation both shape the destination order.
+FAULTED = (
+    DataCorruption(start=2.0, duration=8.0, rate=0.4),
+    TornWrite(at=5.0),
+    SilentTruncation(at=12.0, chunks=2),
+)
+
+
 class TestManifest:
     def test_chunking_covers_dataset(self):
         manifest = make_manifest(files=3, size=1e9, chunk_size=0.3e9)
         assert len(manifest) == 3 * 4  # ceil(1e9 / 0.3e9) = 4 per file
         assert manifest.total_bytes == pytest.approx(3e9)
-        last = manifest.chunks[3]  # final chunk of the first file
-        assert last.size == pytest.approx(1e9 - 3 * 0.3e9)
+        # The final chunk of the first file, then the first of the second.
+        cid, file, index, offset, size, _ = manifest.to_dict()["chunks"][3]
+        assert (cid, file, index) == (3, "f00", 3)
+        assert offset == pytest.approx(0.9e9)
+        assert size == pytest.approx(1e9 - 3 * 0.3e9) == manifest.size_of(3)
+        assert manifest.to_dict()["chunks"][4][1:4] == ["f01", 0, pytest.approx(1e9)]
 
     def test_deterministic_and_seed_sensitive(self):
-        assert make_manifest().expected() == make_manifest().expected()
-        assert make_manifest().expected() != make_manifest(content_seed=1).expected()
+        assert make_manifest().chunk_digests == make_manifest().chunk_digests
+        assert make_manifest().chunk_digests != make_manifest(content_seed=1).chunk_digests
 
     def test_roundtrip(self, tmp_path):
         manifest = make_manifest(content_seed=3)
         manifest.save(tmp_path / "manifest.json")
         loaded = TransferManifest.load(tmp_path / "manifest.json")
-        assert loaded.expected() == manifest.expected()
+        assert loaded.chunk_digests == manifest.chunk_digests
         assert loaded.to_dict() == manifest.to_dict()
 
     def test_tampered_manifest_fails_loudly(self, tmp_path):
@@ -122,47 +144,72 @@ class TestManifest:
         assert hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest() == digest
 
 
+#: Manifest digest column for the hand-written journals below.
+EXPECTED = tuple(range(1000, 1010))
+
+
 class TestJournal:
     def test_replay_last_record_wins(self, tmp_path):
-        with ChunkJournal(tmp_path / "j.jsonl") as journal:
+        with ChunkJournal(tmp_path / "j.jsonl", EXPECTED[:2]) as journal:
             journal.record_batch([0], [111], 1.0)
             journal.record_batch([1], [222], 2.0)
             journal.record_batch([0], [333], 3.0)  # re-send supersedes
-        journal = ChunkJournal(tmp_path / "j.jsonl")
-        assert journal.replay() == {0: 333, 1: 222}
+        journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED[:2])
+        claims = journal.replay()
+        assert claims.dtype == np.int64
+        assert claims.tolist() == [333, 222]
         journal.close()
 
     def test_missing_file_means_no_claims(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "never-written.jsonl")
-        assert journal.replay() == {}
+        journal = ChunkJournal(tmp_path / "never-written.jsonl", EXPECTED[:3])
+        assert journal.replay().tolist() == [-1, -1, -1]
 
     def test_crash_loses_unflushed_buffer(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "j.jsonl", flush_every=1000)
+        journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED[:2], flush_every=1000)
         journal.record_batch([0], [111], 1.0)
         journal.flush()
         journal.record_batch([1], [222], 2.0)  # buffered, never flushed
         journal.crash()
-        assert ChunkJournal(tmp_path / "j.jsonl").replay() == {0: 111}
+        assert ChunkJournal(tmp_path / "j.jsonl", EXPECTED[:2]).replay().tolist() == [111, -1]
 
     def test_torn_tail_truncated_and_appendable(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "j.jsonl", flush_every=1)
+        journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED[:2], flush_every=1)
         journal.record_batch([0], [111], 1.0)
         journal.crash(torn_tail=True)
-        resumed = ChunkJournal(tmp_path / "j.jsonl", flush_every=1)
-        assert resumed.replay() == {0: 111}  # torn fragment dropped
+        resumed = ChunkJournal(tmp_path / "j.jsonl", EXPECTED[:2], flush_every=1)
+        assert resumed.replay().tolist() == [111, -1]  # torn fragment dropped
         resumed.record_batch([1], [222], 2.0)  # post-recovery append lands cleanly
         resumed.close()
-        assert ChunkJournal(tmp_path / "j.jsonl").replay() == {0: 111, 1: 222}
+        assert ChunkJournal(tmp_path / "j.jsonl", EXPECTED[:2]).replay().tolist() == [111, 222]
 
     def test_replay_idempotent(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "j.jsonl", flush_every=1)
+        journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED, flush_every=1)
         for i in range(10):
             journal.record_batch([i], [i * 7], float(i))
         journal.crash(torn_tail=True)
-        journal = ChunkJournal(tmp_path / "j.jsonl")
+        journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED)
         first = journal.replay()
-        assert journal.replay() == first
-        assert journal.replay() == first
+        assert np.array_equal(journal.replay(), first)
+        assert np.array_equal(journal.replay(), first)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"type":"chunkbatch","t":1.0,"ids":[0,10],"digests":[5,6]}',
+            '{"type":"chunkbatch","t":1.0,"ids":[-1],"digests":[5]}',
+            '{"type":"chunkrun","t":1.0,"lo":8,"hi":11}',
+            '{"type":"chunkrun","t":1.0,"lo":-2,"hi":3}',
+        ],
+        ids=["batch-past-end", "batch-negative", "run-past-end", "run-negative"],
+    )
+    def test_claim_outside_manifest_raises(self, tmp_path, record):
+        # A journal claiming a chunk its manifest does not have belongs to
+        # another manifest, or is damaged: replay refuses it.
+        (tmp_path / "j.jsonl").write_text(record + "\n")
+        journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED)
+        with pytest.raises(IntegrityError):
+            journal.replay()
+        journal.close()
 
 
 class TestLedger:
@@ -170,11 +217,16 @@ class TestLedger:
         manifest = make_manifest(files=1, size=1e9, chunk_size=0.25e9)
         ledger = DestinationLedger(manifest)
         ledger.begin_pass([0, 1, 2, 3], start_bytes=0.0)
-        assert ledger.sync(0.3e9, 1.0) == [(0, manifest.chunks[0].digest)]
+        ledger.sync(0.3e9, 1.0)
         assert ledger.status_counts() == {"ok": 1, "missing": 3}
-        assert ledger.status[0] == "ok" and ledger.status[1] == "missing"
-        done = ledger.sync(1e9, 2.0)
-        assert [cid for cid, _ in done] == [1, 2, 3]
+        snapshot = ledger.to_dict()
+        assert snapshot["order"] == [0]
+        assert snapshot["chunks"]["0"] == {
+            "status": "ok", "digest": manifest.chunk_digests[0], "sends": 1
+        }
+        assert snapshot["chunks"]["1"] == {"status": "missing", "digest": None, "sends": 0}
+        ledger.sync(1e9, 2.0)
+        assert ledger.to_dict()["order"] == [0, 1, 2, 3]
         assert ledger.verify() == []
         assert ledger.verified_bytes == pytest.approx(1e9)
 
@@ -182,7 +234,11 @@ class TestLedger:
         ledger = DestinationLedger(make_manifest())
         ledger.begin_pass(list(range(8)), start_bytes=0.0)
         ledger.sync(0.5e9, 1.0)
-        assert ledger.sync(0.4e9, 2.0) == []  # byte counts only move forward
+        before = ledger.to_dict()
+        ledger.sync(0.4e9, 2.0)  # byte counts only move forward
+        after = ledger.to_dict()
+        assert after["clock"] == 2.0
+        assert {**after, "clock": 1.0} == before
 
     def test_overshoot_raises(self):
         manifest = make_manifest(files=1, size=1e9, chunk_size=0.25e9)
@@ -198,7 +254,7 @@ class TestLedger:
         ledger.begin_pass(list(range(len(manifest))), start_bytes=0.0)
         ledger.sync(manifest.total_bytes, 1.0)
         # rate=1.0 corrupts everything; digests diverge but byte totals don't.
-        assert set(ledger.status.values()) == {"corrupt"}
+        assert ledger.status_counts() == {"corrupt": len(manifest)}
         assert len(ledger.verify()) == len(manifest)
         assert ledger.verified_bytes == 0.0
         assert ledger.bytes_applied_total == pytest.approx(manifest.total_bytes)
@@ -210,9 +266,8 @@ class TestLedger:
         ledger.begin_pass([0, 1, 2, 3], start_bytes=0.0)
         ledger.sync(0.3e9, 1.0)  # chunk 0 lands before the tear
         ledger.sync(0.6e9, 6.0)  # tear fires in [1, 6); chunk 1 completes torn
-        assert ledger.status[0] == "ok"
-        assert ledger.status[1] == "torn"
-        assert not ledger.matches(1)
+        assert statuses(ledger)[:2] == ["ok", "torn"]
+        assert ledger.verify() == [1, 2, 3]
 
     def test_silent_truncation_drops_recent_chunks(self):
         faults = FaultSchedule(SilentTruncation(at=5.0, chunks=2))
@@ -221,9 +276,8 @@ class TestLedger:
         ledger.begin_pass([0, 1, 2, 3], start_bytes=0.0)
         ledger.sync(0.8e9, 1.0)  # chunks 0-2 durable
         ledger.sync(1e9, 6.0)  # truncation fires, then chunk 3 lands
-        assert ledger.status[0] == "ok"
-        assert ledger.status[1] == "missing" and ledger.status[2] == "missing"
-        assert ledger.status[3] == "ok"
+        assert statuses(ledger) == ["ok", "missing", "missing", "ok"]
+        assert ledger.to_dict()["order"] == [0, 3]
         assert sorted(ledger.verify()) == [1, 2]
 
     def test_atrest_corruption_strikes_durable_chunks(self):
@@ -235,9 +289,9 @@ class TestLedger:
         ledger.begin_pass([0, 1, 2, 3], start_bytes=0.0)
         ledger.sync(0.5e9, 1.0)  # chunks 0-1 durable before the strike
         ledger.sync(1e9, 6.0)
-        assert ledger.status[0] == "corrupt" and ledger.status[1] == "corrupt"
         # Chunks 2-3 completed after the instant: untouched.
-        assert ledger.status[2] == "ok" and ledger.status[3] == "ok"
+        assert statuses(ledger) == ["corrupt", "corrupt", "ok", "ok"]
+        assert ledger.to_dict()["order"] == [0, 1, 2, 3]  # damage keeps its place
 
     def test_resend_gets_fresh_corruption_draw(self):
         # A window with rate<1: a chunk corrupted on send 1 can come back
@@ -255,22 +309,42 @@ class TestLedger:
         ))
         ledger.sync(manifest.total_bytes, 2.0)
         assert len(ledger.verify()) < len(bad)  # fresh draws recover some
+        # A re-send moves its chunk to the end of the completion order.
+        good = [c for c in range(len(manifest)) if c not in bad]
+        assert ledger.to_dict()["order"] == good + bad
+        assert ledger.send_counts == {c: 2 if c in bad else 1 for c in range(len(manifest))}
 
     def test_snapshot_roundtrip(self, tmp_path):
+        faults = FaultSchedule([DataCorruption(start=0.0, duration=10.0, rate=0.5)])
         manifest = make_manifest()
-        ledger = DestinationLedger(manifest, seed=5)
+        ledger = DestinationLedger(manifest, faults, seed=3)  # chunks 0, 1, 4 re-sent
         ledger.begin_pass(list(range(len(manifest))), start_bytes=0.0)
         ledger.sync(manifest.total_bytes, 1.0)
+        bad = ledger.verify()
+        ledger.demote(bad)
+        ledger.begin_pass(bad, start_bytes=manifest.total_bytes - sum(
+            manifest.size_of(c) for c in bad
+        ))
+        ledger.sync(manifest.total_bytes, 20.0)
         ledger.save(tmp_path / "destination.json")
-        from repro.utils.config import load_json
 
         loaded = DestinationLedger.from_dict(
             manifest, load_json(tmp_path / "destination.json")
         )
-        assert loaded.status == ledger.status
-        assert loaded.digests == ledger.digests
+        assert loaded.to_dict() == ledger.to_dict()
+        assert loaded.to_dict()["order"] != sorted(loaded.to_dict()["order"])
         assert loaded.verified_bytes == ledger.verified_bytes
         assert loaded.bytes_applied_total == ledger.bytes_applied_total
+
+    @pytest.mark.parametrize(
+        "order", [[0, 1, 1], [0, 8], [-1, 0]], ids=["repeat", "past-end", "negative"]
+    )
+    def test_snapshot_with_invalid_order_rejected(self, order):
+        manifest = make_manifest()
+        blob = DestinationLedger(manifest).to_dict()
+        blob["order"] = order
+        with pytest.raises(IntegrityError):
+            DestinationLedger.from_dict(manifest, blob)
 
 
 class TestVerifiedTransfer:
@@ -284,16 +358,10 @@ class TestVerifiedTransfer:
         assert result.resent_chunk_ids == ()
         assert result.repair_rounds == 0
         assert vt.ledger.verify() == []
-        assert vt.journal.replay().keys() == vt.manifest.expected().keys()
+        assert np.array_equal(vt.journal.replay(), vt.manifest.digests_np)
 
     def test_faulted_run_repairs_only_damaged_chunks(self, tmp_path):
-        faults = FaultSchedule(
-            [
-                DataCorruption(start=2.0, duration=8.0, rate=0.4),
-                TornWrite(at=5.0),
-                SilentTruncation(at=12.0, chunks=2),
-            ]
-        )
+        faults = FaultSchedule(list(FAULTED))
         vt = VerifiedTransfer.for_supervisor(
             make_supervisor(faults), tmp_path, IntegrityConfig(chunk_size=0.25e9, seed=1)
         )
@@ -305,7 +373,8 @@ class TestVerifiedTransfer:
         assert resent  # damage happened and was repaired
         assert len(resent) < result.chunks_total  # surgical, not a full re-send
         assert vt.ledger.verify() == []
-        assert all(vt.ledger.send_counts[c] >= 2 for c in resent)
+        sends = vt.ledger.send_counts
+        assert all(sends[c] >= 2 for c in resent)
 
     def test_acceptance_corruption_plus_crash_resends_only_damaged(self, tmp_path):
         """ISSUE acceptance: DataCorruption + mid-transfer crash; the resumed
@@ -335,9 +404,10 @@ class TestVerifiedTransfer:
 
         # State of the world at the crash: some chunks durable and claimed,
         # some durable-but-unclaimed (lost buffer), some damaged.
-        claimed = vt.journal.replay()
-        expected = vt.manifest.expected()
-        good_claims = {c for c, d in claimed.items() if d == expected[c]}
+        claims = vt.journal.replay()
+        expected = vt.manifest.digests_np
+        claimed = set(np.flatnonzero(claims >= 0).tolist())
+        good_claims = set(np.flatnonzero(claims == expected).tolist())
         bad_before = set(vt.ledger.verify())
 
         result = vt.run(resume=True, resume_elapsed=crash_at)
@@ -346,17 +416,13 @@ class TestVerifiedTransfer:
         assert result.clean  # completed, every digest verified
         assert vt.ledger.verify() == []
         # Journal claims that matched the manifest were NOT re-transferred...
-        accepted = good_claims & {
-            c for c in expected if c not in set(result.resent_chunk_ids)
-        }
-        assert result.resumed_verified_chunks == len(accepted) > 0
-        assert not (accepted & set(result.resent_chunk_ids))
-        # ...and every chunk that was damaged at crash time was re-sent.
         resent = set(result.resent_chunk_ids)
-        assert bad_before - good_claims <= resent | (bad_before - set(claimed))
-        for chunk_id in resent & set(claimed):
-            # Claimed-then-resent means the claim mismatched: real damage.
-            assert claimed[chunk_id] != expected[chunk_id] or chunk_id not in good_claims
+        accepted = good_claims - resent
+        assert result.resumed_verified_chunks == len(accepted) > 0
+        # ...and every chunk that was damaged at crash time was re-sent.
+        assert bad_before - good_claims <= resent | (bad_before - claimed)
+        # Claimed-then-resent means the claim mismatched: real damage.
+        assert resent & claimed <= claimed - good_claims
         assert vt.ledger.bytes_applied_total >= vt.manifest.total_bytes - 1.0
 
     def test_unrecoverable_damage_reports_honestly(self, tmp_path):
@@ -398,9 +464,9 @@ class TestVerifyArtifacts:
         vt.run()
         vt.journal.close()
         vt.manifest.save(tmp_path / "manifest.json")
-        vt.ledger.status[0] = "corrupt"  # bit rot after the run
-        vt.ledger.digests[0] = 12345
-        vt.ledger.save(tmp_path / "destination.json")
+        blob = vt.ledger.to_dict()
+        blob["chunks"]["0"].update(status="corrupt", digest=12345)  # bit rot after the run
+        dump_json(blob, tmp_path / "destination.json")
         report = verify_artifacts(tmp_path)
         assert not report["all_verified"]
         assert report["destination_bad_chunks"] == [0]
@@ -410,40 +476,38 @@ class TestBatchedJournal:
     """Coalescing WAL lanes: chunkbatch, chunkrun, and mixed legacy records."""
 
     def test_record_batch_replays_like_singles(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "j.jsonl", flush_every=1)
+        journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED[:5], flush_every=1)
         journal.record_batch([3, 1, 4], [30, 10, 40], 1.0)
         journal.record_batch([1], [99], 2.0)  # later single claim wins for chunk 1
         journal.close()
-        assert journal.replay() == {3: 30, 1: 99, 4: 40}
+        assert journal.replay().tolist() == [-1, 99, -1, 30, 40]
 
     def test_record_runs_coalesces_consecutive_calls(self, tmp_path):
-        expected = {i: 1000 + i for i in range(10)}
-        journal = ChunkJournal(
-            tmp_path / "j.jsonl", flush_every=100, expected=expected
-        )
+        journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED, flush_every=100)
         journal.record_runs([0, 1, 2], 1.0)
         journal.record_runs([3, 4], 2.0)  # extends the open run in place
         journal.record_runs([7, 8], 3.0)  # gap: new run
         journal.close()
         lines = (tmp_path / "j.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2  # two coalesced chunkrun records, not four
-        assert journal.replay() == {c: expected[c] for c in (0, 1, 2, 3, 4, 7, 8)}
+        assert journal.replay().tolist() == [
+            1000, 1001, 1002, 1003, 1004, -1, -1, 1007, 1008, -1
+        ]
 
     def test_chunkrun_replay_requires_expected_digests(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "j.jsonl", flush_every=1, expected={0: 5})
+        # A chunkrun record elides its digests: only the manifest's digest
+        # column resolves them, so a journal cannot be opened without it.
+        journal = ChunkJournal(tmp_path / "j.jsonl", (5,), flush_every=1)
         journal.record_runs([0], 1.0)
         journal.close()
-        blind = ChunkJournal(tmp_path / "j.jsonl")
-        with pytest.raises(IntegrityError):
-            blind.replay()
-        blind.close()
+        assert ChunkJournal(tmp_path / "j.jsonl", (7,)).replay().tolist() == [7]
+        with pytest.raises(TypeError):
+            ChunkJournal(tmp_path / "j.jsonl")
 
     def test_claim_counting_flush_bound(self, tmp_path):
         # Batch appends count *claims*, not lines: 3+3 claims with
         # flush_every=4 must hit disk after the second batch.
-        journal = ChunkJournal(
-            tmp_path / "j.jsonl", flush_every=4, expected={i: i for i in range(10)}
-        )
+        journal = ChunkJournal(tmp_path / "j.jsonl", tuple(range(10)), flush_every=4)
         journal.record_runs([0, 1, 2], 1.0)
         assert (
             not (tmp_path / "j.jsonl").exists()
@@ -453,57 +517,64 @@ class TestBatchedJournal:
         on_disk = (tmp_path / "j.jsonl").read_text()
         assert "chunkrun" in on_disk
         journal.crash()  # nothing buffered any more: all claims survive
-        resumed = ChunkJournal(tmp_path / "j.jsonl", expected={i: i for i in range(10)})
-        assert resumed.replay() == {i: i for i in range(6)}
+        resumed = ChunkJournal(tmp_path / "j.jsonl", tuple(range(10)))
+        assert resumed.replay().tolist() == [0, 1, 2, 3, 4, 5, -1, -1, -1, -1]
         resumed.close()
 
     def test_crash_loses_open_coalesced_run(self, tmp_path):
-        journal = ChunkJournal(
-            tmp_path / "j.jsonl", flush_every=100, expected={i: i for i in range(8)}
-        )
+        journal = ChunkJournal(tmp_path / "j.jsonl", tuple(range(8)), flush_every=100)
         journal.record_runs([0, 1], 1.0)
         journal.flush()  # claims 0-1 durable
         journal.record_runs([2, 3], 2.0)  # open run, still buffered
         journal.crash(torn_tail=True)
-        resumed = ChunkJournal(tmp_path / "j.jsonl", expected={i: i for i in range(8)})
-        assert resumed.replay() == {0: 0, 1: 1}
+        resumed = ChunkJournal(tmp_path / "j.jsonl", tuple(range(8)))
+        assert resumed.replay().tolist() == [0, 1, -1, -1, -1, -1, -1, -1]
         resumed.close()
 
     def test_faulted_sync_journals_batch_with_actual_digests(self, tmp_path):
         faults = FaultSchedule(DataCorruption(start=0.0, duration=100.0, rate=1.0))
         manifest = make_manifest()
         ledger = DestinationLedger(manifest, faults, seed=1)
-        journal = ChunkJournal(
-            tmp_path / "j.jsonl", flush_every=1, expected=manifest.chunk_digests
-        )
+        journal = ChunkJournal(tmp_path / "j.jsonl", manifest.chunk_digests, flush_every=1)
         ledger.begin_pass(range(len(manifest)), start_bytes=0.0)
         ledger.sync(manifest.total_bytes, 1.0, journal)
         journal.close()
         claims = journal.replay()
         # Every chunk corrupted: journaled digests differ from the manifest.
-        assert claims.keys() == manifest.expected().keys()
-        assert all(claims[c] != manifest.chunk_digests[c] for c in claims)
+        assert (claims >= 0).all()
+        assert (claims != manifest.digests_np).all()
         text = (tmp_path / "j.jsonl").read_text()
         assert "chunkbatch" in text and "chunkrun" not in text
 
     @pytest.mark.parametrize(
-        ("faulted", "digest"),
+        ("events", "journal_digest", "destination_digest"),
         [
-            (False, "a87a7675a461f4d799203dcb2f44c19bb3d870eae79e3389dc1f7d178c7ac7ed"),
-            (True, "b1d834d77c259b7694ffcbfe48ae5585add393c6a6c27086d15a87b7ad6aedb8"),
+            (
+                None,
+                "a87a7675a461f4d799203dcb2f44c19bb3d870eae79e3389dc1f7d178c7ac7ed",
+                "e41a287e59371e766706b62dbe54a4893e78c80565454521d25044d85aed98df",
+            ),
+            (
+                FAULTED,
+                "b1d834d77c259b7694ffcbfe48ae5585add393c6a6c27086d15a87b7ad6aedb8",
+                "5a7ed235df4b8ca7cb0a728eec75ee13dadc2543561ed5012b89164a87ea0529",
+            ),
+            (
+                FAULTED + (DataCorruption(start=9.0, duration=1.0, rate=0.5, site="storage"),),
+                "619a9831361ad8c4a731110786b4fc2325b0c06797b52ef395f098dffd152ea1",
+                "f4fda592d9f666bfe683bb206434ec42008b0ecef91420b073cc086545e395a1",
+            ),
         ],
-        ids=["clean", "faulted"],
+        ids=["clean", "faulted", "at-rest"],
     )
-    def test_journal_file_is_pinned(self, tmp_path, faulted, digest):
-        # sha256 of journal.jsonl: chunkrun records on the clean path,
-        # chunkbatch records with divergent digests on the faulted one.
-        faults = FaultSchedule(
-            [
-                DataCorruption(start=2.0, duration=8.0, rate=0.4),
-                TornWrite(at=5.0),
-                SilentTruncation(at=12.0, chunks=2),
-            ]
-        ) if faulted else None
+    def test_journal_file_is_pinned(
+        self, tmp_path, events, journal_digest, destination_digest
+    ):
+        # sha256 of journal.jsonl and the saved destination.json: chunkrun
+        # records on the clean path, chunkbatch records with divergent
+        # digests on the faulted ones; re-sends, truncation and at-rest
+        # damage all shape the destination's completion order.
+        faults = FaultSchedule(list(events)) if events else None
         vt = VerifiedTransfer.for_supervisor(
             make_supervisor(faults),
             tmp_path,
@@ -511,7 +582,13 @@ class TestBatchedJournal:
         )
         assert vt.run().clean
         vt.journal.close()
-        assert hashlib.sha256((tmp_path / "journal.jsonl").read_bytes()).hexdigest() == digest
+        vt.ledger.save(tmp_path / "destination.json")
+        assert hashlib.sha256((tmp_path / "journal.jsonl").read_bytes()).hexdigest() == (
+            journal_digest
+        )
+        assert hashlib.sha256(
+            (tmp_path / "destination.json").read_bytes()
+        ).hexdigest() == destination_digest
 
 
 class TestZeroCopyPipeline:
@@ -520,9 +597,9 @@ class TestZeroCopyPipeline:
 
     def test_digests_match_per_chunk_oracle(self):
         manifest = make_manifest(content_seed=3)
-        for chunk in manifest.chunks:
-            tag = f"{manifest.dataset_name}:{chunk.file}:{chunk.index}:{manifest.content_seed}"
-            assert chunk.digest == crc32c(tag.encode())
+        for cid, file, index, _offset, _size, digest in manifest.to_dict()["chunks"]:
+            tag = f"{manifest.dataset_name}:{file}:{index}:{manifest.content_seed}"
+            assert digest == manifest.chunk_digests[cid] == crc32c(tag.encode())
 
     def test_divergent_digests_unique_per_marker(self):
         # Divergent digests differ from the expected digest and from each
@@ -540,53 +617,78 @@ class TestZeroCopyPipeline:
 
 
 class TestColumnarLedgerViews:
-    def test_status_column_behaves_like_dict(self):
-        manifest = make_manifest()
-        ledger = DestinationLedger(manifest)
-        assert ledger.status[0] == "missing"
-        assert set(ledger.status.keys()) == set(range(len(manifest)))
-        assert ledger.status.values() == ["missing"] * len(manifest)
-        ledger.status[2] = "corrupt"
-        assert ledger.status.get(2) == "corrupt"
-        assert ledger.status.get(99, "absent") == "absent"
-        assert dict(ledger.status.items())[2] == "corrupt"
-        assert ledger.status == {
-            cid: ("corrupt" if cid == 2 else "missing") for cid in range(len(manifest))
-        }
-
-    def test_digest_column_none_sentinel(self):
-        ledger = DestinationLedger(make_manifest())
-        assert ledger.digests[0] is None
-        ledger.digests[0] = 123
-        assert ledger.digests[0] == 123
-        ledger.digests[0] = None
-        assert ledger.digests[0] is None
-
-    def test_column_equality_across_ledgers(self):
-        a = DestinationLedger(make_manifest())
-        b = DestinationLedger(make_manifest())
-        assert a.status == b.status and a.digests == b.digests
-        b.send_counts[1] = 5
-        assert a.send_counts != b.send_counts
-
     def test_clean_and_empty_faulted_sync_paths_agree(self):
-        # The batched clean path and the scalar faulted path must produce
-        # identical ledger state for the same byte trace.
+        # The deferred clean path and the scalar faulted path must produce
+        # identical ledger state, completion order included, for the same
+        # byte trace.
         manifest = make_manifest()
         clean = DestinationLedger(manifest)
         faulted = DestinationLedger(manifest, FaultSchedule())  # no events
         for ledger in (clean, faulted):
             ledger.begin_pass(range(len(manifest)), start_bytes=0.0)
-        done_clean, done_faulted = [], []
         step = manifest.total_bytes / 7
         for i in range(1, 8):
-            done_clean += clean.sync(step * i, float(i))
-            done_faulted += faulted.sync(step * i, float(i))
-        assert done_clean == done_faulted
-        assert clean.status == faulted.status
-        assert clean.digests == faulted.digests
+            clean.sync(step * i, float(i))
+            faulted.sync(step * i, float(i))
+            assert clean.to_dict() == faulted.to_dict()
+        assert clean.to_dict()["order"] == list(range(len(manifest)))
         assert clean.send_counts == faulted.send_counts
         assert clean.verified_bytes == faulted.verified_bytes
+
+
+def _journal_lines(tmp_path, kind):
+    """The journal of a clean run, a faulted run, or a crash-with-torn-tail
+    resume of a faulted run, as lines (each with its newline)."""
+    faults = None if kind == "clean" else FaultSchedule(list(FAULTED))
+    vt = VerifiedTransfer.for_supervisor(
+        make_supervisor(faults),
+        tmp_path,
+        IntegrityConfig(chunk_size=4e6, journal_flush_every=8, seed=1),
+    )
+    if kind == "crash-resume":
+
+        class Crash(Exception):
+            pass
+
+        def crasher(observation):
+            if observation.elapsed >= 6.0:
+                raise Crash
+
+        with pytest.raises(Crash):
+            vt.run(observer=crasher)
+        vt.journal.crash(torn_tail=True)
+        result = vt.run(resume=True, resume_elapsed=6.0)
+    else:
+        result = vt.run()
+    assert result.clean
+    vt.journal.close()
+    return (tmp_path / "journal.jsonl").read_text().splitlines(keepends=True), vt.manifest
+
+
+class TestReplayOracle:
+    """The claim column equals the dict-fold oracle at every crash point."""
+
+    @pytest.mark.parametrize("kind", ["clean", "faulted", "crash-resume"])
+    def test_every_prefix_matches_oracle(self, tmp_path, kind):
+        lines, manifest = _journal_lines(tmp_path / "run", kind)
+        expected = manifest.chunk_digests
+        assert len(lines) > 3
+        path = tmp_path / "j.jsonl"
+        for k in range(len(lines) + 1):
+            prefix = "".join(lines[:k])
+            # The next record torn halfway, as a process killed mid-write
+            # leaves it.
+            fragment = lines[k][: len(lines[k]) // 2] if k < len(lines) else '{"type":"chunkb'
+            for text in (prefix, prefix + fragment):
+                path.write_text(prefix)
+                want = journal_oracle.claim_column(
+                    journal_oracle.replay(path, expected), len(manifest)
+                )
+                path.write_text(text)
+                journal = ChunkJournal(path, expected)
+                assert np.array_equal(journal.replay(), want), (kind, k, text == prefix)
+                journal.close()
+                assert path.read_text() == prefix
 
 
 class TestVerifyTelemetry:
