@@ -2,8 +2,9 @@
 
 Throughout the paper "buffer" means the staging directory (e.g. /dev/shm)
 where file chunks rest between stages — not kernel TCP buffers.  The model
-is a simple bounded byte store with deposit/withdraw; boundedness is what
-couples the three stages (Fig. 1).
+is a simple bounded byte store; boundedness is what couples the three
+stages (Fig. 1).  :meth:`repro.emulator.Testbed.advance` moves the bytes,
+holding both buffers' usage in locals across its substep loop.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from repro.utils.errors import SimulationError
 
 
 class StagingBuffer:
-    """Bounded byte store with conservation checks."""
+    """Bounded byte store: a capacity and the bytes currently held."""
 
     def __init__(self, capacity: float, usage: float = 0.0, name: str = "") -> None:
         require_positive(capacity, "capacity")
@@ -38,26 +39,6 @@ class StagingBuffer:
     def fill_fraction(self) -> float:
         """Occupancy as a fraction of capacity."""
         return self._usage / self.capacity
-
-    def deposit(self, n_bytes: float) -> float:
-        """Add up to ``n_bytes``; returns the amount actually stored.
-
-        Sub-byte negative dust from float accumulation upstream is treated
-        as zero; anything materially negative is a logic error.
-        """
-        if n_bytes < -1e-3:
-            raise SimulationError(f"cannot deposit negative bytes: {n_bytes}")
-        amount = min(max(n_bytes, 0.0), self.free)
-        self._usage += amount
-        return amount
-
-    def withdraw(self, n_bytes: float) -> float:
-        """Remove up to ``n_bytes``; returns the amount actually removed."""
-        if n_bytes < -1e-3:
-            raise SimulationError(f"cannot withdraw negative bytes: {n_bytes}")
-        amount = min(max(n_bytes, 0.0), self._usage)
-        self._usage -= amount
-        return amount
 
     def reset(self, usage: float = 0.0) -> None:
         """Set the occupancy directly (start of a run)."""

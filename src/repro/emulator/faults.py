@@ -5,8 +5,9 @@ factors it lists (background traffic, I/O contention) are exactly what
 causes link flaps, storage stalls and lost reports on real DTNs.  This
 module makes those failure modes first-class: a :class:`FaultSchedule` is a
 composable set of timed fault events that the :class:`repro.emulator.Testbed`
-consults on every substep and the transfer engine consults on every probe
-interval.
+consults on every substep of an interval a fault edge can reach (once per
+interval otherwise, see :meth:`FaultSchedule.scales_constant`) and the
+transfer engine consults on every probe interval.
 
 Fault classes
 -------------
@@ -293,6 +294,20 @@ class FaultSchedule:
         drifts = [e for e in self.events if isinstance(e, (BandwidthRamp, StepChange))]
         self._tpt_drifts = [e for e in drifts if e.per_stream]
         self._aggregate_drifts = [e for e in drifts if not e.per_stream]
+        #: Where :meth:`storage_scale` and :meth:`network_scale` can change,
+        #: as closed ``(lo, hi)`` spans: each flap or stall edge is a point
+        #: (a dead link's repair waits for a restart, which no substep
+        #: makes), an aggregate step its start, an aggregate ramp its whole
+        #: window.  :meth:`scales_constant` tests intervals against them.
+        self._scale_spans: list[tuple[float, float]] = [
+            (edge, edge)
+            for e in self._windows
+            if isinstance(e, (LinkFlap, StorageStall))
+            for edge in (e.start, e.end)
+        ] + [
+            (e.start, e.end if isinstance(e, BandwidthRamp) else e.start)
+            for e in self._aggregate_drifts
+        ]
         #: Fire-once data-plane instants: torn writes, silent truncations, and
         #: at-rest corruption (which strikes at its window's start instant).
         self._data_instants: list[tuple[float, FaultEventSpec]] = sorted(
@@ -335,6 +350,26 @@ class FaultSchedule:
             if event.stage == stage:
                 scale *= event.scale_at(t)
         return scale
+
+    def scales_constant(self, t0: float, t1: float) -> bool:
+        """Whether every instant in ``[t0, t1]`` sees the scales ``t0`` sees.
+
+        True when neither :meth:`storage_scale` nor :meth:`network_scale`
+        can change over the range (no flap or stall edge in ``(t0, t1]``,
+        no aggregate drift stepping there or ramping across it) and no
+        un-fired :class:`ReceiverRestart` lies in ``[t0, t1]``, so
+        :meth:`take_receiver_restarts` would fire nothing there either.
+        The testbed then reads the scales once per interval instead of once
+        per substep.
+        """
+        for lo, hi in self._scale_spans:
+            if t0 < hi and lo <= t1:
+                return False
+        fired = self._fired
+        for i, event in enumerate(self._restarts):
+            if t0 <= event.at <= t1 and i not in fired:
+                return False
+        return True
 
     @property
     def has_tpt_drift(self) -> bool:

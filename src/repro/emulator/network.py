@@ -70,7 +70,9 @@ class NetworkPath:
 
     The ramp is tracked as an exponential moving "established concurrency":
     when the requested stream count jumps from 5 to 20, the effective count
-    rises toward 20 with time constant ``ramp_time``.
+    rises toward 20 with time constant ``ramp_time`` (closing connections
+    is immediate).  :meth:`repro.emulator.Testbed.advance` moves it, once
+    per substep.
     """
 
     def __init__(self, config: NetworkConfig, background: BackgroundTraffic | None = None) -> None:
@@ -87,22 +89,6 @@ class NetworkPath:
         """Drop all connection state."""
         self._effective_streams = 0.0
         self.background.reset()
-
-    def advance_ramp(self, requested: int, dt: float) -> float:
-        """Move the established stream count toward ``requested`` over ``dt``."""
-        if self.config.ramp_time <= 0.0:
-            self._effective_streams = float(requested)
-            return self._effective_streams
-        # Closing connections is immediate; opening ramps exponentially.
-        if requested <= self._effective_streams:
-            self._effective_streams = float(requested)
-        else:
-            rate = dt / self.config.ramp_time
-            gap = requested - self._effective_streams
-            self._effective_streams = min(
-                float(requested), self._effective_streams + gap * min(1.0, rate) + 0.5 * dt
-            )
-        return self._effective_streams
 
     def congestion_efficiency(self, streams: float) -> float:
         """Goodput efficiency in ``(0, 1]`` for ``streams`` concurrent flows."""
@@ -121,7 +107,9 @@ class NetworkPath:
         per-stream speed before the capacity cap, so adding streams can win
         back goodput.  The congestion knee stays a config property: drift
         changes per-stream speed, not the path's fair-share breakdown point
-        (a deliberate simplification).
+        (a deliberate simplification).  :meth:`repro.emulator.Testbed.advance`
+        inlines this computation in its substep kernel; the emulator's
+        oracle tests hold the two to the same bits.
         """
         if streams <= 0.0:
             return 0.0

@@ -21,6 +21,7 @@ and measurement noise — the sim-to-real gap the trained policy must survive.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,6 @@ class TestbedConfig:
 
     def optimal_threads(self) -> tuple[int, int, int]:
         """Ideal ``(n_r*, n_n*, n_w*)`` for the configured bottleneck."""
-        import math
-
         bottleneck = min(self.source.bandwidth, self.network.capacity, self.destination.bandwidth)
         triple = (
             math.ceil(bottleneck / self.source.tpt),
@@ -243,6 +242,15 @@ class Testbed:
         from the source dataset (the transfer engine passes the unread
         remainder).  ``file_efficiency`` is the per-stage dataset factor for
         per-file overheads.
+
+        The substep loop is one kernel over locals: the buffer usages, the
+        ramped stream count and the clock are read once, and written back
+        once (also when a negative flow raises).  It performs the float
+        operations of the per-substep method calls it replaces, in their
+        order (a value whose inputs are fixed for the interval, such as a
+        storage stage's bytes per substep, is computed once):
+        ``min``/``max`` become their exact ``b if b < a else a`` expansions,
+        so NaN and signed zeros behave as before.
         """
         require_positive(duration, "duration")
         n = self._clamp_threads(threads)
@@ -252,74 +260,169 @@ class Testbed:
         steps = max(1, int(round(duration / dt)))
         dt = duration / steps
 
-        read_bytes = networked_bytes = written_bytes = 0.0
-        remaining_read = max(0.0, read_available)
-
         read_rate = self._source.aggregate_rate(n[0], file_efficiency=file_efficiency[0])
         read_rate = mbps_to_bytes_per_sec(read_rate * noise[0])
         write_rate = self._destination.aggregate_rate(n[2], file_efficiency=file_efficiency[2])
         write_rate = mbps_to_bytes_per_sec(write_rate * noise[2])
 
+        now = self._now
         faults = self.faults
         # Per-stream drift changes the tpt feeding min(n·tpt, cap), so the
-        # hoisted read/write rates must be recomputed each substep.  The
-        # gate keeps drift-free schedules on the exact pre-existing code
-        # path (hoisted rates, no tpt_scale kwarg) for bit-identity.
+        # read/write rates are then recomputed each substep.
         tpt_drift = faults is not None and faults.has_tpt_drift
+        f_read = f_net = f_write = 1.0
+        # Fault scales are sampled per substep so windows that open or close
+        # mid-interval take effect at substep resolution, unless the
+        # schedule proves them constant over the whole interval.  The slack
+        # covers the rounding the accumulated substep clock can gather.
+        sampled = False
+        if faults is not None:
+            t1 = now + duration
+            if not tpt_drift and faults.scales_constant(
+                now, t1 + 4.0 * steps * math.ulp(t1)
+            ):
+                f_read = faults.storage_scale("read", now)
+                f_write = faults.storage_scale("write", now)
+                f_net = faults.network_scale(now)
+            else:
+                sampled = True
+        read_step = read_rate * f_read * dt
+        write_step = write_rate * f_write * dt
+
+        # The network stage: NetworkPath's ramp and aggregate rate, inlined.
+        path = self._network
+        net = path.config
+        requested = float(n[1])
+        instant = net.ramp_time <= 0.0
+        ramp_frac = 1.0 if instant else dt / net.ramp_time
+        ramp_frac = ramp_frac if ramp_frac < 1.0 else 1.0  # min(1.0, dt / ramp_time)
+        half_dt = 0.5 * dt
+        net_tpt, knee, alpha = net.tpt, net.knee, net.degradation_alpha
+        # Without background traffic the level is 0.0 at every instant.
+        level_at = path.background.level_at if path.background.peak != 0.0 else None
+        spare = net.capacity - 0.0
+        available = spare if spare > 0.0 else 0.0
+        fe_net, noise_net, rate_cap = file_efficiency[1], noise[1], self.rate_cap
         net_tpt_scale = 1.0
-        for _ in range(steps):
-            f_read = f_net = f_write = 1.0
-            if faults is not None:
-                # Fault scales are sampled per substep so windows that open
-                # or close mid-interval take effect at substep resolution.
-                f_read = faults.storage_scale("read", self._now)
-                f_write = faults.storage_scale("write", self._now)
-                f_net = faults.network_scale(self._now)
-                if faults.take_receiver_restarts(self._now, self._now + dt):
-                    # Receiver daemon restart: staged-but-unwritten bytes die
-                    # with it and must be re-sent by a supervised retry.
-                    self.receiver_buffer.reset()
-            if tpt_drift:
-                read_rate = self._source.aggregate_rate(
-                    n[0],
-                    file_efficiency=file_efficiency[0],
-                    tpt_scale=faults.tpt_scale("read", self._now),
-                )
-                read_rate = mbps_to_bytes_per_sec(read_rate * noise[0])
-                write_rate = self._destination.aggregate_rate(
-                    n[2],
-                    file_efficiency=file_efficiency[2],
-                    tpt_scale=faults.tpt_scale("write", self._now),
-                )
-                write_rate = mbps_to_bytes_per_sec(write_rate * noise[2])
-                net_tpt_scale = faults.tpt_scale("network", self._now)
-            streams = self._network.advance_ramp(n[1], dt)
-            net_rate = self._network.aggregate_rate(
-                streams,
-                self._now,
-                file_efficiency=file_efficiency[1],
-                tpt_scale=net_tpt_scale,
-            )
-            net_rate = min(
-                mbps_to_bytes_per_sec(net_rate * noise[1]) * f_net, self.rate_cap
-            )
 
-            # Desired amounts from the state at substep start (no in-substep
-            # pass-through: a byte must rest in the buffer at least one step).
-            want_read = min(read_rate * f_read * dt, remaining_read, self.sender_buffer.free)
-            want_net = min(net_rate * dt, self.sender_buffer.usage, self.receiver_buffer.free)
-            want_write = min(write_rate * f_write * dt, self.receiver_buffer.usage)
+        sender, receiver = self.sender_buffer, self.receiver_buffer
+        cap_s, cap_r = sender.capacity, receiver.capacity
+        us, ur = sender._usage, receiver._usage
+        streams = path._effective_streams
+        read_bytes = networked_bytes = written_bytes = 0.0
+        remaining_read = max(0.0, read_available)
+        try:
+            for _ in range(steps):
+                if sampled:
+                    f_read = faults.storage_scale("read", now)
+                    f_write = faults.storage_scale("write", now)
+                    f_net = faults.network_scale(now)
+                    if faults.take_receiver_restarts(now, now + dt):
+                        # Receiver daemon restart: staged-but-unwritten bytes
+                        # die with it and must be re-sent by a supervised retry.
+                        ur = 0.0
+                    if tpt_drift:
+                        read_rate = self._source.aggregate_rate(
+                            n[0],
+                            file_efficiency=file_efficiency[0],
+                            tpt_scale=faults.tpt_scale("read", now),
+                        )
+                        read_rate = mbps_to_bytes_per_sec(read_rate * noise[0])
+                        write_rate = self._destination.aggregate_rate(
+                            n[2],
+                            file_efficiency=file_efficiency[2],
+                            tpt_scale=faults.tpt_scale("write", now),
+                        )
+                        write_rate = mbps_to_bytes_per_sec(write_rate * noise[2])
+                        net_tpt_scale = faults.tpt_scale("network", now)
+                    read_step = read_rate * f_read * dt
+                    write_step = write_rate * f_write * dt
 
-            moved_write = self.receiver_buffer.withdraw(want_write)
-            moved_net = self.sender_buffer.withdraw(want_net)
-            self.receiver_buffer.deposit(moved_net)
-            moved_read = self.sender_buffer.deposit(want_read)
+                # Closing connections is immediate; opening ramps exponentially.
+                if instant or requested <= streams:
+                    streams = requested
+                else:
+                    ramped = streams + (requested - streams) * ramp_frac + half_dt
+                    streams = ramped if ramped < requested else requested
+                if streams <= 0.0:
+                    rate = 0.0
+                else:
+                    if level_at is not None:
+                        spare = net.capacity - level_at(now)
+                        available = spare if spare > 0.0 else 0.0
+                    rate = streams * net_tpt * net_tpt_scale
+                    if available < rate:
+                        rate = available
+                    excess = streams - knee
+                    if excess > 0.0 and alpha != 0.0:
+                        rate = rate * (1.0 / (1.0 + alpha * excess**1.5)) * fe_net
+                    else:
+                        rate = rate * fe_net
+                rate = rate * noise_net * 1e6 / 8.0 * f_net
+                if rate_cap < rate:
+                    rate = rate_cap
 
-            read_bytes += moved_read
-            networked_bytes += moved_net
-            written_bytes += moved_write
-            remaining_read = max(0.0, remaining_read - moved_read)
-            self._now += dt
+                # Desired amounts from the state at substep start (no
+                # in-substep pass-through: a byte must rest in the buffer at
+                # least one step).
+                want_read = read_step
+                if remaining_read < want_read:
+                    want_read = remaining_read
+                free = cap_s - us
+                if free < want_read:
+                    want_read = free
+                want_net = rate * dt
+                if us < want_net:
+                    want_net = us
+                free = cap_r - ur
+                if free < want_net:
+                    want_net = free
+                want_write = write_step
+                if ur < want_write:
+                    want_write = ur
+
+                # Withdraw the write, withdraw the network move, deposit it,
+                # deposit the read.  Sub-byte negative dust from float
+                # accumulation counts as zero; anything materially negative
+                # is a logic error.
+                if want_write < -1e-3:
+                    raise SimulationError(f"cannot withdraw negative bytes: {want_write}")
+                moved_write = 0.0 if 0.0 > want_write else want_write
+                if ur < moved_write:
+                    moved_write = ur
+                ur -= moved_write
+                if want_net < -1e-3:
+                    raise SimulationError(f"cannot withdraw negative bytes: {want_net}")
+                moved_net = 0.0 if 0.0 > want_net else want_net
+                if us < moved_net:
+                    moved_net = us
+                us -= moved_net
+                if moved_net < -1e-3:
+                    raise SimulationError(f"cannot deposit negative bytes: {moved_net}")
+                landed = 0.0 if 0.0 > moved_net else moved_net
+                free = cap_r - ur
+                if free < landed:
+                    landed = free
+                ur += landed
+                if want_read < -1e-3:
+                    raise SimulationError(f"cannot deposit negative bytes: {want_read}")
+                moved_read = 0.0 if 0.0 > want_read else want_read
+                free = cap_s - us
+                if free < moved_read:
+                    moved_read = free
+                us += moved_read
+
+                read_bytes += moved_read
+                networked_bytes += moved_net
+                written_bytes += moved_write
+                left = remaining_read - moved_read
+                remaining_read = left if left > 0.0 else 0.0
+                now += dt
+        finally:
+            sender._usage = us
+            receiver._usage = ur
+            path._effective_streams = streams
+            self._now = now
 
         self.total_read += read_bytes
         self.total_networked += networked_bytes
@@ -333,10 +436,10 @@ class Testbed:
             throughput_read=bytes_per_sec_to_mbps(read_bytes / duration),
             throughput_network=bytes_per_sec_to_mbps(networked_bytes / duration),
             throughput_write=bytes_per_sec_to_mbps(written_bytes / duration),
-            sender_usage=self.sender_buffer.usage,
-            receiver_usage=self.receiver_buffer.usage,
-            sender_free=self.sender_buffer.free,
-            receiver_free=self.receiver_buffer.free,
+            sender_usage=us,
+            receiver_usage=ur,
+            sender_free=cap_s - us,
+            receiver_free=cap_r - ur,
             threads=n,
-            effective_streams=self._network.effective_streams,
+            effective_streams=streams,
         )

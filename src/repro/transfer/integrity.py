@@ -50,6 +50,8 @@ re-sent chunk gets a fresh draw while identical runs stay bit-identical.
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from bisect import bisect_right
 from itertools import accumulate, compress
@@ -66,7 +68,7 @@ from repro.emulator.faults import (
     SilentTruncation,
     TornWrite,
 )
-from repro.obs.events import JsonlEventWriter, read_events
+from repro.obs.events import JsonlEventWriter
 from repro.transfer.engine import Observation
 from repro.transfer.supervisor import (
     SupervisedTransferResult,
@@ -126,6 +128,12 @@ _U64 = float(1 << 64)
 _STATUS_NAMES = ("missing", "ok", "corrupt", "torn")
 _STATUS_CODES = {name: code for code, name in enumerate(_STATUS_NAMES)}
 _MISSING, _OK, _CORRUPT, _TORN = range(4)
+
+
+def _is_count(value) -> bool:
+    """Whether a JSON value is an int (not a bool) that fits an int64 column
+    and is non-negative: a digest or a send count."""
+    return type(value) is int and 0 <= value < 1 << 63
 
 
 class TransferManifest:
@@ -307,8 +315,11 @@ class ChunkJournal:
     with the torn-tail-tolerant reader, and self-heals a torn tail
     (truncating the record the dying process never finished) so
     post-recovery appends can't corrupt the next record.  Replay is
-    idempotent: replaying an unchanged journal any number of times yields
-    the same claims.
+    incremental: the journal keeps the column and the byte offset it has
+    folded (its cursor) and parses only what was appended since.  Replay
+    is idempotent: replaying an unchanged journal any number of times
+    yields the same claims, and a warm journal's column equals a cold
+    journal's fold of the same file.
     """
 
     def __init__(
@@ -331,6 +342,13 @@ class ChunkJournal:
         #: most :meth:`record_runs` calls just advance ``hi``.  Counts as
         #: buffered (lost on crash), like any unflushed record.
         self._run: list | None = None
+        #: Replay cursor: the claim column folded so far (``None`` before
+        #: the first replay and after :meth:`close`), the byte length of
+        #: the file prefix it folds (always just past a newline) and that
+        #: prefix's line count, which numbers the lines in parse errors.
+        self._claims: np.ndarray | None = None
+        self._offset = 0
+        self._lines = 0
 
     def record_batch(self, chunk_ids, digests, t: float) -> None:
         """Journal a whole sync's completions as one coalesced record.
@@ -408,11 +426,12 @@ class ChunkJournal:
         self._claims_buffered = 0
 
     def close(self) -> None:
-        """Flush and close the underlying writer."""
+        """Flush and close the underlying writer; release the replay column."""
         if self._run is not None:
             self._emit_run()
         self._writer.close()
         self._claims_buffered = 0
+        self._rewind()
 
     def crash(self, *, torn_tail: bool = False) -> None:
         """Simulate dying mid-run: unflushed records are lost.
@@ -440,34 +459,83 @@ class ChunkJournal:
         away so subsequent appends start clean.  A claim on a chunk id
         outside the manifest raises :class:`IntegrityError`: the journal
         belongs to another manifest, or is damaged.
+
+        Only the bytes appended since the last replay are read and parsed,
+        folded into the column that replay returned: exact, because the
+        fold is last-record-wins, so folding a prefix and then the rest
+        equals folding the whole file.  A file shorter than the cursor
+        (truncated from outside) is folded again from byte 0.  Lines (the
+        writer ends each with ``\n``) are read as
+        :func:`~repro.obs.events.read_events` reads them: a malformed final
+        line is dropped, and stays unfolded, so it raises once more lines
+        follow it.
         """
         expected = self._expected
         n = len(expected)
-        # A list fold, converted once: most records claim a few ids, where
-        # a numpy call per record costs more than the list writes.
-        claims = [-1] * n
-        if not self.path.exists():
-            return np.array(claims, dtype=np.int64)
-        text = self.path.read_text()
-        if text and not text.endswith("\n"):
+        try:
+            fh = self.path.open("rb")
+        except FileNotFoundError:
+            self._rewind()
+            return np.full(n, -1, dtype=np.int64)
+        with fh:
+            if fh.seek(0, os.SEEK_END) < self._offset:
+                self._rewind()
+            fh.seek(self._offset)
+            data = fh.read()
+        if data and not data.endswith(b"\n"):
             # Self-heal: truncate the torn tail (a record the dying process
             # never finished) so later appends cannot glue onto it and turn
             # recoverable wreckage into mid-file corruption.
-            self.path.write_text(text[: text.rfind("\n") + 1])
-        for record in read_events(self.path):
-            kind = record.get("type")
-            if kind == "chunkbatch":
-                ids = record["ids"]
-                if ids and (min(ids) < 0 or max(ids) >= n):
-                    self._out_of_range(min(ids), max(ids), n)
-                for cid, digest in zip(ids, record["digests"]):
-                    claims[int(cid)] = int(digest)
-            elif kind == "chunkrun":
-                lo, hi = int(record["lo"]), int(record["hi"])
-                if lo < 0 or hi > n:
-                    self._out_of_range(lo, hi - 1, n)
-                claims[lo:hi] = expected[lo:hi]
-        return np.array(claims, dtype=np.int64)
+            data = data[: data.rfind(b"\n") + 1]
+            os.truncate(self.path, self._offset + len(data))
+        lines = data.decode().split("\n")
+        lines.pop()  # the empty remainder after the final newline
+        records = []
+        for i, line in enumerate(lines):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                if i < len(lines) - 1:
+                    raise ValueError(
+                        f"corrupt event log {self.path} at line {self._lines + i + 1}: {exc}"
+                    ) from exc
+                # A malformed final line is dropped and left past the
+                # cursor, so that it raises once more lines follow it.
+                del lines[i]
+                data = data[: data.rfind(b"\n", 0, len(data) - 1) + 1]
+        claims = self._claims
+        if claims is None:
+            claims = np.full(n, -1, dtype=np.int64)
+        try:
+            for record in records:
+                kind = record.get("type")
+                if kind == "chunkbatch":
+                    ids = record["ids"]
+                    if ids and (min(ids) < 0 or max(ids) >= n):
+                        self._out_of_range(min(ids), max(ids), n)
+                    for cid, digest in zip(ids, record["digests"]):
+                        claims[int(cid)] = int(digest)
+                elif kind == "chunkrun":
+                    lo, hi = int(record["lo"]), int(record["hi"])
+                    if lo < 0 or hi > n:
+                        self._out_of_range(lo, hi - 1, n)
+                    claims[lo:hi] = expected[lo:hi]
+        except BaseException:
+            self._rewind()  # the column may hold part of a damaged record
+            raise
+        self._claims = claims
+        self._offset += len(data)
+        self._lines += len(lines)
+        return claims.copy()
+
+    def _rewind(self) -> None:
+        """Drop the replay cursor: the next replay folds from byte 0."""
+        self._claims = None
+        self._offset = 0
+        self._lines = 0
 
     def _out_of_range(self, lo: int, hi: int, n: int) -> None:
         raise IntegrityError(
@@ -869,22 +937,40 @@ class DestinationLedger:
     ) -> "DestinationLedger":
         """Rebuild a destination snapshot against its manifest.
 
-        An ``order`` that repeats a chunk id or names one outside the
-        manifest raises :class:`IntegrityError`.
+        The snapshot must hold one entry per manifest chunk, keyed ``"0"``
+        … ``"n-1"``, each with a known ``status``, a ``digest`` that is
+        null or a non-negative int, and a non-negative int ``sends``; and
+        its ``order`` must not repeat a chunk id or name one outside the
+        manifest.  Anything else raises :class:`IntegrityError`.
         """
         ledger = cls(manifest, faults, seed=int(data.get("seed", 0)))
         chunks = data["chunks"]
         n = len(manifest)
-        if len(chunks) != n:
+        if not isinstance(chunks, dict) or len(chunks) != n:
             raise IntegrityError(
-                f"destination snapshot has {len(chunks)} chunks, manifest {n}"
+                f"destination snapshot for {manifest.dataset_name!r} needs a "
+                f"table of the manifest's {n} chunks"
             )
-        for key, entry in chunks.items():
-            cid = int(key)
-            ledger._status_arr[cid] = _STATUS_CODES[entry["status"]]
-            digest = entry["digest"]
-            ledger._digest_arr[cid] = -1 if digest is None else int(digest)
-            ledger._send_arr[cid] = int(entry["sends"])
+        for cid in range(n):
+            entry = chunks.get(str(cid))
+            if not isinstance(entry, dict):
+                raise IntegrityError(
+                    f"destination snapshot for {manifest.dataset_name!r} has no "
+                    f"chunk {cid}: its keys must be '0' to '{n - 1}'"
+                )
+            status, digest, sends = entry.get("status"), entry.get("digest"), entry.get("sends")
+            if (
+                status not in _STATUS_NAMES
+                or not (digest is None or _is_count(digest))
+                or not _is_count(sends)
+            ):
+                raise IntegrityError(
+                    f"destination chunk {cid} of {manifest.dataset_name!r} has a "
+                    f"malformed entry {entry!r}"
+                )
+            ledger._status_arr[cid] = _STATUS_CODES[status]
+            ledger._digest_arr[cid] = -1 if digest is None else digest
+            ledger._send_arr[cid] = sends
         order = [int(c) for c in data.get("order", [])]
         if len(set(order)) != len(order) or any(not 0 <= c < n for c in order):
             raise IntegrityError(
@@ -1192,10 +1278,13 @@ def verify_artifacts(run_dir: str | Path) -> dict:
     run_dir = Path(run_dir)
     manifest = TransferManifest.load(run_dir / "manifest.json")
 
-    journal = ChunkJournal(run_dir / "journal.jsonl", manifest.chunk_digests)
-    claims = journal.replay()
-    replay_idempotent = bool(np.array_equal(journal.replay(), claims))
-    journal.close()
+    journal_path = run_dir / "journal.jsonl"
+    with ChunkJournal(journal_path, manifest.chunk_digests) as journal:
+        claims = journal.replay()
+    # The column against a cold fold of the file that replay healed: the
+    # same journal's second replay would read nothing past its cursor.
+    with ChunkJournal(journal_path, manifest.chunk_digests) as cold:
+        replay_idempotent = bool(np.array_equal(cold.replay(), claims))
     claimed = claims >= 0
     claimed_ok = claims == manifest.digests_np
 

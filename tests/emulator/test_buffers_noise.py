@@ -8,24 +8,28 @@ from hypothesis import strategies as st
 from repro.emulator import StagingBuffer
 from repro.emulator.noise import BackgroundTraffic, MultiplicativeNoise
 from repro.utils.errors import SimulationError
+from tests.emulator import testbed_oracle as oracle
 
 
 class TestStagingBuffer:
+    """The buffer semantics the testbed kernel inlines, on the oracle's
+    deposit/withdraw (the kernel is held to the oracle bit for bit)."""
+
     def test_deposit_withdraw(self):
         buf = StagingBuffer(100.0)
-        assert buf.deposit(30.0) == 30.0
+        assert oracle.deposit(buf, 30.0) == 30.0
         assert buf.usage == 30.0
-        assert buf.withdraw(10.0) == 10.0
+        assert oracle.withdraw(buf, 10.0) == 10.0
         assert buf.usage == 20.0
 
     def test_deposit_clamped_at_capacity(self):
         buf = StagingBuffer(100.0, usage=90.0)
-        assert buf.deposit(50.0) == 10.0
+        assert oracle.deposit(buf, 50.0) == 10.0
         assert buf.free == 0.0
 
     def test_withdraw_clamped_at_zero(self):
         buf = StagingBuffer(100.0, usage=5.0)
-        assert buf.withdraw(50.0) == 5.0
+        assert oracle.withdraw(buf, 50.0) == 5.0
         assert buf.usage == 0.0
 
     def test_fill_fraction(self):
@@ -34,9 +38,9 @@ class TestStagingBuffer:
     def test_negative_amounts_rejected(self):
         buf = StagingBuffer(10.0)
         with pytest.raises(SimulationError):
-            buf.deposit(-1.0)
+            oracle.deposit(buf, -1.0)
         with pytest.raises(SimulationError):
-            buf.withdraw(-1.0)
+            oracle.withdraw(buf, -1.0)
 
     def test_initial_overflow_rejected(self):
         with pytest.raises(SimulationError):
@@ -57,7 +61,7 @@ class TestStagingBuffer:
         buf = StagingBuffer(100.0)
         balance = 0.0
         for is_deposit, amount in ops:
-            moved = buf.deposit(amount) if is_deposit else buf.withdraw(amount)
+            moved = oracle.deposit(buf, amount) if is_deposit else oracle.withdraw(buf, amount)
             balance += moved if is_deposit else -moved
             assert 0.0 <= buf.usage <= buf.capacity
         assert buf.usage == pytest.approx(balance)

@@ -104,6 +104,46 @@ class TestChaosFleet:
         assert first["fingerprint"] == second["fingerprint"]
         assert first["jobs"] == second["jobs"]
 
+    def test_chaos_fingerprint_is_pinned(self, tmp_path):
+        """Stalls, corruption and crashes with torn journal tails, adapt on.
+
+        Run-twice determinism cannot tell an inexact emulator kernel or
+        journal replay from an exact one; this sha256 was taken with the
+        emulator's per-substep loop and the journal's from-scratch replay.
+        """
+        requests = [
+            TransferRequest(
+                tenant=("a", "b")[i % 2],
+                gigabytes=(1.0, 1.6, 0.6)[i % 3],
+                priority=Priority.BATCH,
+                name=f"r{i}",
+                submit_at=3.0 * i,
+            )
+            for i in range(8)
+        ]
+        report = run_fleet(
+            tmp_path,
+            tenants=(TenantSpec("a", weight=2.0), TenantSpec("b")),
+            requests=requests,
+            seed=7,
+            faults=JobFaultProfile(
+                stall_probability=0.8, corruption_probability=0.6, max_crashes=2
+            ),
+            adapt=True,
+        )
+        assert report["all_passed"], report["invariants"]
+        kinds = {
+            kind
+            for job in report["jobs"]
+            for incident in job["incidents"]
+            for kind in incident["kind"].split(",")
+        }
+        assert {"crash", "link_flap", "storage_stall"} <= kinds
+        assert (
+            report["fingerprint"]
+            == "d6cc0d6dee2da4c4151c605ca991497cc43bf5adbba83ef6ae4d7370b6dea3e4"
+        )
+
     def test_different_seed_different_fingerprint(self, tmp_path):
         reports = [
             run_fleet(

@@ -27,6 +27,39 @@ def _tampered(soak_case, tmp_path, name, tamper):
     return case
 
 
+def _rekey(old, new):
+    """Move destination chunk entry ``old`` to key ``new`` (count unchanged)."""
+
+    def tamper(blob):
+        blob["chunks"][new] = blob["chunks"].pop(old)
+
+    return tamper
+
+
+def _edit_entry(field, edit):
+    """Replace ``field`` of destination chunk ``"0"`` by ``edit(value)``."""
+
+    def tamper(blob):
+        entry = blob["chunks"]["0"]
+        entry[field] = edit(entry[field])
+
+    return tamper
+
+
+#: Destination chunk entries ``DestinationLedger.from_dict`` must refuse.
+BAD_CHUNK_ENTRIES = {
+    "key_past_the_manifest": _rekey("0", "999"),
+    "negative_key": _rekey("0", "-1"),
+    "non_canonical_key": _rekey("0", "00"),
+    "unknown_status": _edit_entry("status", lambda _: "bogus"),
+    "float_digest": _edit_entry("digest", float),
+    "string_digest": _edit_entry("digest", str),
+    "bool_digest": _edit_entry("digest", lambda _: True),
+    "negative_sends": _edit_entry("sends", lambda _: -1),
+    "float_sends": _edit_entry("sends", lambda sends: sends + 0.5),
+}
+
+
 class TestSoakCommand:
     def test_soak_writes_report_and_exits_zero(self, capsys, tmp_path):
         code = main(
@@ -106,6 +139,16 @@ class TestVerifyCommand:
             soak_case, tmp_path, "destination.json",
             lambda d: d["order"].append(d["order"][0]),
         )
+        capsys.readouterr()
+        assert main(["verify", str(case)]) == 2
+        assert "cannot verify" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("tamper", sorted(BAD_CHUNK_ENTRIES))
+    def test_verify_destination_with_a_bad_chunk_entry_is_usage_error(
+        self, capsys, tmp_path, soak_case, tamper
+    ):
+        case = _tampered(soak_case, tmp_path, "destination.json", BAD_CHUNK_ENTRIES[tamper])
         capsys.readouterr()
         assert main(["verify", str(case)]) == 2
         assert "cannot verify" in capsys.readouterr().err

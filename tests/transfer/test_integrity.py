@@ -16,6 +16,7 @@ from repro.emulator import (
     TestbedConfig,
     TornWrite,
 )
+from repro.obs.events import read_events
 from repro.transfer import (
     ChunkJournal,
     DestinationLedger,
@@ -689,6 +690,61 @@ class TestReplayOracle:
                 assert np.array_equal(journal.replay(), want), (kind, k, text == prefix)
                 journal.close()
                 assert path.read_text() == prefix
+
+    @pytest.mark.parametrize("kind", ["clean", "faulted", "crash-resume"])
+    def test_every_prefix_matches_oracle_incrementally(self, tmp_path, kind):
+        """One long-lived journal replays the file as it grows line by line,
+        through torn tails, crashes, outside truncation and a malformed line."""
+        lines, manifest = _journal_lines(tmp_path / "run", kind)
+        expected = manifest.chunk_digests
+        path, reference = tmp_path / "j.jsonl", tmp_path / "oracle.jsonl"
+        journal = ChunkJournal(path, expected)
+
+        def check(k, tail=""):
+            """Replay equals the oracle at ``lines[:k]``; the file holds that
+            prefix (plus ``tail``, a complete line no heal removes)."""
+            prefix = "".join(lines[:k])
+            reference.write_text(prefix)
+            want = journal_oracle.claim_column(
+                journal_oracle.replay(reference, expected), len(manifest)
+            )
+            assert np.array_equal(journal.replay(), want), (kind, k, tail)
+            held = path.read_text() if path.exists() else ""
+            assert held == prefix + tail, (kind, k)
+
+        def append(text):
+            with path.open("a") as fh:
+                fh.write(text)
+
+        check(0)  # no file yet
+        for k, line in enumerate(lines):
+            append(line[: len(line) // 2])  # killed mid-write ...
+            check(k)  # ... and healed back to the cursor
+            append(line)
+            if k % 7 == 3:
+                journal.crash(torn_tail=True)  # resume replays, then appends go on
+                check(k + 1)
+            if k % 11 == 5:
+                check(k + 1)
+                path.write_text("".join(lines[: k // 2]))  # shorter than the cursor
+                check(k // 2)
+                append("".join(lines[k // 2 : k + 1]))
+            if k % 5 == 2 and k + 1 < len(lines):
+                bad = '{"type":"chunkbatch","t":\n'
+                append(bad)  # complete but malformed: dropped while it is last
+                check(k + 1, tail=bad)
+                check(k + 1, tail=bad)
+                append(lines[k + 1])  # no longer last: raises, as read_events does
+                with pytest.raises(ValueError) as want:
+                    read_events(path)
+                with pytest.raises(ValueError) as got:
+                    journal.replay()
+                assert str(got.value) == str(want.value)
+                path.write_text("".join(lines[: k + 1]))
+            check(k + 1)
+        journal.close()
+        assert journal._claims is None  # close() releases the kept column
+        check(len(lines))
 
 
 class TestVerifyTelemetry:
