@@ -20,11 +20,12 @@ repo root, like the other ``BENCH_*.json`` artifacts):
   repeats and report median walls, so the gated ``speedup_vs_reference``
   does not hinge on one timing, or on which arm ran first, on a noisy
   host.
-* ``fleet_steps`` — ``BatchedSimulator`` against per-column scalar
-  simulators: a lockstep sub-run asserts bit-identical outputs, and the
-  ``population`` arm steps 8 jittered fig5-read variants the way
-  ``train_population(batched=True)`` does, against 8 scalar loops, and
-  gates on bit-identity and a ≥0.5× floor.
+* ``fleet_steps`` — ``BatchedSimulator``, a container of scalar
+  simulator columns, against standalone scalar simulators: a lockstep
+  sub-run asserts bit-identical outputs, and the ``population`` arm
+  steps 8 jittered fig5-read variants the way
+  ``train_population(batched=True)`` does, timing the container against
+  8 scalar loops, and gates on bit-identity and a ≥0.5× floor.
 
 The report's top-level ``retired`` list names the gated keys of deleted
 arms, each with its reason; ``automdt regress`` exempts them while they
@@ -285,8 +286,8 @@ def bench_fleet_steps(*, check_steps: int = 12, population_episodes: int = 12) -
     requires every column bit-identical.  The ``population`` arm
     (:func:`bench_population_steps`) times the regime the batched
     simulator's one production consumer, population training, runs in.
-    Each column steps through the scalar kernel, so there is no
-    vectorization speedup to gate.
+    Each column is an ``IONetworkSimulator`` taking its own uninstrumented
+    step, so there is no vectorization speedup to gate.
     """
     from repro.simulator.batch import BatchedSimulator
     from repro.simulator.config import SimulatorConfig
@@ -324,9 +325,12 @@ def bench_population_steps(*, episodes: int, members: int = 8, repeats: int = 3,
     and steps a random thread triple (``BatchedEnv.reset_all``), then
     takes ten steps (``step_all``).  Both arms replay one pre-drawn
     schedule; ``speedup`` is the K scalar loops' best wall over the
-    batched simulator's.  Both arms run the same event loop per column,
-    so the ratio prices the batched simulator's column bookkeeping.  Gated: every column bit-identical to its
-    scalar oracle, and ``speedup`` at least ``min_speedup``.
+    container's.  Both arms run the same scalar step per column (the
+    container through ``IONetworkSimulator.advance``, the loops through
+    ``step_second``), so the ratio prices only the container's packaging
+    of the results into ``BatchStageMetrics``.  Gated: every column
+    bit-identical to its scalar oracle, and ``speedup`` at least
+    ``min_speedup``.
     """
     from dataclasses import replace
 

@@ -3,7 +3,12 @@
 Both environments present the paper's state space (§IV-D1): current thread
 counts, per-stage throughputs, and unused buffer space at the sender and
 receiver — 8 dimensions, normalized to O(1) ranges.  Actions are
-3-dimensional continuous vectors mapped to integer thread counts.
+3-dimensional continuous vectors mapped to integer thread counts.  The
+state (:func:`encode_state`) and the action mapping
+(:func:`threads_from_action`) are written once here; the environments,
+:class:`~repro.core.batched_env.BatchedEnv` and the production controller
+(:class:`~repro.core.production.AutoMDTController`) all encode through
+them, and score steps with :class:`~repro.core.utility.UtilityFunction`.
 
 * :class:`SimulatorEnv` wraps the Algorithm-1 training simulator — this is
   where offline PPO training happens.
@@ -37,6 +42,32 @@ from repro.utils.rng import as_generator
 
 STATE_DIM = 8
 ACTION_DIM = 3
+
+
+def threads_from_action(action, max_threads: int, action_mode: str) -> tuple[int, int, int]:
+    """Map a continuous action to an integer concurrency triple.
+
+    The §IV-F rule: scale (``"normalized"`` mode), round, clamp to
+    ``[1, max_threads]``.
+    """
+    a = np.asarray(action, dtype=float).reshape(-1)
+    if a.shape != (3,):
+        raise ConfigError(f"expected 3-dim action, got shape {a.shape}")
+    raw = 1.0 + a * (max_threads - 1) if action_mode == "normalized" else a
+    threads = np.clip(np.round(raw), 1, max_threads).astype(int)
+    return (int(threads[0]), int(threads[1]), int(threads[2]))
+
+
+def encode_state(
+    threads, throughputs, sender_free, receiver_free,
+    max_threads, throughput_scale, sender_capacity, receiver_capacity,
+) -> np.ndarray:
+    """The 8-dim normalized state (§IV-D1): threads over ``max_threads``,
+    throughputs over ``throughput_scale``, free buffer space over capacity."""
+    n = np.asarray(threads, dtype=float) / max_threads
+    t = np.asarray(throughputs, dtype=float) / throughput_scale
+    buffers = np.array([sender_free / sender_capacity, receiver_free / receiver_capacity])
+    return np.concatenate([n, t, buffers])
 
 
 class _EnvBase:
@@ -78,15 +109,7 @@ class _EnvBase:
     # ----------------------------------------------------------- conversions
     def action_to_threads(self, action) -> tuple[int, int, int]:
         """Map a continuous action to an integer concurrency triple."""
-        a = np.asarray(action, dtype=float).reshape(-1)
-        if a.shape != (3,):
-            raise ConfigError(f"expected 3-dim action, got shape {a.shape}")
-        if self.action_mode == "normalized":
-            raw = 1.0 + a * (self.max_threads - 1)
-        else:
-            raw = a
-        threads = np.clip(np.round(raw), 1, self.max_threads).astype(int)
-        return (int(threads[0]), int(threads[1]), int(threads[2]))
+        return threads_from_action(action, self.max_threads, self.action_mode)
 
     def threads_to_action(self, threads) -> np.ndarray:
         """Inverse map (exact at integer thread counts)."""
@@ -95,26 +118,38 @@ class _EnvBase:
             return (n - 1.0) / max(1, self.max_threads - 1)
         return n
 
-    def make_state(
-        self,
-        threads,
-        throughputs,
-        sender_free: float,
-        receiver_free: float,
-    ) -> np.ndarray:
-        """Assemble the 8-dim normalized state vector."""
-        n = np.asarray(threads, dtype=float) / self.max_threads
-        t = np.asarray(throughputs, dtype=float) / self.throughput_scale
-        buffers = np.array(
-            [sender_free / self.sender_capacity, receiver_free / self.receiver_capacity]
+    def make_state(self, threads, throughputs, sender_free, receiver_free) -> np.ndarray:
+        """Assemble the 8-dim normalized state vector (:func:`encode_state`)."""
+        return encode_state(
+            threads, throughputs, sender_free, receiver_free, self.max_threads,
+            self.throughput_scale, self.sender_capacity, self.receiver_capacity,
         )
-        return np.concatenate([n, t, buffers])
 
-    def _reward(self, throughputs, threads) -> float:
-        value = self.utility(throughputs, threads)
-        if self.normalize_reward:
-            return value / self.max_reward
-        return value
+    def observe(self, m) -> tuple[np.ndarray, float, float]:
+        """``(state, reward, utility)`` after a step that produced ``m``.
+
+        ``m`` is a step's :class:`~repro.simulator.core.StageMetrics` or
+        :class:`~repro.emulator.testbed.StageFlows`.  The utility is
+        evaluated once; the reward is it over ``R_max`` when
+        ``normalize_reward``.
+        """
+        utility = self.utility(m.throughputs, m.threads)
+        reward = utility / self.max_reward if self.normalize_reward else utility
+        state = self.make_state(m.threads, m.throughputs, m.sender_free, m.receiver_free)
+        return state, reward, utility
+
+    def _transition(self, m) -> tuple[np.ndarray, float, bool, dict]:
+        """The ``step`` result of a step that produced ``m``."""
+        state, reward, utility = self.observe(m)
+        self._step_count += 1
+        info = {
+            "threads": m.threads,
+            "throughputs": m.throughputs,
+            "utility": utility,
+            "sender_usage": m.sender_usage,
+            "receiver_usage": m.receiver_usage,
+        }
+        return state, reward, self._step_count >= self.episode_steps, info
 
     def random_threads(self) -> tuple[int, int, int]:
         """Uniform random concurrency triple (episode initialization)."""
@@ -167,7 +202,6 @@ class SimulatorEnv(_EnvBase):
         self.scenario_sampler = scenario_sampler
         self.randomize_initial_buffers = randomize_initial_buffers
         self.simulator = IONetworkSimulator(config)
-        self._threads: tuple[int, int, int] = (1, 1, 1)
 
     @classmethod
     def from_profile(
@@ -186,7 +220,16 @@ class SimulatorEnv(_EnvBase):
         )
         return cls(config, **kwargs)
 
-    def _apply_scenario(self) -> None:
+    def start_episode(self) -> tuple[int, int, int]:
+        """Algorithm 2, line 5, up to the first simulated second.
+
+        Resamples the scenario (with a ``scenario_sampler``), resets the
+        simulator in place to random buffer fills, and returns the random
+        initial threads.  RNG draw order: scenario, sender fill, receiver
+        fill, threads.  :meth:`reset` steps the simulator under the threads;
+        :class:`~repro.core.batched_env.BatchedEnv` starts each member's
+        episode through this and steps its columns together.
+        """
         if self.scenario_sampler is not None:
             self.config = self.scenario_sampler(self.rng)
             self.max_threads = self.config.max_threads
@@ -196,42 +239,23 @@ class SimulatorEnv(_EnvBase):
             self.max_reward = self.utility.max_reward(
                 self.config.bottleneck, self.config.optimal_threads()
             )
-        self.simulator = IONetworkSimulator(self.config)
+            self.simulator = IONetworkSimulator(self.config)
+        self._step_count = 0
+        sender = receiver = 0.0
+        if self.randomize_initial_buffers:
+            sender = float(self.rng.uniform(0.0, 0.5)) * self.sender_capacity
+            receiver = float(self.rng.uniform(0.0, 0.5)) * self.receiver_capacity
+        self.simulator.reset(sender_usage=sender, receiver_usage=receiver)
+        return self.random_threads()
 
     def reset(self) -> np.ndarray:
         """Start a new episode with random threads (Algorithm 2, line 5)."""
-        self._apply_scenario()
-        self._step_count = 0
-        if self.randomize_initial_buffers:
-            self.simulator.reset(
-                sender_usage=float(self.rng.uniform(0.0, 0.5)) * self.sender_capacity,
-                receiver_usage=float(self.rng.uniform(0.0, 0.5)) * self.receiver_capacity,
-            )
-        self._threads = self.random_threads()
-        metrics = self.simulator.step_second(self._threads)
-        return self.make_state(
-            metrics.threads, metrics.throughputs, metrics.sender_free, metrics.receiver_free
-        )
+        m = self.simulator.step_second(self.start_episode())
+        return self.make_state(m.threads, m.throughputs, m.sender_free, m.receiver_free)
 
     def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
         """Apply ``action`` for one simulated second (GET_UTILITY, Algorithm 1)."""
-        threads = self.action_to_threads(action)
-        metrics = self.simulator.step_second(threads)
-        self._threads = metrics.threads
-        reward = self._reward(metrics.throughputs, metrics.threads)
-        self._step_count += 1
-        done = self._step_count >= self.episode_steps
-        state = self.make_state(
-            metrics.threads, metrics.throughputs, metrics.sender_free, metrics.receiver_free
-        )
-        info = {
-            "threads": metrics.threads,
-            "throughputs": metrics.throughputs,
-            "utility": self.utility(metrics.throughputs, metrics.threads),
-            "sender_usage": metrics.sender_usage,
-            "receiver_usage": metrics.receiver_usage,
-        }
-        return state, reward, done, info
+        return self._transition(self.simulator.step_second(self.action_to_threads(action)))
 
 
 class TestbedEnv(_EnvBase):
@@ -272,33 +296,15 @@ class TestbedEnv(_EnvBase):
         require_positive(probe_interval, "probe_interval")
         self.testbed = testbed
         self.probe_interval = probe_interval
-        self._threads: tuple[int, int, int] = (1, 1, 1)
 
     def reset(self) -> np.ndarray:
         """Start a new episode with random threads; buffers persist realistically."""
         self._step_count = 0
-        self._threads = self.random_threads()
-        flows = self.testbed.advance(self._threads, self.probe_interval)
-        return self.make_state(
-            flows.threads, flows.throughputs, flows.sender_free, flows.receiver_free
-        )
+        f = self.testbed.advance(self.random_threads(), self.probe_interval)
+        return self.make_state(f.threads, f.throughputs, f.sender_free, f.receiver_free)
 
     def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
         """Apply ``action`` for one probe interval on the live testbed."""
-        threads = self.action_to_threads(action)
-        flows = self.testbed.advance(threads, self.probe_interval)
-        self._threads = flows.threads
-        reward = self._reward(flows.throughputs, flows.threads)
-        self._step_count += 1
-        done = self._step_count >= self.episode_steps
-        state = self.make_state(
-            flows.threads, flows.throughputs, flows.sender_free, flows.receiver_free
+        return self._transition(
+            self.testbed.advance(self.action_to_threads(action), self.probe_interval)
         )
-        info = {
-            "threads": flows.threads,
-            "throughputs": flows.throughputs,
-            "utility": self.utility(flows.throughputs, flows.threads),
-            "sender_usage": flows.sender_usage,
-            "receiver_usage": flows.receiver_usage,
-        }
-        return state, reward, done, info

@@ -16,11 +16,13 @@ and the member index, which makes ``workers=K`` bit-identical to
 ``batched=True`` selects a third, in-process execution mode: all members
 step one :class:`repro.core.batched_env.BatchedEnv` together, and a
 :class:`~repro.nn.stacked.StackedPPOAgent` acts for and updates all of
-them at once.  Each member's simulated second runs the scalar event loop
-in-process (see :mod:`repro.simulator.batch`).  The batched path derives the
-same per-member seed streams and replays the same per-member call
-sequence as ``_train_member``, so its results are bit-identical to
-``workers=1`` (and therefore to any worker count).
+them at once.  Each member is a :class:`~repro.core.env.SimulatorEnv`
+whose simulator is a column of one
+:class:`~repro.simulator.batch.BatchedSimulator`, so its simulated second,
+state, action mapping and reward are the scalar environment's own.  The
+batched path derives the same per-member seed streams and replays the
+same per-member call sequence as ``_train_member``, so its results are
+bit-identical to ``workers=1`` (and therefore to any worker count).
 """
 
 from __future__ import annotations
@@ -116,12 +118,12 @@ def _train_population_batched(
     ppo_config: PPOConfig,
     eval_episodes: int,
 ) -> PopulationResult:
-    """All members training in lockstep on one fleet-vectorized simulator.
+    """All members training in lockstep on one population simulator.
 
     Replays ``_train_member``'s exact call sequence per member — same
     derived seed streams, same per-episode act/store/update cadence, same
-    convergence bookkeeping — with the K scalar ``step_second`` loops
-    fused into one :class:`BatchedEnv` call per step and the K per-member
+    convergence bookkeeping — with the K scalar environments stepped
+    together by one :class:`BatchedEnv` call per step and the K per-member
     networks fused into one :class:`~repro.nn.stacked.StackedPPOAgent`
     (one ``np.matmul`` per layer for the whole population's acting *and*
     updating, bit-identical per member — see DESIGN §17).  Members that
@@ -238,7 +240,7 @@ def train_population(
     missing members would bias the "best" selection.
 
     ``batched=True`` runs the whole population in-process on one
-    fleet-vectorized simulator (``workers``/``timeout``/``retries`` do not
+    population simulator (``workers``/``timeout``/``retries`` do not
     apply) — bit-identical results, one ``step_second`` call per
     population step.
     """

@@ -29,7 +29,6 @@ Deviations exposed as configuration (see EXPERIMENTS.md for the study):
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -132,42 +131,12 @@ class RolloutMemory:
         )
 
 
-#: Smallest positive normal float64 — the vectorized-returns exactness guard.
-_MIN_NORMAL = float(np.finfo(np.float64).tiny)
-
-
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """``G_t = r_t + γ G_{t+1}`` computed right-to-left (vectorized tail).
-
-    For a power-of-two ``gamma`` (the default 0.5 included) the recursion
-    vectorizes *exactly*: with ``γ = 2^k``, scaling by ``γ^j`` is a pure
-    exponent shift, so ``G_t = γ^{-t} · cumsum-from-right(γ^j r_j)`` is
-    bit-identical to the Horner loop as long as every scaled value stays
-    in the normal float range (rounding commutes with power-of-two
-    scaling there).  Guards check exactly that — pre-scale round-trip,
-    normal-or-zero partial sums, finite results — and fall back to the
-    loop oracle otherwise (non-power-of-two γ, extreme magnitudes).
-    """
+    """``G_t = r_t + γ G_{t+1}`` computed right-to-left."""
     rewards = np.asarray(rewards, dtype=float)
-    n = len(rewards)
-    g = float(gamma)
-    if n > 1 and g > 0.0:
-        mantissa, exponent = math.frexp(g)
-        k = exponent - 1
-        if mantissa == 0.5 and (n - 1) * abs(k) <= 960:
-            j = np.arange(n)
-            scale = np.ldexp(1.0, j * k)
-            inv_scale = np.ldexp(1.0, -j * k)
-            scaled = rewards * scale
-            if np.array_equal(scaled * inv_scale, rewards):
-                tails = np.cumsum(scaled[::-1])[::-1]
-                if np.all((tails == 0.0) | (np.abs(tails) >= _MIN_NORMAL)):
-                    returns = tails * inv_scale
-                    if np.all(np.isfinite(returns)):
-                        return returns
     returns = np.empty_like(rewards, dtype=float)
     running = 0.0
-    for t in range(n - 1, -1, -1):
+    for t in range(len(rewards) - 1, -1, -1):
         running = rewards[t] + gamma * running
         returns[t] = running
     return returns

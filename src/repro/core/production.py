@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.env import encode_state, threads_from_action
 from repro.core.networks import PolicyNetwork
-from repro.core.utility import UtilityFunction
 from repro.nn.plan import PolicyPlan
 from repro.transfer.engine import Observation
 from repro.utils.config import require_positive
@@ -64,43 +64,34 @@ class AutoMDTController:
         self.action_mode = action_mode
         self.deterministic = deterministic
         self.rng = as_generator(rng)
-        self.utility = UtilityFunction()
         # Compiled zero-Tensor inference plan (repro.nn.plan): production
         # proposals and GuardedController wrapping all query through here.
         self._plan = PolicyPlan(policy)
 
-    def _state_from_observation(self, obs: Observation) -> np.ndarray:
-        n = np.asarray(obs.threads, dtype=float) / self.max_threads
-        t = np.asarray(obs.throughputs, dtype=float) / self.throughput_scale
-        # Probe dropouts (NaN throughputs) and degenerate buffer reports
-        # (zero/NaN capacities) must not reach the policy net: NaN propagates
-        # through every layer and the Gaussian head turns it into NaN thread
-        # counts.  Free space defaults to "buffer empty" when unreported.
+    def propose(self, observation: Observation) -> tuple[int, int, int]:
+        """One §IV-F step: state → sample → round → clamp.
+
+        Probe dropouts (NaN throughputs) and degenerate buffer reports
+        (zero/NaN capacities) must not reach the policy net: NaN propagates
+        through every layer and the Gaussian head turns it into NaN thread
+        counts.  So the observation is sanitized before it is encoded —
+        free space defaults to "buffer empty" when unreported — and the
+        state's NaNs become 0 and its infinities 1 or 0.
+        """
+        obs = observation
         sender_capacity = obs.sender_capacity if obs.sender_capacity > 0 else 1.0
         receiver_capacity = obs.receiver_capacity if obs.receiver_capacity > 0 else 1.0
         sender_free = obs.sender_free if np.isfinite(obs.sender_free) else sender_capacity
         receiver_free = obs.receiver_free if np.isfinite(obs.receiver_free) else receiver_capacity
-        buffers = np.array(
-            [sender_free / sender_capacity, receiver_free / receiver_capacity]
+        state = encode_state(
+            obs.threads, obs.throughputs, sender_free, receiver_free,
+            self.max_threads, self.throughput_scale, sender_capacity, receiver_capacity,
         )
-        state = np.concatenate([n, t, buffers])
-        return np.nan_to_num(state, nan=0.0, posinf=1.0, neginf=0.0)
-
-    def _action_to_threads(self, action: np.ndarray) -> tuple[int, int, int]:
-        if self.action_mode == "normalized":
-            raw = 1.0 + action * (self.max_threads - 1)
-        else:
-            raw = action
-        threads = np.clip(np.round(raw), 1, self.max_threads).astype(int)
-        return (int(threads[0]), int(threads[1]), int(threads[2]))
-
-    def propose(self, observation: Observation) -> tuple[int, int, int]:
-        """One §IV-F step: state → sample → round → clamp."""
-        state = self._state_from_observation(observation)
         action, _ = self._plan.act(
-            state, self.rng, deterministic=self.deterministic, want_log_prob=False
+            np.nan_to_num(state, nan=0.0, posinf=1.0, neginf=0.0), self.rng,
+            deterministic=self.deterministic, want_log_prob=False,
         )
-        return self._action_to_threads(action)
+        return threads_from_action(action, self.max_threads, self.action_mode)
 
     def reset(self) -> None:
         """The controller is stateless between transfers."""

@@ -56,22 +56,6 @@ class UtilityFunction:
             )
         return float((t / self.k**n).sum())
 
-    def batch(self, throughputs, threads) -> np.ndarray:
-        """Vectorized utility for ``(N, 3)`` stacks of stage columns.
-
-        One array expression replacing N scalar ``__call__`` invocations;
-        each row is bit-identical to ``self(throughputs[i], threads[i])``
-        (same elementwise power/divide, and a row-contiguous ``sum(axis=1)``
-        performs the same pairwise accumulation as the per-row sum).
-        """
-        t = np.asarray(throughputs, dtype=float)
-        n = np.asarray(threads, dtype=float)
-        if t.ndim != 2 or t.shape[1] != 3 or t.shape != n.shape:
-            raise ConfigError(
-                f"expected matching (N, 3) throughputs and threads, got {t.shape} and {n.shape}"
-            )
-        return (t / self.k**n).sum(axis=1)
-
     def max_reward(self, bottleneck: float, optimal_threads) -> float:
         """Theoretical per-step maximum ``R_max`` (§IV-E).
 

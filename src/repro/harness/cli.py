@@ -293,19 +293,20 @@ def _report_failure(name: str, mode: str) -> None:
         print(f"FAILED {name}: the supervised transfer did not complete", file=sys.stderr)
 
 
-def _experiment_fn(name: str, args):
-    """The experiment callable, with ``--adapt`` applied where supported."""
-    fn = EXPERIMENTS[name]
-    if getattr(args, "adapt", False):
-        import functools
-        import inspect
+def _experiment_kwargs(name: str, args) -> dict:
+    """The experiment's ``--adapt`` keyword, where it supports one.
 
-        if "adapt" in inspect.signature(fn).parameters:
-            fn = functools.partial(fn, adapt=True)
-        else:
-            print(f"note: {name} does not support --adapt; running as-is",
-                  file=sys.stderr)
-    return fn
+    ``adapt`` joins the cell identity only when on, so runs without
+    --adapt keep their pre-adaptation fingerprints.
+    """
+    if not getattr(args, "adapt", False):
+        return {}
+    import inspect
+
+    if "adapt" in inspect.signature(EXPERIMENTS[name]).parameters:
+        return {"adapt": True}
+    print(f"note: {name} does not support --adapt; running as-is", file=sys.stderr)
+    return {}
 
 
 def _merge_exit(current: int, mode: str) -> int:
@@ -325,13 +326,14 @@ def _cmd_run(args) -> int:
     exit_code = 0
     for name in names:
         started = time.perf_counter()
-        fn = _experiment_fn(name, args)
+        fn = EXPERIMENTS[name]
+        kwargs = {"fast": not args.full, **_experiment_kwargs(name, args)}
         if args.seeds:
             from repro.harness.grid import parse_seeds
             from repro.harness.multirun import run_seeded
 
             seeds = parse_seeds(args.seeds)
-            aggregate = run_seeded(fn, seeds, workers=args.workers, fast=not args.full)
+            aggregate = run_seeded(fn, seeds, workers=args.workers, **kwargs)
             print(aggregate.table())
             modes = [_failure_mode(run.summary) for run in aggregate.runs]
             for mode in (m for m in modes if m):
@@ -339,11 +341,12 @@ def _cmd_run(args) -> int:
             if any(modes):
                 _report_failure(name, next(m for m in modes if m))
             if args.out:
-                for run in aggregate.runs:
-                    run.name = f"{run.name}_seed{run.summary.get('seed', '')}"
+                for seed, run in zip(seeds, aggregate.runs):
+                    run.name = f"{name}_seed{seed}"
+                    print(f"saved {run.save(args.out)}")
         else:
             wall_start = time.time()
-            result = fn(fast=not args.full, seed=args.seed)
+            result = fn(seed=args.seed, **kwargs)
             print(result.render())
             mode = _failure_mode(result.summary)
             if mode:
@@ -359,13 +362,7 @@ def _cmd_run(args) -> int:
                 "experiment",
                 name,
                 seed=args.seed,
-                # ``adapt`` joins the cell identity only when on, so runs
-                # without --adapt keep their pre-adaptation fingerprints.
-                config=experiment_config(
-                    name,
-                    fast=not args.full,
-                    **({"adapt": True} if getattr(args, "adapt", False) else {}),
-                ),
+                config=experiment_config(name, **kwargs),
                 metrics=flatten_summary(result.summary),
                 started=wall_start,
             )

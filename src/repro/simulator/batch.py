@@ -1,20 +1,15 @@
-"""Fleet-vectorized simulator core: N transfers per ``step_second`` call.
+"""Population simulator: N transfers per ``step_second`` call.
 
-:class:`BatchedSimulator` holds N independent transfer states (sender /
-receiver occupancy, elapsed time) as numpy column arrays and advances all
-of them in one ``step_second`` call.  It replays
-:class:`~repro.simulator.core.IONetworkSimulator` **bit-identically** —
-every ``StageMetrics`` field and both diagnostics match the scalar
-simulator exactly — so population training can switch between the two
-freely.
-
-Each column steps in turn through the scalar kernel
-:func:`~repro.simulator.core.event_loop`, whose burst-grouped heap already
-processes a stage's tied tasks as one run; what this class vectorizes is
-the rest of a step.  Rate/chunk tables are computed per clamped triple
-with ``np.minimum`` over the batch, replicating the scalar operation order
-exactly (``min(tpt, bw / n) * 1e6 / 8.0``), and the buffers, clocks and
-diagnostics live in column arrays.
+:class:`BatchedSimulator` is a container of N
+:class:`~repro.simulator.core.IONetworkSimulator` columns, one per
+independent transfer, and advances all of them in one ``step_second``
+call.  Each column steps through
+:meth:`IONetworkSimulator.advance <repro.simulator.core.IONetworkSimulator.advance>`,
+the scalar simulator's own uninstrumented step, so every
+``StageMetrics`` field and both diagnostics are the scalar simulator's
+by construction, and population training can switch between the two
+freely.  The batch adds only the columnar packaging of the results
+(:class:`BatchStageMetrics`) and a deferred telemetry export.
 
 Telemetry (``sim/batch_steps``, ``sim/batch_size`` and ``sim/batch_events``
 counters and a deferred column-lane summary) accumulates in plain python
@@ -31,7 +26,7 @@ import numpy as np
 
 from repro import obs
 from repro.simulator.config import SimulatorConfig
-from repro.simulator.core import StageMetrics, event_loop, initial_queue
+from repro.simulator.core import IONetworkSimulator, StageMetrics
 from repro.utils.errors import SimulationError
 
 __all__ = ["BatchStageMetrics", "BatchedSimulator"]
@@ -83,7 +78,7 @@ class BatchStageMetrics:
 
 
 class BatchedSimulator:
-    """Vectorized event-queue simulator for N independent transfers.
+    """N independent transfers, one :class:`IONetworkSimulator` column each.
 
     Parameters
     ----------
@@ -114,33 +109,8 @@ class BatchedSimulator:
                 f"batch={batch} but {len(self.configs)} configs given"
             )
         n = self.batch = len(self.configs)
-
-        def col(get) -> np.ndarray:
-            return np.array([get(c) for c in self.configs], dtype=np.float64)
-
-        self._tpt3 = np.stack(
-            [col(lambda c: c.tpt_read), col(lambda c: c.tpt_network),
-             col(lambda c: c.tpt_write)], 1)
-        self._bw3 = np.stack(
-            [col(lambda c: c.bandwidth_read), col(lambda c: c.bandwidth_network),
-             col(lambda c: c.bandwidth_write)], 1)
-        self._cap_s = col(lambda c: c.sender_buffer_capacity)
-        self._cap_r = col(lambda c: c.receiver_buffer_capacity)
-        self._horizon = col(lambda c: c.duration)
-        self._chunk_s = col(lambda c: c.chunk_seconds)
-        self._min_chunk = col(lambda c: c.min_chunk_bytes)
-        self._nmax = np.array([c.max_threads for c in self.configs], dtype=np.int64)
-        #: Per-column event-loop constants as python floats.
-        self._loop_consts = [
-            tuple(float(v) for v in (c.duration, c.epsilon, c.task_overhead,
-                                     c.sender_buffer_capacity,
-                                     c.receiver_buffer_capacity))
-            for c in self.configs
-        ]
-
-        self._sender = np.zeros(n)
-        self._receiver = np.zeros(n)
-        self._elapsed = np.zeros(n)
+        #: The transfers, one scalar simulator each.
+        self.columns = [IONetworkSimulator(c) for c in self.configs]
         self.reset(sender_usage=sender_usage, receiver_usage=receiver_usage)
         #: Diagnostics of the most recent step, one entry per transfer.
         self.last_blocked_retries = np.zeros(n, dtype=np.int64)
@@ -154,93 +124,60 @@ class BatchedSimulator:
     # --------------------------------------------------------------- state
     @property
     def sender_usage(self) -> np.ndarray:
-        """Bytes currently staged at each sender (read-only view)."""
-        return self._sender
+        """Bytes currently staged at each sender."""
+        return np.array([c.sender_usage for c in self.columns])
 
     @property
     def receiver_usage(self) -> np.ndarray:
-        """Bytes currently staged at each receiver (read-only view)."""
-        return self._receiver
+        """Bytes currently staged at each receiver."""
+        return np.array([c.receiver_usage for c in self.columns])
 
     @property
     def elapsed(self) -> np.ndarray:
         """Simulated seconds per transfer."""
-        return self._elapsed
+        return np.array([c.elapsed for c in self.columns])
 
     def reset(self, *, sender_usage=None, receiver_usage=None, mask=None) -> None:
         """Reset buffers and clocks; ``mask`` restricts to selected columns."""
         n = self.batch
-        snd = (np.zeros(n) if sender_usage is None
-               else np.broadcast_to(np.asarray(sender_usage, dtype=np.float64), (n,)))
-        rcv = (np.zeros(n) if receiver_usage is None
-               else np.broadcast_to(np.asarray(receiver_usage, dtype=np.float64), (n,)))
-        sel = slice(None) if mask is None else np.asarray(mask, dtype=bool)
-        bad = (snd < 0.0) | (snd > self._cap_s) | (rcv < 0.0) | (rcv > self._cap_r)
-        if np.any(bad if mask is None else bad & sel):
-            raise SimulationError("initial buffer usage out of range")
-        if mask is None:
-            self._sender[:] = snd
-            self._receiver[:] = rcv
-            self._elapsed[:] = 0.0
-        else:
-            np.copyto(self._sender, snd, where=sel)
-            np.copyto(self._receiver, rcv, where=sel)
-            np.copyto(self._elapsed, 0.0, where=sel)
+        snd, rcv = (
+            np.broadcast_to(np.asarray(0.0 if u is None else u, dtype=np.float64), (n,))
+            for u in (sender_usage, receiver_usage)
+        )
+        selected = range(n) if mask is None else np.flatnonzero(np.asarray(mask, dtype=bool))
+        for i in selected:
+            self.columns[i].reset(sender_usage=snd[i], receiver_usage=rcv[i])
 
     # ---------------------------------------------------------------- step
     def step_second(self, threads) -> BatchStageMetrics:
         """Advance every transfer by its configured ``duration``.
 
         ``threads`` is an ``(N, 3)`` array-like of per-transfer concurrency
-        triples; values are rounded and clamped to ``[1, max_threads]``
-        exactly as the scalar simulator does.  Each column runs the scalar
-        event loop, so the step is bit-identical to it.
+        triples; each column rounds and clamps its row to
+        ``[1, max_threads]`` and runs its scalar step.
         """
-        n_rows = self.batch
-        threads = np.asarray(threads, dtype=np.float64)
-        if threads.shape != (n_rows, 3):
+        if np.shape(threads) != (self.batch, 3):
             raise SimulationError(
-                f"expected threads of shape ({n_rows}, 3), got {threads.shape}"
+                f"expected threads of shape ({self.batch}, 3), got {np.shape(threads)}"
             )
-        n = np.clip(np.rint(threads), 1, self._nmax[:, None]).astype(np.int64)
-        # The scalar op order (min(tpt, bw / n) * 1e6 / 8.0) replicated
-        # with batch minimums.
-        rates3 = np.minimum(self._tpt3, self._bw3 / n) * 1e6 / 8.0
-        chunks3 = np.maximum(self._min_chunk[:, None], rates3 * self._chunk_s[:, None])
-
-        sender = self._sender.tolist()
-        receiver = self._receiver.tolist()
-        throughputs, blocked = [], []
-        events = 0
-        for i, (triple, rates, chunks) in enumerate(
-            zip(n.tolist(), rates3.tolist(), chunks3.tolist())
-        ):
-            thr, sender[i], receiver[i], retries, pops = event_loop(
-                rates, chunks, initial_queue(triple), sender[i], receiver[i],
-                *self._loop_consts[i],
-            )
-            throughputs.append(thr)
-            blocked.append(retries)
-            events += pops
-        self._sender[:] = sender
-        self._receiver[:] = receiver
-        self._elapsed += self._horizon
-        self.last_blocked_retries = np.array(blocked, dtype=np.int64)
-        # Each popped task pushes at most one back: the peak is one per thread.
-        self.last_queue_peak = n.sum(1)
+        columns = self.columns
+        metrics = [col.advance(row) for col, row in zip(columns, threads)]
+        self.last_blocked_retries = np.array(
+            [col.last_blocked_retries for col in columns], dtype=np.int64
+        )
+        self.last_queue_peak = np.array(
+            [col.last_queue_peak for col in columns], dtype=np.int64
+        )
         self._stat_steps += 1
-        self._stat_transfer_steps += n_rows
-        self._stat_events.append(events)
-        thr3 = np.array(throughputs)
+        self._stat_transfer_steps += self.batch
+        self._stat_events.append(sum(col.last_events for col in columns))
+        values = np.array([
+            (m.throughput_read, m.throughput_network, m.throughput_write,
+             m.sender_usage, m.receiver_usage, m.sender_free, m.receiver_free)
+            for m in metrics
+        ])
         return BatchStageMetrics(
-            throughput_read=thr3[:, 0],
-            throughput_network=thr3[:, 1],
-            throughput_write=thr3[:, 2],
-            sender_usage=self._sender.copy(),
-            receiver_usage=self._receiver.copy(),
-            sender_free=self._cap_s - self._sender,
-            receiver_free=self._cap_r - self._receiver,
-            threads=n,
+            *values.T, threads=np.array([m.threads for m in metrics], dtype=np.int64)
         )
 
     # ----------------------------------------------------------- telemetry

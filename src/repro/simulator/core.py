@@ -89,11 +89,13 @@ class IONetworkSimulator:
         self._elapsed = 0.0
         # Bound method lookup hoisted out of the per-step path.
         self._obs_active = obs.active
-        #: Diagnostics of the most recent :meth:`step_second` call — how many
-        #: blocked tasks re-queued after the ε back-off, and the most tasks
-        #: the event queue held.  Exported to :mod:`repro.obs` when enabled.
+        #: Diagnostics of the most recent step — how many blocked tasks
+        #: re-queued after the ε back-off, the most tasks the event queue
+        #: held, and how many tasks it popped.  :meth:`step_second` exports
+        #: the first two to :mod:`repro.obs` when enabled.
         self.last_blocked_retries = 0
         self.last_queue_peak = 0
+        self.last_events = 0
 
     def _validate_usage(self, sender: float, receiver: float) -> None:
         if not (0.0 <= sender <= self.config.sender_buffer_capacity):
@@ -132,12 +134,15 @@ class IONetworkSimulator:
             raise SimulationError(f"expected 3 thread counts, got {threads!r}")
         return clamped  # type: ignore[return-value]
 
-    def step_second(self, threads) -> StageMetrics:
+    def advance(self, threads) -> StageMetrics:
         """Simulate ``config.duration`` seconds under concurrency ``threads``.
 
         ``threads`` is any length-3 sequence ``(n_r, n_n, n_w)``; values are
         rounded and clamped to ``[1, max_threads]`` exactly as the
-        production loop does (§IV-F).
+        production loop does (§IV-F).  This is the whole step without
+        observability: :meth:`step_second` adds its obs export, and
+        :class:`~repro.simulator.batch.BatchedSimulator` advances each of
+        its columns through it.
         """
         cfg = self.config
         n = self._clamp_threads(threads)
@@ -152,25 +157,19 @@ class IONetworkSimulator:
             max(cfg.min_chunk_bytes, rate * cfg.chunk_seconds) for rate in rates
         ]
 
-        throughputs, sender, receiver, blocked_retries, _ = event_loop(
+        throughputs, sender, receiver, blocked_retries, pops = event_loop(
             rates, chunks, initial_queue(n), self._sender_usage, self._receiver_usage,
             cfg.duration, cfg.epsilon, cfg.task_overhead,
             cfg.sender_buffer_capacity, cfg.receiver_buffer_capacity,
         )
-        # Each popped task pushes at most one task back, so the number of
-        # queued tasks never grows past its start: one per thread.
-        queue_peak = n[0] + n[1] + n[2]
-
         self._sender_usage = sender
         self._receiver_usage = receiver
         self._elapsed += cfg.duration
         self.last_blocked_retries = blocked_retries
-        self.last_queue_peak = queue_peak
-        sess = self._obs_active()
-        if sess is not None:
-            sess.count("sim/steps")
-            sess.count("sim/blocked_retries", blocked_retries)
-            sess.observe("sim/queue_peak", queue_peak, buckets=_QUEUE_DEPTH_BUCKETS)
+        # Each popped task pushes at most one task back, so the number of
+        # queued tasks never grows past its start: one per thread.
+        self.last_queue_peak = n[0] + n[1] + n[2]
+        self.last_events = pops
 
         return StageMetrics(
             throughput_read=throughputs[_READ],
@@ -182,6 +181,17 @@ class IONetworkSimulator:
             receiver_free=cfg.receiver_buffer_capacity - receiver,
             threads=n,
         )
+
+    def step_second(self, threads) -> StageMetrics:
+        """:meth:`advance`, then count the step in the active obs session."""
+        metrics = self.advance(threads)
+        sess = self._obs_active()
+        if sess is not None:
+            sess.count("sim/steps")
+            sess.count("sim/blocked_retries", self.last_blocked_retries)
+            sess.observe("sim/queue_peak", self.last_queue_peak,
+                         buckets=_QUEUE_DEPTH_BUCKETS)
+        return metrics
 
 
 def initial_queue(n) -> list[tuple[float, int, int, int]]:
@@ -218,8 +228,7 @@ def event_loop(
     per-stage Mbps normalized by finish time, the occupancies at the end,
     the number of ε back-offs, and the number of tasks popped — every
     pushed task is popped, so that is the final sequence number.
-    :class:`IONetworkSimulator` and
-    :class:`~repro.simulator.batch.BatchedSimulator` both step through it.
+    :meth:`IONetworkSimulator.advance` steps through it.
 
     Heap entries are *runs* ``(t, seq, stage, count)``: ``count`` tasks of
     one stage due at ``t`` that own the consecutive sequence numbers

@@ -77,7 +77,7 @@ from repro.transfer.supervisor import (
 )
 from repro.utils.checksum import crc32c, crc32c_many
 from repro.utils.config import dump_json, load_json, require_positive
-from repro.utils.errors import IntegrityError
+from repro.utils.errors import ConfigError, IntegrityError
 from repro.parallel.seeds import spawn_key
 
 __all__ = [
@@ -134,6 +134,14 @@ def _is_count(value) -> bool:
     """Whether a JSON value is an int (not a bool) that fits an int64 column
     and is non-negative: a digest or a send count."""
     return type(value) is int and 0 <= value < 1 << 63
+
+
+def _json_number(data: dict, key: str, default, where: str):
+    """``data[key]`` (``default`` when absent), which must be a JSON number."""
+    value = data.get(key, default)
+    if type(value) not in (int, float):
+        raise IntegrityError(f"{where} has a non-numeric {key!r}: {value!r}")
+    return value
 
 
 class TransferManifest:
@@ -263,19 +271,26 @@ class TransferManifest:
     @classmethod
     def from_dict(cls, data: dict) -> "TransferManifest":
         """Rebuild from :meth:`to_dict` output (digests are re-derived and
-        cross-checked, so a tampered manifest file fails loudly)."""
+        cross-checked, so a tampered manifest file fails loudly).  A field
+        that does not convert (a null or list size, say) raises
+        :class:`IntegrityError`."""
         if data["algorithm"] != _ALGORITHM:
             raise IntegrityError(
                 f"manifest for {data['dataset']!r} uses digest algorithm "
                 f"{data['algorithm']!r}; only {_ALGORITHM!r} is supported"
             )
-        manifest = cls(
-            data["dataset"],
-            tuple((n, float(s)) for n, s in data["files"]),
-            float(data["chunk_size"]),
-            content_seed=int(data.get("content_seed", 0)),
-        )
-        recorded = {int(row[0]): int(row[5]) for row in data["chunks"]}
+        try:
+            manifest = cls(
+                data["dataset"],
+                tuple((n, float(s)) for n, s in data["files"]),
+                float(data["chunk_size"]),
+                content_seed=int(data.get("content_seed", 0)),
+            )
+            recorded = {int(row[0]): int(row[5]) for row in data["chunks"]}
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise IntegrityError(
+                f"manifest for {data['dataset']!r} is malformed: {exc}"
+            ) from exc
         if recorded != dict(enumerate(manifest.chunk_digests)):
             raise IntegrityError(
                 f"manifest digests for {data['dataset']!r} do not match re-derived values"
@@ -458,7 +473,8 @@ class ChunkJournal:
         digests.  Missing file → no claims.  A torn final line is truncated
         away so subsequent appends start clean.  A claim on a chunk id
         outside the manifest raises :class:`IntegrityError`: the journal
-        belongs to another manifest, or is damaged.
+        belongs to another manifest, or is damaged; so does a claim record
+        that does not parse as one (a null or list id, a missing field).
 
         Only the bytes appended since the last replay are read and parsed,
         folded into the column that replay returned: exact, because the
@@ -523,8 +539,11 @@ class ChunkJournal:
                     if lo < 0 or hi > n:
                         self._out_of_range(lo, hi - 1, n)
                     claims[lo:hi] = expected[lo:hi]
-        except BaseException:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             self._rewind()  # the column may hold part of a damaged record
+            raise IntegrityError(f"journal {self.path} holds a malformed claim: {exc!r}") from exc
+        except BaseException:
+            self._rewind()
             raise
         self._claims = claims
         self._offset += len(data)
@@ -939,11 +958,13 @@ class DestinationLedger:
 
         The snapshot must hold one entry per manifest chunk, keyed ``"0"``
         … ``"n-1"``, each with a known ``status``, a ``digest`` that is
-        null or a non-negative int, and a non-negative int ``sends``; and
-        its ``order`` must not repeat a chunk id or name one outside the
-        manifest.  Anything else raises :class:`IntegrityError`.
+        null or a non-negative int, and a non-negative int ``sends``; its
+        ``order`` must list distinct chunk ids of the manifest; and its
+        ``seed``, byte counts and ``clock`` must be JSON numbers.  Anything
+        else raises :class:`IntegrityError`.
         """
-        ledger = cls(manifest, faults, seed=int(data.get("seed", 0)))
+        where = f"destination snapshot for {manifest.dataset_name!r}"
+        ledger = cls(manifest, faults, seed=int(_json_number(data, "seed", 0, where)))
         chunks = data["chunks"]
         n = len(manifest)
         if not isinstance(chunks, dict) or len(chunks) != n:
@@ -971,17 +992,21 @@ class DestinationLedger:
             ledger._status_arr[cid] = _STATUS_CODES[status]
             ledger._digest_arr[cid] = -1 if digest is None else digest
             ledger._send_arr[cid] = sends
-        order = [int(c) for c in data.get("order", [])]
-        if len(set(order)) != len(order) or any(not 0 <= c < n for c in order):
+        order = data.get("order", [])
+        if (
+            not isinstance(order, list)
+            or not all(_is_count(c) and c < n for c in order)
+            or len(set(order)) != len(order)
+        ):
             raise IntegrityError(
-                f"destination order for {manifest.dataset_name!r} repeats a chunk "
-                f"id or names one outside the manifest's {n} chunks"
+                f"destination order for {manifest.dataset_name!r} must list "
+                f"distinct ids of the manifest's {n} chunks"
             )
         ledger._seq_arr[order] = np.arange(len(order))
         ledger._next_seq = len(order)
-        ledger._synced_bytes = float(data.get("synced_bytes", 0.0))
-        ledger.bytes_applied_total = float(data.get("applied_bytes", 0.0))
-        ledger._clock = float(data.get("clock", 0.0))
+        ledger._synced_bytes = float(_json_number(data, "synced_bytes", 0.0, where))
+        ledger.bytes_applied_total = float(_json_number(data, "applied_bytes", 0.0, where))
+        ledger._clock = float(_json_number(data, "clock", 0.0, where))
         return ledger
 
     def save(self, path: str | Path) -> None:

@@ -7,6 +7,8 @@ tests pin that contract: every reward, checkpoint metric and evaluation
 score must match ``workers=1`` exactly — ``==`` on floats, no tolerance.
 """
 
+import hashlib
+
 import numpy as np
 
 from repro.core.batched_env import BatchedEnv
@@ -16,6 +18,9 @@ from repro.core.ppo import PPOConfig
 from repro.core.training import TrainingConfig
 from repro.parallel import derive_seed
 from repro.simulator.config import SimulatorConfig
+
+#: ``_result_digest`` of ``test_population_batched_result_is_pinned``'s run.
+PINNED_POPULATION_DIGEST = "c28e595fcc92413328fc28778faf0579f6c1dea7d0cfa69b32efdf39aa3fddf5"
 
 
 def _variant(scale: float) -> SimulatorConfig:
@@ -62,7 +67,7 @@ def test_batched_env_masked_reset_skips_finished_columns():
     batched.reset_all(mask=np.array([True, False]))
     probe = SimulatorEnv(configs[1], rng=6)
     probe.reset()
-    assert batched.rngs[1].integers(0, 1 << 30) == probe.rng.integers(0, 1 << 30)
+    assert batched.members[1].rng.integers(0, 1 << 30) == probe.rng.integers(0, 1 << 30)
 
 
 def test_population_batched_matches_serial():
@@ -121,3 +126,34 @@ def test_population_batched_winner_fingerprint_second_config():
         got_state = batched.best.training.best_state[key]
         for k, a in want_state.items():
             assert np.array_equal(got_state[k], a), (key, k)
+
+
+def _result_digest(result) -> str:
+    """sha256 over the rewards, the winner and member 1's best checkpoint."""
+    h = hashlib.sha256(str(result.best_index).encode())
+    h.update(np.asarray(result.eval_rewards(), dtype=np.float64).tobytes())
+    for member in result.members:
+        h.update(np.asarray(member.training.episode_rewards, dtype=np.float64).tobytes())
+    state = result.members[1].training.best_state
+    for net in sorted(state):
+        for name in sorted(state[net]):
+            h.update(f"{net}.{name}".encode())
+            h.update(np.ascontiguousarray(state[net][name], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_population_batched_result_is_pinned():
+    """A seeded batched population, byte for byte: any change to the batched
+    simulator, the member codec or the stacked engine that moves one reward
+    or one weight changes this digest."""
+    variants = [_variant(s) for s in (1.0, 0.75, 1.25)]
+    training = TrainingConfig(
+        max_episodes=4, steps_per_episode=6, episodes_per_update=2,
+        stagnation_episodes=5,
+    )
+    ppo = PPOConfig(hidden_dim=16, policy_blocks=1, value_blocks=1, update_epochs=2)
+    result = train_population(
+        variants, root_seed=2024, training_config=training, ppo_config=ppo,
+        eval_episodes=2, batched=True,
+    )
+    assert _result_digest(result) == PINNED_POPULATION_DIGEST

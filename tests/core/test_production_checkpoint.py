@@ -24,6 +24,20 @@ def make_obs(threads=(5, 5, 5), throughputs=(500, 500, 500)):
     )
 
 
+def proposed_state(ctrl, observation):
+    """The state ``ctrl.propose`` hands its policy plan for ``observation``."""
+    seen = []
+    act = ctrl._plan.act
+
+    def spy(state, *args, **kwargs):
+        seen.append(state.copy())
+        return act(state, *args, **kwargs)
+
+    ctrl._plan.act = spy
+    ctrl.propose(observation)
+    return seen[0]
+
+
 class TestAutoMDTController:
     def make(self, deterministic=False, seed=0):
         policy = PolicyNetwork(8, 3, hidden_dim=16, num_blocks=1, rng=seed)
@@ -62,7 +76,7 @@ class TestAutoMDTController:
 
     def test_state_construction_matches_env_convention(self):
         ctrl = self.make()
-        state = ctrl._state_from_observation(make_obs((15, 30, 3), (500, 1000, 100)))
+        state = proposed_state(ctrl, make_obs((15, 30, 3), (500, 1000, 100)))
         np.testing.assert_allclose(state[:3], [0.5, 1.0, 0.1])
         np.testing.assert_allclose(state[3:6], [0.5, 1.0, 0.1])
         np.testing.assert_allclose(state[6:], [0.8, 0.9])
@@ -82,7 +96,7 @@ class TestAutoMDTController:
         stay finite or the Gaussian head emits NaN thread counts."""
         ctrl = self.make(deterministic=True)
         nan = float("nan")
-        state = ctrl._state_from_observation(make_obs(throughputs=(nan, nan, nan)))
+        state = proposed_state(ctrl, make_obs(throughputs=(nan, nan, nan)))
         assert np.all(np.isfinite(state))
         np.testing.assert_allclose(state[3:6], [0.0, 0.0, 0.0])
 
@@ -98,7 +112,7 @@ class TestAutoMDTController:
             elapsed=10.0,
             bytes_written_total=1e9,
         )
-        state = self.make()._state_from_observation(obs)
+        state = proposed_state(self.make(), obs)
         assert np.all(np.isfinite(state))
 
     def test_propose_on_pathological_observation_returns_valid_triple(self):

@@ -1,6 +1,5 @@
 """The utility/reward function (§IV-B)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,31 +51,6 @@ class TestValue:
     def test_higher_throughput_higher_utility(self):
         u = UtilityFunction()
         assert u((1000, 1000, 1000), (5, 5, 5)) > u((500, 500, 500), (5, 5, 5))
-
-
-class TestBatch:
-    def test_rows_bit_identical_to_scalar_calls(self):
-        """One vectorized call == N scalar calls, down to the last bit."""
-        u = UtilityFunction(1.02)
-        rng = np.random.default_rng(4)
-        tputs = rng.uniform(0.0, 2000.0, (17, 3))
-        threads = rng.integers(1, 40, (17, 3)).astype(float)
-        got = u.batch(tputs, threads)
-        assert got.shape == (17,)
-        for i in range(17):
-            assert got[i] == u(tputs[i], threads[i]), i
-
-    def test_single_row(self):
-        u = UtilityFunction()
-        got = u.batch([[100.0, 200.0, 300.0]], [[2.0, 3.0, 4.0]])
-        assert got[0] == u((100.0, 200.0, 300.0), (2.0, 3.0, 4.0))
-
-    def test_wrong_shapes_rejected(self):
-        u = UtilityFunction()
-        with pytest.raises(ConfigError):
-            u.batch([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
-        with pytest.raises(ConfigError):
-            u.batch([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 class TestMaxReward:

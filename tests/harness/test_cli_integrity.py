@@ -60,6 +60,18 @@ BAD_CHUNK_ENTRIES = {
 }
 
 
+def _first_order_entry_listed(blob):
+    blob["order"][0] = [blob["order"][0]]
+
+
+#: Numeric artifact fields that are JSON null or a list, per artifact file.
+BAD_NUMERIC_FIELDS = {
+    "destination_null_clock": ("destination.json", lambda d: d.update(clock=None)),
+    "destination_list_order_entry": ("destination.json", _first_order_entry_listed),
+    "manifest_null_chunk_size": ("manifest.json", lambda m: m.update(chunk_size=None)),
+}
+
+
 class TestSoakCommand:
     def test_soak_writes_report_and_exits_zero(self, capsys, tmp_path):
         code = main(
@@ -149,6 +161,26 @@ class TestVerifyCommand:
         self, capsys, tmp_path, soak_case, tamper
     ):
         case = _tampered(soak_case, tmp_path, "destination.json", BAD_CHUNK_ENTRIES[tamper])
+        capsys.readouterr()
+        assert main(["verify", str(case)]) == 2
+        assert "cannot verify" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("tamper", sorted(BAD_NUMERIC_FIELDS))
+    def test_verify_non_numeric_field_is_usage_error(
+        self, capsys, tmp_path, soak_case, tamper
+    ):
+        case = _tampered(soak_case, tmp_path, *BAD_NUMERIC_FIELDS[tamper])
+        capsys.readouterr()
+        assert main(["verify", str(case)]) == 2
+        assert "cannot verify" in capsys.readouterr().err
+
+    def test_verify_journal_record_with_null_bound_is_usage_error(
+        self, capsys, tmp_path, soak_case
+    ):
+        case = _tampered(soak_case, tmp_path, "manifest.json", lambda m: None)
+        with (case / "journal.jsonl").open("a") as fh:
+            fh.write('{"type":"chunkrun","t":1.000,"lo":null,"hi":3}\n')
         capsys.readouterr()
         assert main(["verify", str(case)]) == 2
         assert "cannot verify" in capsys.readouterr().err

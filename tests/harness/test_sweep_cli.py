@@ -1,6 +1,8 @@
 """``automdt sweep`` and the parallel flags of ``automdt run``."""
 
 from repro.harness.cli import main
+from repro.harness.experiments import EXPERIMENTS, ExperimentResult
+from repro.obs.store import ResultsStore, experiment_config, fingerprint_config
 
 
 class TestSweepCommand:
@@ -53,3 +55,33 @@ class TestRunSeedsFlag:
     def test_run_with_seed_range_parallel(self, capsys):
         assert main(["run", "figure1", "--seeds", "0,1", "--workers", "2"]) == 0
         assert "figure1 over seeds [0, 1]" in capsys.readouterr().out
+
+    def test_run_with_seeds_saves_each_result(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(["run", "figure1", "--seeds", "0-1", "--out", str(out_dir)]) == 0
+        # The layout ``automdt sweep --out`` writes.
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "figure1_seed0.json", "figure1_seed1.json",
+        ]
+
+    def test_seeded_adapt_run_is_stored_under_the_adapt_fingerprint(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``run --adapt --seeds`` and ``run --adapt --seed`` store one cell
+        identity, so a later plain ``sweep`` cannot mistake it for its own."""
+
+        def adaptive(*, fast=True, seed=0, adapt=False):
+            return ExperimentResult(
+                "adaptive", summary={"adapted": float(adapt)}, tables=[]
+            )
+
+        monkeypatch.setitem(EXPERIMENTS, "adaptive", adaptive)
+        monkeypatch.setattr("repro.obs.store.sink._default", None)  # --store sets it
+        single, seeded = tmp_path / "single.db", tmp_path / "seeded.db"
+        assert main(["run", "adaptive", "--adapt", "--store", str(single)]) == 0
+        assert main(["run", "adaptive", "--adapt", "--seeds", "0", "--store", str(seeded)]) == 0
+        want = fingerprint_config(experiment_config("adaptive", fast=True, adapt=True))
+        for db in (single, seeded):
+            (row,) = ResultsStore(db).runs(kind="experiment")
+            assert row["config_fingerprint"] == want, db.name
+            assert ResultsStore(db).run_metrics(row["run_id"]) == {"adapted": 1.0}

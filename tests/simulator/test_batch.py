@@ -104,6 +104,30 @@ class TestTelemetry:
             assert sim.export_telemetry() is False
         assert calls == [1, 1, 1]  # the explicit end-of-run export calls
 
+    def test_batched_env_calls_no_scalar_entry_point(self, monkeypatch):
+        """The batch steps its columns through ``IONetworkSimulator.advance``
+        and starts episodes through ``SimulatorEnv.start_episode``: the
+        scalar simulator's and environment's instrumented entry points stay
+        unused, so per-layer call counts keep the two paths apart."""
+        from repro.core.batched_env import BatchedEnv
+        from repro.core.env import SimulatorEnv
+        from repro.simulator.core import IONetworkSimulator
+
+        calls = []
+        for owner, name in ((IONetworkSimulator, "step_second"),
+                            (SimulatorEnv, "step"), (SimulatorEnv, "reset")):
+            monkeypatch.setattr(
+                owner, name,
+                lambda *args, _name=f"{owner.__name__}.{name}", **kw: calls.append(_name),
+            )
+        env = BatchedEnv([_config(), _config(tpt_read=40.0, max_threads=6)], rngs=[1, 2])
+        rng = np.random.default_rng(0)
+        for mask in (None, np.array([True, False])):
+            env.reset_all(mask=mask)
+            for _ in range(3):
+                env.step_all(rng.uniform(0.0, 1.0, (2, 3)))
+        assert calls == []
+
     def test_export_telemetry_flushes_counters(self, tmp_path):
         with obs.session(tmp_path) as sess:
             sim = BatchedSimulator(_config(), 8)
