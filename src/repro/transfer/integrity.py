@@ -7,8 +7,10 @@ every previously counted byte.  This module adds the verification layer
 production transfer services (GridFTP/Globus-style) treat as table stakes:
 
 * :class:`TransferManifest` — the dataset split into fixed-size chunks,
-  each with an expected CRC32C digest of its payload tag; every tag is
-  digested in one :func:`~repro.utils.checksum.crc32c_many` sweep.
+  each with an expected CRC32C digest of its payload tag; the digests are
+  combined from one :func:`~repro.utils.checksum.crc32c_many` sweep over
+  the per-file tag prefixes and per-index tag tails, without building a
+  tag.
 * :class:`ChunkJournal` — an append-only JSONL write-ahead journal of
   chunk completions with a **coalescing writer**: a sync's claims fold
   into one buffered ``chunkbatch`` or ``chunkrun`` record, flushed
@@ -55,7 +57,7 @@ import os
 import time
 from bisect import bisect_right
 from itertools import accumulate, compress
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,7 +77,7 @@ from repro.transfer.supervisor import (
     TransferCheckpoint,
     TransferSupervisor,
 )
-from repro.utils.checksum import crc32c, crc32c_many
+from repro.utils.checksum import crc32c, crc32c_many, crc32c_zeros
 from repro.utils.config import dump_json, load_json, require_positive
 from repro.utils.errors import ConfigError, IntegrityError
 from repro.parallel.seeds import spawn_key
@@ -151,15 +153,19 @@ class TransferManifest:
     chunk's canonical content is a deterministic payload tag,
     ``f"{dataset}:{file}:{index}:{content_seed}"``.  Two manifests built
     with the same arguments are identical; a different ``content_seed``
-    models a different dataset's contents.  The tags are packed into one
-    bytes arena for a single :func:`~repro.utils.checksum.crc32c_many`
-    sweep, then dropped: only their digests are kept.
+    models a different dataset's contents.  No tag is ever built: a tag is
+    a per-file prefix plus a per-index tail, so its digest is the prefix's
+    digest advanced through the tail's length in zero bytes
+    (:func:`~repro.utils.checksum.crc32c_zeros`) XOR the tail's digest.
+    One :func:`~repro.utils.checksum.crc32c_many` sweep digests every
+    prefix and every distinct tail, and the per-tag :func:`crc32c` stays
+    the oracle the tests hold the columns to.
     """
 
     def __init__(
         self,
         dataset_name: str,
-        files: tuple[tuple[str, float], ...],
+        files: Iterable[tuple[str, float]],
         chunk_size: float,
         content_seed: int = 0,
     ) -> None:
@@ -189,33 +195,48 @@ class TransferManifest:
         running = np.cumsum(chunk_bytes)
         offsets = np.zeros(total_chunks, dtype=np.float64)
         offsets[1:] = running[:-1]
-        # Payload-tag arena: every chunk's canonical content, concatenated.
-        # Index strings are shared across files so a 50k-chunk manifest
-        # builds ~one str() per distinct chunk index.
-        max_count = int(counts.max()) if len(counts) else 0
-        index_strs = [str(i) for i in range(max_count)]
-        tags: list[bytes] = []
-        for fi, (name, _size) in enumerate(self.files):
-            prefix = f"{self.dataset_name}:{name}:"
-            suffix = f":{self.content_seed}"
-            tags.extend(
-                (prefix + index_strs[i] + suffix).encode() for i in range(int(counts[fi]))
-            )
-        tag_lengths = np.array([len(t) for t in tags], dtype=np.int64)
-        tag_offsets = np.zeros(total_chunks, dtype=np.int64)
-        if total_chunks:
-            tag_offsets[1:] = np.cumsum(tag_lengths)[:-1]
-        digests = crc32c_many(b"".join(tags), tag_offsets, tag_lengths)
+        # Chunk digests by CRC32C linearity.  A tag is ``prefix + tail``,
+        # with ``prefix = f"{dataset}:{file}:"`` per file and
+        # ``tail = f"{index}:{content_seed}"`` per in-file index, so
+        # ``crc32c(tag) == Z(crc32c(prefix)) ^ crc32c(tail)``, where ``Z``
+        # steps the register through ``len(tail)`` zero bytes.  One sweep
+        # digests every prefix and the tail of every index below the
+        # largest chunk count; the prefix column is advanced past the seed
+        # part of the tail, then one byte per digit count of the index,
+        # and each chunk is one gather from the column its index needs.
+        n_files = len(self.files)
+        max_count = int(counts.max()) if n_files else 0
+        suffix = f":{self.content_seed}"
+        records = [f"{self.dataset_name}:{name}:".encode() for name, _ in self.files]
+        records += [f"{i}{suffix}".encode() for i in range(max_count)]
+        record_lengths = np.fromiter(map(len, records), np.int64, len(records))
+        record_offsets = np.zeros(len(records), dtype=np.int64)
+        np.cumsum(record_lengths[:-1], out=record_offsets[1:])
+        crcs = crc32c_many(b"".join(records), record_offsets, record_lengths)
+        # digits[i] == len(str(i)), the only part of a tail's length that varies.
+        digits = record_lengths[n_files:] - len(suffix)
+        # shifted[d - 1]: the prefix digests advanced past a d-digit tail.
+        shifted = np.empty((digits.max(initial=0), n_files), dtype=np.uint32)
+        column = crc32c_zeros(crcs[:n_files], len(suffix))
+        for d in range(len(shifted)):
+            column = shifted[d] = crc32c_zeros(column, 1)
+        digests = shifted[digits[indices] - 1, file_idx] ^ crcs[n_files:][indices]
 
         # File, in-file index and dataset offset of each chunk: only
         # :meth:`to_dict` reads them.
         self._file_idx = file_idx
         self._indices = indices
         self._offsets = offsets
+        # Full chunks share the one ``chunk_size`` float: a distinct float
+        # per chunk would cost a quarter of a 1 TB set's build.
+        partial = np.flatnonzero(chunk_bytes != self.chunk_size)
+        sizes = [self.chunk_size] * total_chunks
+        for cid, size in zip(partial.tolist(), chunk_bytes[partial].tolist()):
+            sizes[cid] = size
         #: Per-chunk sizes and expected digests as tuples: hot paths index
         #: them one scalar at a time, where a tuple beats a numpy array.
-        self.chunk_sizes: tuple[float, ...] = tuple(chunk_bytes.tolist())
-        self.chunk_digests: tuple[int, ...] = tuple(int(d) for d in digests)
+        self.chunk_sizes: tuple[float, ...] = tuple(sizes)
+        self.chunk_digests: tuple[int, ...] = tuple(digests.tolist())
         #: Vector views of the chunk table for the ledger's sweep kernels.
         self.sizes_np = chunk_bytes
         self.digests_np = np.asarray(digests, dtype=np.int64)
@@ -226,9 +247,12 @@ class TransferManifest:
         cls, dataset, chunk_size: float, *, content_seed: int = 0
     ) -> "TransferManifest":
         """Build from a :class:`repro.transfer.files.Dataset`."""
+        # A generator, not a tuple: each pair is freed as soon as the
+        # manifest copies it, so a 16k-file set allocates half as many
+        # long-lived tuples, and the collector runs half as often.
         return cls(
             dataset.name,
-            tuple((f.name, f.size) for f in dataset),
+            ((f.name, f.size) for f in dataset),
             chunk_size,
             content_seed=content_seed,
         )
@@ -270,10 +294,11 @@ class TransferManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransferManifest":
-        """Rebuild from :meth:`to_dict` output (digests are re-derived and
-        cross-checked, so a tampered manifest file fails loudly).  A field
-        that does not convert (a null or list size, say) raises
-        :class:`IntegrityError`."""
+        """Rebuild from :meth:`to_dict` output (digests are re-derived by
+        the same build and cross-checked, so a tampered manifest file fails
+        loudly).  A field that does not convert (a null or list size, say),
+        or a row id or digest that is not a JSON int (a bool, a float, a
+        numeric string), raises :class:`IntegrityError`."""
         if data["algorithm"] != _ALGORITHM:
             raise IntegrityError(
                 f"manifest for {data['dataset']!r} uses digest algorithm "
@@ -286,12 +311,19 @@ class TransferManifest:
                 float(data["chunk_size"]),
                 content_seed=int(data.get("content_seed", 0)),
             )
-            recorded = {int(row[0]): int(row[5]) for row in data["chunks"]}
+            ids = [row[0] for row in data["chunks"]]
+            digests = [row[5] for row in data["chunks"]]
         except (ConfigError, TypeError, ValueError) as exc:
             raise IntegrityError(
                 f"manifest for {data['dataset']!r} is malformed: {exc}"
             ) from exc
-        if recorded != dict(enumerate(manifest.chunk_digests)):
+        # JSON ints only: ``int()`` would quietly fold a bool, a float or a
+        # numeric string into the right id or digest.
+        if not set(map(type, ids + digests)) <= {int}:
+            raise IntegrityError(
+                f"manifest for {data['dataset']!r} has a chunk id or digest that is not an int"
+            )
+        if dict(zip(ids, digests)) != dict(enumerate(manifest.chunk_digests)):
             raise IntegrityError(
                 f"manifest digests for {data['dataset']!r} do not match re-derived values"
             )
@@ -474,7 +506,9 @@ class ChunkJournal:
         away so subsequent appends start clean.  A claim on a chunk id
         outside the manifest raises :class:`IntegrityError`: the journal
         belongs to another manifest, or is damaged; so does a claim record
-        that does not parse as one (a null or list id, a missing field).
+        that does not parse as one: a missing field, an id, bound or digest
+        that is not a JSON int (null, a list, a bool, a float, a string), a
+        negative digest, or ids and digests of different lengths.
 
         Only the bytes appended since the last replay are read and parsed,
         folded into the column that replay returned: exact, because the
@@ -529,13 +563,23 @@ class ChunkJournal:
             for record in records:
                 kind = record.get("type")
                 if kind == "chunkbatch":
-                    ids = record["ids"]
-                    if ids and (min(ids) < 0 or max(ids) >= n):
-                        self._out_of_range(min(ids), max(ids), n)
-                    for cid, digest in zip(ids, record["digests"]):
-                        claims[int(cid)] = int(digest)
+                    ids, digests = record["ids"], record["digests"]
+                    if len(ids) != len(digests):
+                        raise ValueError(f"{len(ids)} ids but {len(digests)} digests")
+                    # A damaged record raises part-way through its claims;
+                    # the rewind below drops the column they went into.
+                    for cid, digest in zip(ids, digests):
+                        if type(cid) is not int or type(digest) is not int:
+                            raise TypeError(f"claim {cid!r}: {digest!r} is not two ints")
+                        if not 0 <= cid < n:
+                            self._out_of_range(min(ids), max(ids), n)
+                        if not 0 <= digest < 1 << 63:
+                            raise ValueError(f"digest {digest} is outside 0..2**63-1")
+                        claims[cid] = digest
                 elif kind == "chunkrun":
-                    lo, hi = int(record["lo"]), int(record["hi"])
+                    lo, hi = record["lo"], record["hi"]
+                    if type(lo) is not int or type(hi) is not int:
+                        raise TypeError(f"run bounds {lo!r}..{hi!r} are not ints")
                     if lo < 0 or hi > n:
                         self._out_of_range(lo, hi - 1, n)
                     claims[lo:hi] = expected[lo:hi]

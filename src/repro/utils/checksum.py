@@ -4,8 +4,12 @@ The integrity layer (:mod:`repro.transfer.integrity`) digests two kinds of
 bytes, both small:
 
 * **manifest payload tags** — each chunk's canonical content, a tag of at
-  most a few dozen bytes, packed into one arena and digested in a single
-  :func:`crc32c_many` sweep when a manifest is built;
+  most a few dozen bytes.  A manifest never digests a whole tag: it sweeps
+  the per-file prefixes and the distinct index tails with
+  :func:`crc32c_many`, then joins a prefix and a tail by the CRC combine
+  identity ``crc32c(a + b) == Z(crc32c(a)) ^ crc32c(b)``, where ``Z``
+  (:func:`crc32c_zeros`) is ``len(b)`` zero-byte steps of the register,
+  as zlib's ``crc32_combine`` does;
 * **fault markers** — a few bytes chained onto a chunk's expected digest
   with :func:`crc32c`'s ``value`` to synthesise the divergent digest a
   corrupt or torn chunk holds.
@@ -13,15 +17,16 @@ bytes, both small:
 CRC32C is the iSCSI/ext4 CRC (polynomial ``0x1EDC6F41``, reflected).
 Known-answer vectors are pinned in ``tests/utils/test_checksum.py``
 (``crc32c(b"123456789") == 0xE3069283`` is the standard check value), and
-:func:`crc32c` is the oracle :func:`crc32c_many` must match bit for bit.
-Both return unsigned 32-bit values and accept any bytes-like object.
+:func:`crc32c` is the oracle :func:`crc32c_many` and the combine identity
+must match bit for bit.  All three return unsigned 32-bit values;
+:func:`crc32c` and :func:`crc32c_many` accept any bytes-like object.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["crc32c", "crc32c_many"]
+__all__ = ["crc32c", "crc32c_many", "crc32c_zeros"]
 
 _CRC32C_POLY = 0x82F63B78  # 0x1EDC6F41 reflected
 
@@ -80,3 +85,18 @@ def crc32c_many(arena, offsets, lengths):
     out = np.empty(n, dtype=np.uint32)
     out[order] = crc
     return out
+
+
+def crc32c_zeros(crcs, n: int):
+    """Each digest of ``crcs`` advanced through ``n`` zero bytes.
+
+    This is :func:`crc32c_many`'s table step with no data byte, applied
+    ``n`` times to a whole column; it returns a new ``uint32`` array.  It
+    joins digests without their bytes: for any ``a`` and ``b``,
+    ``crc32c(a + b) == crc32c_zeros([crc32c(a)], len(b))[0] ^ crc32c(b)``.
+    """
+    crc = np.array(crcs, dtype=np.uint32)
+    m8, s8 = np.uint32(0xFF), np.uint32(8)
+    for _ in range(n):
+        crc = _TABLE_NP[crc & m8] ^ (crc >> s8)
+    return crc

@@ -185,6 +185,24 @@ class TestVerifyCommand:
         assert main(["verify", str(case)]) == 2
         assert "cannot verify" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"type":"chunkrun","t":1.000,"lo":true,"hi":3.5}',
+            '{"type":"chunkbatch","t":1.000,"ids":[4.0],"digests":[1004.9]}',
+        ],
+        ids=["run-bool-and-float-bounds", "batch-float-id-and-digest"],
+    )
+    def test_verify_journal_claim_that_is_not_an_int_is_usage_error(
+        self, capsys, tmp_path, soak_case, record
+    ):
+        case = _tampered(soak_case, tmp_path, "manifest.json", lambda m: None)
+        with (case / "journal.jsonl").open("a") as fh:
+            fh.write(record + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(case)]) == 2
+        assert "cannot verify" in capsys.readouterr().err
+
 
 class TestRunExitCodes:
     def test_run_fails_when_supervised_transfer_fails(self, capsys, monkeypatch):

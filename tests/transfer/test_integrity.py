@@ -34,6 +34,7 @@ from repro.utils.checksum import crc32c
 from repro.utils.config import dump_json, load_json
 from repro.utils.errors import IntegrityError
 from repro.utils.units import GiB
+from repro.workloads import mixed_dataset
 from tests.transfer import journal_oracle
 
 
@@ -108,6 +109,19 @@ class TestManifest:
         blob = manifest.to_dict()
         blob["chunks"][0][5] ^= 1  # flip a digest bit
         with pytest.raises(IntegrityError):
+            TransferManifest.from_dict(blob)
+
+    @pytest.mark.parametrize(
+        ("row", "field", "edit"),
+        [(1, 0, lambda _: True), (0, 5, float), (0, 5, str)],
+        ids=["bool-id", "float-digest", "string-digest"],
+    )
+    def test_non_integer_row_id_or_digest_rejected(self, row, field, edit):
+        # ``true`` is chunk 1 to ``int()``, and the float and the numeric
+        # string are the right digest: only the JSON-int rule refuses them.
+        blob = make_manifest().to_dict()
+        blob["chunks"][row][field] = edit(blob["chunks"][row][field])
+        with pytest.raises(IntegrityError, match="not an int"):
             TransferManifest.from_dict(blob)
 
     def test_unknown_algorithm_rejected(self):
@@ -209,6 +223,38 @@ class TestJournal:
         (tmp_path / "j.jsonl").write_text(record + "\n")
         journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED)
         with pytest.raises(IntegrityError):
+            journal.replay()
+        journal.close()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"type":"chunkrun","t":1.0,"lo":true,"hi":3}',
+            '{"type":"chunkrun","t":1.0,"lo":1,"hi":3.5}',
+            '{"type":"chunkbatch","t":1.0,"ids":[4.0],"digests":[1004]}',
+            '{"type":"chunkbatch","t":1.0,"ids":[true],"digests":[1001]}',
+            '{"type":"chunkbatch","t":1.0,"ids":[4],"digests":[1004.9]}',
+            '{"type":"chunkbatch","t":1.0,"ids":[4],"digests":["1004"]}',
+            '{"type":"chunkbatch","t":1.0,"ids":[4],"digests":[-1]}',
+            '{"type":"chunkbatch","t":1.0,"ids":[4,5],"digests":[1004]}',
+        ],
+        ids=[
+            "run-bool-lo", "run-float-hi", "batch-float-id", "batch-bool-id",
+            "batch-float-digest", "batch-string-digest", "batch-negative-digest",
+            "batch-missing-digest",
+        ],
+    )
+    def test_claim_field_that_is_not_an_int_raises(self, tmp_path, record):
+        # ``int()`` would fold each of these into a claim (a negative digest
+        # into "unclaimed", a short digest list into fewer claims): a
+        # damaged record is refused instead, and nothing is folded.
+        (tmp_path / "j.jsonl").write_text(
+            '{"type":"chunkbatch","t":0.5,"ids":[0],"digests":[1000]}\n' + record + "\n"
+        )
+        journal = ChunkJournal(tmp_path / "j.jsonl", EXPECTED)
+        with pytest.raises(IntegrityError, match="malformed claim"):
+            journal.replay()
+        with pytest.raises(IntegrityError, match="malformed claim"):
             journal.replay()
         journal.close()
 
@@ -592,15 +638,59 @@ class TestBatchedJournal:
         ).hexdigest() == destination_digest
 
 
+#: Manifests for the per-tag oracle, as ``(dataset, files, content_seed)``
+#: at 1-byte chunks, so a file's size is its chunk count: the edges of the
+#: prefix/tail split that the build's digest combine rests on.
+ORACLE_MANIFESTS = {
+    "no-files": ("ds", (), 0),
+    "zero-byte-file": ("ds", (("empty", 0.0), ("f", 3.0), ("g", 0.0)), 5),
+    "non-ascii-and-empty-names": (
+        "dätä", (("", 2.0), ("ファイル", 3.0), ("é/ü.h5", 1.0), ("", 1.0)), 9
+    ),
+    "empty-dataset-name": ("", (("f", 2.0),), 1),
+    "negative-seed": ("ds", (("f", 12.0), ("g", 1.0)), -123456789),
+    "seed-2**62": ("ds", (("f", 12.0), ("g", 3.0)), 2**62),
+    "seed-past-int64": ("ds", (("f", 12.0),), 2**64 + 7),
+    "indices-cross-10": ("ds", (("a", 10.0), ("b", 11.0), ("c", 9.0)), 3),
+    "indices-cross-100": ("ds", (("a", 101.0), ("b", 100.0), ("c", 1.0)), 3),
+    "indices-cross-1000": ("ds", (("a", 99.0), ("b", 1001.0), ("c", 12.0)), 2**61),
+    "indices-cross-10000": ("ds", (("a", 10_001.0), ("b", 1.0), ("c", 150.0)), 11),
+}
+
+
 class TestZeroCopyPipeline:
-    """Tag digests come from one arena sweep; divergent digests chain off
-    the expected value without the payload bytes."""
+    """Tag digests are combined from prefix and tail digests; divergent
+    digests chain off the expected value without the payload bytes."""
 
     def test_digests_match_per_chunk_oracle(self):
         manifest = make_manifest(content_seed=3)
         for cid, file, index, _offset, _size, digest in manifest.to_dict()["chunks"]:
             tag = f"{manifest.dataset_name}:{file}:{index}:{manifest.content_seed}"
             assert digest == manifest.chunk_digests[cid] == crc32c(tag.encode())
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_MANIFESTS))
+    def test_digest_columns_match_per_tag_oracle(self, case):
+        name, files, content_seed = ORACLE_MANIFESTS[case]
+        manifest = TransferManifest(name, files, 1.0, content_seed=content_seed)
+        oracle = [
+            crc32c(f"{name}:{file}:{index}:{content_seed}".encode())
+            for _cid, file, index, *_ in manifest.to_dict()["chunks"]
+        ]
+        assert len(oracle) == sum(max(1, int(size)) for _, size in files)
+        assert list(manifest.chunk_digests) == oracle
+        assert manifest.digests_np.dtype == np.int64
+        assert manifest.digests_np.tolist() == oracle
+        assert list(manifest.chunk_sizes) == manifest.sizes_np.tolist()
+
+    def test_mixed_manifest_digests_are_pinned(self):
+        # sha256 of the digest column of a 100 GB Mixed set at 4 MB chunks
+        # (1,591 files, 25,881 chunks, in-file indices up to 536).
+        manifest = TransferManifest.from_dataset(mixed_dataset(total_bytes=1e11, rng=0), 4e6)
+        assert len(manifest) == 25_881
+        column = manifest.digests_np.astype("<i8").tobytes()
+        assert hashlib.sha256(column).hexdigest() == (
+            "246f7d097ab9382777ed6754087544ff5fb3f695aaedf0be4409ab0f811d5c59"
+        )
 
     def test_divergent_digests_unique_per_marker(self):
         # Divergent digests differ from the expected digest and from each

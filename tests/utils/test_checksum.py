@@ -5,12 +5,15 @@ standard check values, and the buffer-parallel :func:`crc32c_many` must
 be bit-identical to it on every arena shape.  The property tests here
 sweep the shapes that matter: every small length, a log-spread of long
 records, random chaining split points, and arenas with empty/ragged
-records.
+records.  :func:`crc32c_zeros` is held to the combine identity the
+manifest build rests on.
 """
 
 import random
 
-from repro.utils.checksum import crc32c, crc32c_many
+import numpy as np
+
+from repro.utils.checksum import crc32c, crc32c_many, crc32c_zeros
 
 
 def _seeded_buffers(count: int, max_len: int, seed: int) -> list[bytes]:
@@ -115,3 +118,28 @@ class TestBatchKernels:
         assert list(crc32c_many(*_arena(buffers))) == [crc32c(b) for b in buffers]
         assert list(crc32c_many(b"", [0, 0], [0, 0])) == [0, 0]
         assert len(crc32c_many(b"", [], [])) == 0
+
+
+class TestZeros:
+    """``crc32c(a + b) == crc32c_zeros([crc32c(a)], len(b))[0] ^ crc32c(b)``."""
+
+    def test_combine_identity_on_random_pairs(self):
+        # An empty ``b`` is the n = 0 case: the digest passes unchanged.
+        rng = random.Random(30)
+        pairs = [(b"", b""), (b"abc", b""), (b"", b"abc")]
+        pairs += [(rng.randbytes(rng.randrange(64)), rng.randbytes(rng.randrange(64)))
+                  for _ in range(200)]
+        for a, b in pairs:
+            shifted = crc32c_zeros([crc32c(a)], len(b))
+            assert int(shifted[0]) ^ crc32c(b) == crc32c(a + b), (a, b)
+
+    def test_column_advances_each_digest(self):
+        rng = random.Random(31)
+        heads = [rng.randbytes(rng.randrange(1, 40)) for _ in range(50)]
+        tail = rng.randbytes(23)
+        column = np.array([crc32c(h) for h in heads], dtype=np.uint32)
+        shifted = crc32c_zeros(column, 23)
+        assert shifted.dtype == np.uint32
+        assert [int(s) ^ crc32c(tail) for s in shifted] == [crc32c(h + tail) for h in heads]
+        assert column.tolist() == [crc32c(h) for h in heads]  # the input is left as it was
+        assert len(crc32c_zeros([], 5)) == 0
