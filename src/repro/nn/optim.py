@@ -47,9 +47,9 @@ def adam_step(
 
     ``m``/``v`` are the first/second moment estimates and ``scratch`` a work
     array, all shaped like ``p``.  Every operation is elementwise, so one
-    call over a flat buffer holding many parameters gives the same bits in
-    every slot as one call per parameter; the stacked policy engine
-    (:mod:`repro.nn.stacked`) relies on that.
+    call over a flat buffer holding many parameters, or one call per block
+    of it, gives the same bits in every slot as one call per parameter; the
+    stacked policy engine (:mod:`repro.nn.stacked`) relies on that.
     """
     b1, b2 = betas
     scale = lr / (1.0 - b1**step)
@@ -59,7 +59,7 @@ def adam_step(
     np.multiply(g, 1.0 - b1, out=scratch)
     m += scratch
     v *= b2
-    np.multiply(g, g, out=scratch)
+    np.square(g, out=scratch)
     scratch *= 1.0 - b2
     v += scratch
     # p -= lr * m̂ / (sqrt(v̂) + eps), all in scratch

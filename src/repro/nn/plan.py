@@ -13,7 +13,8 @@ Bit-identity argument (DESIGN §17): every plan step performs *the same numpy
 call on the same float64 values in the same order* as the Tensor forward it
 replaces — ``np.matmul`` then in-place bias add (``a + b`` and
 ``np.add(a, b, out=...)`` are the same ufunc), ``np.tanh``, the fused
-layernorm's exact mean/variance sequence, ``np.clip`` for the log-std bound,
+layernorm's exact mean/variance sequence (:func:`row_mean` is ``mean``'s
+own sum and divide), ``np.clip`` for the log-std bound,
 and ``np.where``-equivalent masking for ReLU (mask + ``copyto`` so NaN and
 signed-zero semantics match ``np.where(mask, x, 0.0)`` exactly).  Sampling
 and log-prob replicate :class:`~repro.nn.distributions.DiagonalGaussian`
@@ -57,18 +58,31 @@ class _BlockPlan:
         self.norm2 = (block.norm2.scale, block.norm2.shift, block.norm2.eps)
 
 
+def row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` without its Python wrapper.
+
+    ``ndarray.mean`` is ``np.add.reduce`` followed by a true divide by the
+    element count, so this is the same pairwise sum and the same division:
+    the same bits, without the wrapper's per-call Python overhead.
+    """
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    total /= x.shape[-1]
+    return total
+
+
 def _layernorm_inplace(x: np.ndarray, norm: tuple, square: np.ndarray) -> None:
     """In-place fused layernorm on a 1-D buffer, matching the Tensor op.
 
-    Mean/variance reductions use the same ``mean(axis=-1, keepdims=True)``
-    calls as :func:`repro.autograd.tensor.layernorm`, so the float sequence
-    is identical; ``square`` is a same-shaped scratch buffer.
+    Mean/variance reductions compute what the ``mean(axis=-1,
+    keepdims=True)`` calls of :func:`repro.autograd.tensor.layernorm` do
+    (:func:`row_mean`), so the float sequence is identical; ``square`` is a
+    same-shaped scratch buffer.
     """
     scale, shift, eps = norm
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = row_mean(x)
     x -= mu
     np.multiply(x, x, out=square)
-    var = square.mean(axis=-1, keepdims=True)
+    var = row_mean(square)
     inv_std = 1.0 / np.sqrt(var + eps)
     x *= inv_std
     x *= scale.data

@@ -17,7 +17,8 @@ Results are bit-identical per member to the autograd update,
 terms (the test oracle), because every stacked operation is either
 
 * elementwise (tanh, exp, clip, Adam's in-place update sequence) — batching
-  does not change per-element float arithmetic;
+  does not change per-element float arithmetic, and neither does running
+  Adam block by block over the flat buffers;
 * a batched ``np.matmul`` over a leading stack axis, which numpy computes as
   the identical per-slice GEMM (``np.einsum`` is *not* used: its different
   reduction order breaks bit-identity);
@@ -60,18 +61,22 @@ import numpy as np
 from repro import obs
 from repro.core.ppo import PPOAgent, PPOConfig, annealed_lr
 from repro.nn.optim import adam_step
+from repro.nn.plan import row_mean
 
 __all__ = ["StackedPPOAgent"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _ENTROPY_CONST = 0.5 + 0.5 * _LOG_2PI
+#: Elements per Adam block: five float64 blocks (params, grads, both
+#: moments, scratch) take 1.25 MB, so each block's 13 passes stay in L2.
+_ADAM_BLOCK = 1 << 15
 
 
 def _ln_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float):
     """Stacked fused layernorm forward; returns (out, xhat, inv_std)."""
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = row_mean(x)
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = row_mean(centered * centered)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     return xhat * scale[:, None, :] + shift[:, None, :], xhat, inv_std
@@ -81,11 +86,7 @@ def _ln_backward(grad: np.ndarray, scale: np.ndarray, xhat: np.ndarray,
                  inv_std: np.ndarray):
     """Stacked layernorm backward; returns (dx, dscale, dshift)."""
     dxhat = grad * scale[:, None, :]
-    dx = (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    ) * inv_std
+    dx = (dxhat - row_mean(dxhat) - xhat * row_mean(dxhat * xhat)) * inv_std
     dscale = (grad * xhat).sum(axis=1)
     dshift = grad.sum(axis=1)
     return dx, dscale, dshift
@@ -96,9 +97,9 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def _mm_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched ``a^T @ b`` per stack slice via a transpose view."""
-    return np.matmul(a.transpose(0, 2, 1), b)
+def _mm_t(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Batched ``a^T @ b`` per stack slice via a transpose view, into ``out``."""
+    np.matmul(a.transpose(0, 2, 1), b, out=out)
 
 
 class StackedPPOAgent:
@@ -142,9 +143,13 @@ class StackedPPOAgent:
         self.lr = self.config.learning_rate
         self._stack_parameters()
         self._build_structure_index()
-        self._flat_m = np.zeros_like(self._flat_params)
-        self._flat_v = np.zeros_like(self._flat_params)
-        self._flat_scratch = np.empty_like(self._flat_params)
+        # np.zeros maps lazy zero pages; np.zeros_like would memset them.
+        size = self._flat_params.size
+        self._flat_m = np.zeros(size)
+        self._flat_v = np.zeros(size)
+        self._flat_g = np.empty(size)
+        self._grad_views = self._segment_views(self._flat_g, self.k)
+        self._adam_scratch = np.empty(min(size, _ADAM_BLOCK))
         self._step_counts = np.zeros(self.k, dtype=np.int64)
         self._n_params = len(self._params)
         for row, member in enumerate(members):
@@ -161,8 +166,8 @@ class StackedPPOAgent:
 
         Every (K, *shape) stack is a segment view of ONE contiguous flat
         buffer, so the Adam epoch can run its in-place op sequence over
-        the whole population's parameters/moments with ~a dozen numpy
-        calls total instead of 12 × n_params — elementwise arithmetic is
+        the whole population's parameters/moments block by block instead
+        of 13 numpy calls per parameter — elementwise arithmetic is
         position-independent, so the fused sweep stays bit-identical.
         """
         param_lists = [m.parameters() for m in self.members]
@@ -406,7 +411,7 @@ class StackedPPOAgent:
         full = rows == self.k and np.array_equal(idx, np.arange(self.k))
         if full:
             flat_p, flat_m, flat_v = self._flat_params, self._flat_m, self._flat_v
-            flat_scr = self._flat_scratch
+            flat_g, grad_views = self._flat_g, self._grad_views
             params = self._params
             m_views = v_views = None
         else:
@@ -415,7 +420,8 @@ class StackedPPOAgent:
             flat_p = np.empty(rows * self._member_size)
             flat_m = np.empty_like(flat_p)
             flat_v = np.empty_like(flat_p)
-            flat_scr = np.empty_like(flat_p)
+            flat_g = self._flat_g[: flat_p.size]
+            grad_views = self._segment_views(flat_g, rows)
             params = self._segment_views(flat_p, rows)
             m_views = self._segment_views(flat_m, rows)
             v_views = self._segment_views(flat_v, rows)
@@ -425,14 +431,12 @@ class StackedPPOAgent:
                 params[j][...] = self._params[j][idx]
                 m_views[j][...] = full_m[j][idx]
                 v_views[j][...] = full_v[j][idx]
-        flat_g = np.empty_like(flat_p)
-        grad_views = self._segment_views(flat_g, rows)
 
         base_count = int(counts[0])
         for epoch in range(self.config.update_epochs):
             stats_rows = self._update_epoch(
                 params, states, actions, old_log_probs, returns,
-                grad_views, flat_p, flat_g, flat_m, flat_v, flat_scr,
+                grad_views, flat_p, flat_g, flat_m, flat_v,
                 base_count + epoch + 1, lr,
             )
 
@@ -459,7 +463,6 @@ class StackedPPOAgent:
         flat_g: np.ndarray,
         flat_m: np.ndarray,
         flat_v: np.ndarray,
-        flat_scr: np.ndarray,
         step_count: int,
         lr: float,
     ) -> dict[str, np.ndarray]:
@@ -528,7 +531,7 @@ class StackedPPOAgent:
         g_th = g_mean * self._mean_span
         g_mh = g_th * (1.0 - pcache["th"] ** 2)
         grads[mb][...] = g_mh.sum(axis=1)
-        grads[mw][...] = _mm_t(pcache["t2"], g_mh)
+        _mm_t(pcache["t2"], g_mh, grads[mw])
         g_t2 = _mm(g_mh, P[mw].transpose(0, 2, 1))
         g_h = g_t2 * (1.0 - pcache["t2"] ** 2)
         for bix, bc in zip(reversed(self._ix_p_blocks), reversed(pcache["blocks"])):
@@ -537,20 +540,20 @@ class StackedPPOAgent:
             grads[s2][...] = ds2
             grads[sh2][...] = dsh2
             grads[b2][...] = dx2.sum(axis=1)
-            grads[w2][...] = _mm_t(bc["r"], dx2)
+            _mm_t(bc["r"], dx2, grads[w2])
             g_r = _mm(dx2, P[w2].transpose(0, 2, 1))
             g_n1 = g_r * bc["mask"]
             dx1, ds1, dsh1 = _ln_backward(g_n1, P[s1], bc["xhat1"], bc["inv1"])
             grads[s1][...] = ds1
             grads[sh1][...] = dsh1
             grads[b1][...] = dx1.sum(axis=1)
-            grads[w1][...] = _mm_t(bc["h_in"], dx1)
+            _mm_t(bc["h_in"], dx1, grads[w1])
             # Skip contribution first, then the matmul path (scalar order).
             g_h = g_h + _mm(dx1, P[w1].transpose(0, 2, 1))
         ew, eb = self._ix_p_embed
         g_e1 = g_h * (1.0 - pcache["h0"] ** 2)
         grads[eb][...] = g_e1.sum(axis=1)
-        grads[ew][...] = _mm_t(pcache["x"], g_e1)
+        _mm_t(pcache["x"], g_e1, grads[ew])
 
         # σ path into the clamped log-std (processed after the mean trunk).
         g_std = (((-g_z) * diff_a) / (std_b ** 2)).sum(axis=1)
@@ -563,21 +566,21 @@ class StackedPPOAgent:
         g_head = g_values[:, :, None]
         hw, hb = self._ix_v_head
         grads[hb][...] = g_head.sum(axis=1)
-        grads[hw][...] = _mm_t(vcache["hN"], g_head)
+        _mm_t(vcache["hN"], g_head, grads[hw])
         g_h = _mm(g_head, P[hw].transpose(0, 2, 1))
         for bix, bc in zip(reversed(self._ix_v_blocks), reversed(vcache["blocks"])):
             w1, b1, w2, b2 = bix
             grads[b2][...] = g_h.sum(axis=1)
-            grads[w2][...] = _mm_t(bc["t1"], g_h)
+            _mm_t(bc["t1"], g_h, grads[w2])
             g_t1 = _mm(g_h, P[w2].transpose(0, 2, 1))
             g_a1 = g_t1 * (1.0 - bc["t1"] ** 2)
             grads[b1][...] = g_a1.sum(axis=1)
-            grads[w1][...] = _mm_t(bc["h_in"], g_a1)
+            _mm_t(bc["h_in"], g_a1, grads[w1])
             g_h = g_h + _mm(g_a1, P[w1].transpose(0, 2, 1))
         vew, veb = self._ix_v_embed
         g_e1v = g_h * (1.0 - vcache["t0"] ** 2)
         grads[veb][...] = g_e1v.sum(axis=1)
-        grads[vew][...] = _mm_t(states, g_e1v)
+        _mm_t(states, g_e1v, grads[vew])
 
         # Entropy contribution last, then through the log-std clip mask.
         lsc_acc = lsc_acc + np.full((A, lsc.shape[-1]), -1.0 * cfg.entropy_coef)
@@ -585,11 +588,17 @@ class StackedPPOAgent:
 
         # ---------------------------------------------- clip_grad_norm + Adam
         self._clip_grad_norm(grads, cfg.max_grad_norm, A)
-        # Adam's elementwise op sequence once over the whole flat buffers:
-        # the same bits in every slot as one call per parameter, with ~12
-        # numpy dispatches per epoch instead of ~25 × 12 — the difference
-        # between the 2× and 5×+ stacked speedup at K ≥ 16.
-        adam_step(flat_p, flat_g, flat_m, flat_v, flat_scr, step=step_count, lr=lr)
+        # Adam's elementwise op sequence over the flat buffers, one cache
+        # block at a time: the same bits in every slot as one call per
+        # parameter, with ~13 numpy dispatches per block instead of 13 per
+        # parameter, and each pass reads its block from L2, not from memory.
+        scratch = self._adam_scratch
+        for lo in range(0, flat_p.size, _ADAM_BLOCK):
+            hi = lo + _ADAM_BLOCK
+            adam_step(
+                flat_p[lo:hi], flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi],
+                scratch[: flat_p.size - lo], step=step_count, lr=lr,
+            )
 
         # -------------------------------------------------------- diagnostics
         return {

@@ -34,9 +34,9 @@ production transfer services (GridFTP/Globus-style) treat as table stakes:
   byte progress onto chunks via the supervisor's interval observer,
   journals completions, re-verifies journaled chunks on resume
   (re-transferring only mismatches), and runs bounded repair passes until
-  every manifest digest matches.  Emits ``transfer.verify.bytes`` /
-  ``transfer.verify.mb_per_s`` so ``automdt obs summary`` shows what
-  verification cost.
+  every manifest digest matches.  Counts ``transfer.verify.bytes`` and
+  times its sweeps (``verify_seconds``), so ``automdt obs summary`` shows
+  how much verification it did.
 
 Verify-on-resume state machine::
 
@@ -296,9 +296,16 @@ class TransferManifest:
     def from_dict(cls, data: dict) -> "TransferManifest":
         """Rebuild from :meth:`to_dict` output (digests are re-derived by
         the same build and cross-checked, so a tampered manifest file fails
-        loudly).  A field that does not convert (a null or list size, say),
-        or a row id or digest that is not a JSON int (a bool, a float, a
-        numeric string), raises :class:`IntegrityError`."""
+        loudly).  A missing field, a chunk row that is not a six-field
+        list, a field that does not convert (a null or list size, say), or a
+        row id, digest or content seed that is not a JSON int (a bool, a
+        float, a numeric string) raises :class:`IntegrityError`."""
+        if not isinstance(data, dict):
+            raise IntegrityError(f"manifest is a JSON {type(data).__name__}, not an object")
+        missing = [k for k in ("dataset", "algorithm", "files", "chunk_size", "chunks")
+                   if k not in data]
+        if missing:
+            raise IntegrityError(f"manifest lacks {', '.join(missing)}")
         if data["algorithm"] != _ALGORITHM:
             raise IntegrityError(
                 f"manifest for {data['dataset']!r} uses digest algorithm "
@@ -311,6 +318,8 @@ class TransferManifest:
                 float(data["chunk_size"]),
                 content_seed=int(data.get("content_seed", 0)),
             )
+            if not all(type(row) is list and len(row) == 6 for row in data["chunks"]):
+                raise TypeError("a chunk row is not a list of six fields")
             ids = [row[0] for row in data["chunks"]]
             digests = [row[5] for row in data["chunks"]]
         except (ConfigError, TypeError, ValueError) as exc:
@@ -318,10 +327,11 @@ class TransferManifest:
                 f"manifest for {data['dataset']!r} is malformed: {exc}"
             ) from exc
         # JSON ints only: ``int()`` would quietly fold a bool, a float or a
-        # numeric string into the right id or digest.
-        if not set(map(type, ids + digests)) <= {int}:
+        # numeric string into the right id, digest or seed.
+        if not set(map(type, ids + digests + [data.get("content_seed", 0)])) <= {int}:
             raise IntegrityError(
-                f"manifest for {data['dataset']!r} has a chunk id or digest that is not an int"
+                f"manifest for {data['dataset']!r} has a chunk id, digest or "
+                "content seed that is not an int"
             )
         if dict(zip(ids, digests)) != dict(enumerate(manifest.chunk_digests)):
             raise IntegrityError(
@@ -1008,8 +1018,10 @@ class DestinationLedger:
         else raises :class:`IntegrityError`.
         """
         where = f"destination snapshot for {manifest.dataset_name!r}"
+        if not isinstance(data, dict):
+            raise IntegrityError(f"{where} is a JSON {type(data).__name__}, not an object")
         ledger = cls(manifest, faults, seed=int(_json_number(data, "seed", 0, where)))
-        chunks = data["chunks"]
+        chunks = data.get("chunks")
         n = len(manifest)
         if not isinstance(chunks, dict) or len(chunks) != n:
             raise IntegrityError(
@@ -1100,7 +1112,6 @@ class VerifiedTransferResult:
     repair_rounds: int
     unrecovered_chunk_ids: tuple[int, ...]  # still bad after repair budget
     verify_seconds: float = 0.0  # wall seconds spent in verification sweeps
-    verify_mb_per_s: float = 0.0  # manifest MB checked per sweep-second
 
     @property
     def clean(self) -> bool:
@@ -1312,13 +1323,7 @@ class VerifiedTransfer:
         verified = not bad
         if not verified:
             obs.count("integrity/unrecovered_chunks", len(bad))
-        verify_mb_per_s = verify_bytes / max(verify_seconds, 1e-9) / 1e6
         obs.count("transfer.verify.bytes", verify_bytes)
-        obs.metric(
-            "transfer.verify.mb_per_s",
-            round(verify_mb_per_s, 3),
-            t=supervised.completion_time,
-        )
         return VerifiedTransferResult(
             completed=supervised.completed,
             verified=verified,
@@ -1329,7 +1334,6 @@ class VerifiedTransfer:
             repair_rounds=repair_rounds,
             unrecovered_chunk_ids=tuple(bad),
             verify_seconds=verify_seconds,
-            verify_mb_per_s=round(verify_mb_per_s, 3),
         )
 
 

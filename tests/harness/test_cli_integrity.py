@@ -57,6 +57,7 @@ BAD_CHUNK_ENTRIES = {
     "bool_digest": _edit_entry("digest", lambda _: True),
     "negative_sends": _edit_entry("sends", lambda _: -1),
     "float_sends": _edit_entry("sends", lambda sends: sends + 0.5),
+    "no_chunk_table": lambda blob: blob.pop("chunks"),
 }
 
 
@@ -69,6 +70,32 @@ BAD_NUMERIC_FIELDS = {
     "destination_null_clock": ("destination.json", lambda d: d.update(clock=None)),
     "destination_list_order_entry": ("destination.json", _first_order_entry_listed),
     "manifest_null_chunk_size": ("manifest.json", lambda m: m.update(chunk_size=None)),
+}
+
+
+def _drop(key):
+    def tamper(blob):
+        del blob[key]
+
+    return tamper
+
+
+def _set_row(row):
+    def tamper(blob):
+        blob["chunks"][0] = row(blob["chunks"][0])
+
+    return tamper
+
+
+#: Manifest shapes ``TransferManifest.from_dict`` must refuse.
+BAD_MANIFESTS = {
+    "row_with_five_fields": _set_row(lambda row: row[:5]),
+    "row_that_is_an_object": _set_row(lambda _: {"0": 1}),
+    "missing_chunks": _drop("chunks"),
+    "missing_files": _drop("files"),
+    "missing_chunk_size": _drop("chunk_size"),
+    "missing_algorithm": _drop("algorithm"),
+    "string_content_seed": lambda blob: blob.update(content_seed=str(blob["content_seed"])),
 }
 
 
@@ -171,6 +198,25 @@ class TestVerifyCommand:
         self, capsys, tmp_path, soak_case, tamper
     ):
         case = _tampered(soak_case, tmp_path, *BAD_NUMERIC_FIELDS[tamper])
+        capsys.readouterr()
+        assert main(["verify", str(case)]) == 2
+        assert "cannot verify" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper", sorted(BAD_MANIFESTS))
+    def test_verify_malformed_manifest_is_usage_error(
+        self, capsys, tmp_path, soak_case, tamper
+    ):
+        case = _tampered(soak_case, tmp_path, "manifest.json", BAD_MANIFESTS[tamper])
+        capsys.readouterr()
+        assert main(["verify", str(case)]) == 2
+        assert "cannot verify" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "destination.json"])
+    def test_verify_artifact_that_is_not_an_object_is_usage_error(
+        self, capsys, tmp_path, soak_case, name
+    ):
+        case = _tampered(soak_case, tmp_path, name, lambda blob: None)
+        (case / name).write_text("[]")
         capsys.readouterr()
         assert main(["verify", str(case)]) == 2
         assert "cannot verify" in capsys.readouterr().err

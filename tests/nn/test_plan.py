@@ -15,7 +15,7 @@ from repro.autograd.tensor import no_grad
 
 tensor_mod = importlib.import_module("repro.autograd.tensor")
 from repro.core.networks import PolicyNetwork, ValueNetwork
-from repro.nn.plan import PlanUnsupported, PolicyPlan
+from repro.nn.plan import PlanUnsupported, PolicyPlan, row_mean
 
 
 def _policy(**overrides) -> PolicyNetwork:
@@ -42,6 +42,28 @@ class TestPolicyPlan:
             action, lp = plan.act(state, rng_b)
             assert np.array_equal(action, want_action)
             assert lp == want_lp
+
+    def test_paper_width_with_trained_norms_matches_tensor_path(self):
+        """At hidden 256 the layernorm sums split pairwise; with LayerNorm
+        parameters moved off their init, both sampling modes stay exact."""
+        policy = _policy(hidden_dim=256, num_blocks=3, rng=7)
+        rng = np.random.default_rng(4)
+        for block in policy.blocks:
+            for norm in (block.norm1, block.norm2):
+                norm.scale.data += rng.normal(0.0, 0.3, norm.scale.data.shape)
+                norm.shift.data += rng.normal(0.0, 0.3, norm.shift.data.shape)
+        plan = PolicyPlan(policy)
+        for state in _states(40, seed=5):
+            with no_grad():
+                dist = policy(state)
+                want_action = dist.sample(np.random.default_rng(9))
+                want_lp = float(dist.log_prob(want_action).data)
+                want_mode = dist.mode()
+            action, lp = plan.act(state, np.random.default_rng(9))
+            assert np.array_equal(action, want_action)
+            assert lp == want_lp
+            mode, _ = plan.act(state, None, deterministic=True)
+            assert np.array_equal(mode, want_mode)
 
     def test_deterministic_mode_matches_mode(self):
         policy = _policy(num_blocks=1)
@@ -101,3 +123,14 @@ class TestPolicyPlan:
             PolicyPlan(policy)
         with pytest.raises(PlanUnsupported):
             PolicyPlan(ValueNetwork(8, hidden_dim=16, num_blocks=1, rng=5))
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 16, 127, 128, 129, 256, 1000])
+def test_row_mean_is_ndarray_mean_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    for shape in ((width,), (4, width), (2, 5, width)):
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape)
+        want = x.mean(axis=-1, keepdims=True)
+        got = row_mean(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

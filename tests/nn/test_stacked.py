@@ -8,13 +8,17 @@ Reference agents are built with the same seeds, stepped through identical
 rollouts, and compared on every parameter after every update.
 """
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.core.ppo as ppo_module
 from repro.core.ppo import PPOConfig
-from repro.nn.stacked import StackedPPOAgent
+from repro.nn.optim import clip_grad_norm
+from repro.nn.stacked import _ADAM_BLOCK, StackedPPOAgent
 from tests.nn.ppo_oracle import AutogradPPOAgent
 
 
@@ -236,3 +240,84 @@ def test_wide_hidden_preserves_scalar_strides_and_bits():
     for _ in range(2):
         _rollout(reference, stacked, rng, steps=5, episodes=1)
         _update_and_compare(reference, stacked, [0, 1, 2])
+
+
+def test_adam_blocks_ending_inside_segments_stay_exact(monkeypatch):
+    """At the paper's hidden 256 a K=3 stack's flat buffers hold ~2M
+    elements, so Adam's cache blocks end inside parameter segments.  The
+    blocked sweep must still match the oracle on every parameter, with one
+    member clipped and one not in the same epoch, on the full path and on
+    the gather path (a two-row subset)."""
+    norms = []
+
+    def recording_clip(parameters, max_norm):
+        norms.append(clip_grad_norm(parameters, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(ppo_module, "clip_grad_norm", recording_clip)
+    cfg = PPOConfig(hidden_dim=256, update_epochs=2, max_grad_norm=30.0)
+    reference, stacked = _build(3, cfg)
+    assert stacked._flat_params.size > 60 * _ADAM_BLOCK
+    rng = np.random.default_rng(3)
+    for active in (None, [0, 1]):
+        _rollout(reference, stacked, rng, steps=6, episodes=1, active=active)
+        norms.clear()
+        _update_and_compare(reference, stacked, active or [0, 1, 2])
+        first_epoch = norms[:: cfg.update_epochs]  # one norm per member and epoch
+        assert min(first_epoch) <= cfg.max_grad_norm < max(first_epoch), first_epoch
+
+
+def _filled_stack(k: int, cfg: PPOConfig, transitions: int, seed: int) -> StackedPPOAgent:
+    """A K-member stack holding ``transitions`` stored steps per member."""
+    stacked = StackedPPOAgent(8, 3, cfg, rngs=[seed + i for i in range(k)])
+    rng = np.random.default_rng(seed)
+    for _ in range(transitions):
+        states = rng.uniform(0.0, 1.0, (k, 8))
+        acts, lps = stacked.act_all(states)
+        for i, member in enumerate(stacked.members):
+            member.memory.store(states[i], acts[i].copy(), float(lps[i]), rng.uniform())
+    for member in stacked.members:
+        member.memory.end_episode(cfg.gamma)
+    return stacked
+
+
+def test_full_update_allocates_no_flat_sized_buffer():
+    """The full path's gradients land in the engine's own buffer and Adam
+    runs through one block-sized scratch, so an update's transient memory
+    stays below one flat buffer (10.2 MiB at hidden 256, K=2)."""
+    cfg = PPOConfig(hidden_dim=256)
+    stacked = _filled_stack(2, cfg, transitions=40, seed=5)
+    tracemalloc.start()
+    try:
+        stacked.update_rows(np.arange(2), stacked.lr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stacked._flat_params.nbytes, (peak, stacked._flat_params.nbytes)
+
+
+#: sha256 of ``_flat_m`` / ``_flat_v`` after ``test_adam_moments_are_pinned``'s
+#: three updates, taken before Adam ran in cache blocks.
+PINNED_MOMENTS = {
+    "m": "4965427c705cef4f1de454e6bdafb4b85f9741255fe50234576d6669640dd9a1",
+    "v": "e0d86dcc9e3fb23d791c128fe3226d6facc37ca020c1a8558cbb9bc7396b02f5",
+}
+
+
+def test_adam_moments_are_pinned():
+    """A seeded K=2 stack's Adam moments after three updates, byte for byte.
+    The oracle shares ``adam_step`` with the engine, so a change to Adam's
+    op sequence moves both sides alike; this pin catches it.  The buffers
+    span two blocks, the second one partial."""
+    cfg = tiny_config(hidden_dim=64, update_epochs=4)
+    reference, stacked = _build(2, cfg)
+    assert _ADAM_BLOCK < stacked._flat_m.size < 2 * _ADAM_BLOCK
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        _rollout(reference, stacked, rng, steps=5, episodes=1)
+        _update_and_compare(reference, stacked, [0, 1])
+    digests = {
+        name: hashlib.sha256(getattr(stacked, f"_flat_{name}").tobytes()).hexdigest()
+        for name in PINNED_MOMENTS
+    }
+    assert digests == PINNED_MOMENTS

@@ -838,7 +838,10 @@ class TestReplayOracle:
 
 
 class TestVerifyTelemetry:
-    def test_run_emits_verify_counter_and_gauge(self, tmp_path):
+    def test_run_counts_verify_bytes_and_times_sweeps(self, tmp_path):
+        """Verification reports the bytes it covered and the time it took;
+        no bytes-per-second gauge, since the final verify digests no bytes
+        (a column compare) and the ratio would not be a hashing rate."""
         from repro import obs
 
         vt = VerifiedTransfer.for_supervisor(
@@ -849,8 +852,6 @@ class TestVerifyTelemetry:
         vt.journal.close()
         assert result.clean
         assert result.verify_seconds > 0.0
-        assert result.verify_mb_per_s > 0.0
         counter = sess.registry.counter("transfer.verify.bytes")
         assert counter.value == pytest.approx(vt.manifest.total_bytes)
-        gauge = sess.registry.gauge("transfer.verify.mb_per_s")
-        assert gauge.value == pytest.approx(result.verify_mb_per_s)
+        assert "transfer.verify.mb_per_s" not in sess.registry
