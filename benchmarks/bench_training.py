@@ -17,7 +17,8 @@ Two independent parts:
   synthetic rollout schedule.  Writes ``BENCH_training.json`` (schema 1,
   like the other ``BENCH_*`` artifacts).  Gated: per-member results
   bit-identical to the autograd oracle, and ≥ 5× act+update throughput
-  at the best K ≥ 16 arm.  The gated profile is deliberately dispatch-bound
+  at the best K ≥ 16 arm, on the median of alternating timing rounds.
+  The gated profile is deliberately dispatch-bound
   (hidden 24, small batches — the scaled-down population-training shape
   the repo's tests train, where Python dispatch dominates); as the nets
   widen the per-layer GEMMs grow until BLAS time, not dispatch,
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -44,6 +46,12 @@ from conftest import run_once
 from repro.harness import experiment_training
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Alternating timing rounds per arm: at least ``REPEATS``, and more until
+#: the arm's rounds have taken ``MIN_ARM_SECONDS``, so a millisecond arm
+#: (K=1) is not read off a handful of timings the size of host noise.
+REPEATS = 7
+MIN_ARM_SECONDS = 1.0
 
 
 def test_training_offline_vs_online(benchmark, fast_flag):
@@ -132,7 +140,15 @@ def _drive_stacked(stacked, states, rewards, *, episodes_per_update: int) -> flo
 
 def _run_arm(*, k: int, hidden_dim: int, episodes: int, steps: int,
              episodes_per_update: int, ppo_kwargs: dict | None = None) -> dict:
-    """Time per-member autograd vs stacked over identical rollouts; check identity."""
+    """Time per-member autograd vs stacked over identical rollouts; check identity.
+
+    After one untimed warm-up run of each side, every round times each
+    side once on fresh agents with the same seeds, per-member first on
+    even rounds and stacked first on odd ones (see ``REPEATS`` for how
+    many rounds).  The two timings of a round run back to back on the
+    same host state, so ``speedup`` is the median of the per-round
+    ratios; the reported walls are the medians of each side.
+    """
     from repro.core.ppo import PPOAgent, PPOConfig
     from repro.nn.stacked import StackedPPOAgent
 
@@ -143,19 +159,42 @@ def _run_arm(*, k: int, hidden_dim: int, episodes: int, steps: int,
     seeds = [9000 + 13 * i for i in range(k)]
     states, rewards = _rollout_schedule(k, episodes, steps)
 
-    members = [PPOAgent(8, 3, cfg, rng=s) for s in seeds]
-    member_wall = _drive_members(
-        members, states, rewards, episodes_per_update=episodes_per_update
-    )
-    stacked = StackedPPOAgent(8, 3, cfg, rngs=seeds)
-    stacked_wall = _drive_stacked(
-        stacked, states, rewards, episodes_per_update=episodes_per_update
-    )
+    def run_members() -> tuple[float, list]:
+        members = [PPOAgent(8, 3, cfg, rng=s) for s in seeds]
+        wall = _drive_members(
+            members, states, rewards, episodes_per_update=episodes_per_update
+        )
+        return wall, members
+
+    def run_stacked() -> tuple[float, list]:
+        stacked = StackedPPOAgent(8, 3, cfg, rngs=seeds)
+        wall = _drive_stacked(
+            stacked, states, rewards, episodes_per_update=episodes_per_update
+        )
+        return wall, stacked.members
+
+    sides = {"per_member": run_members, "stacked": run_stacked}
+    for run in sides.values():  # warm-up: first-call imports and allocations
+        run()
+    walls: dict[str, list[float]] = {name: [] for name in sides}
+    trained = {}
+    spent = 0.0
+    while len(walls["stacked"]) < REPEATS or spent < MIN_ARM_SECONDS:
+        order = list(sides)
+        if len(walls["stacked"]) % 2:
+            order.reverse()
+        for name in order:
+            wall, trained[name] = sides[name]()
+            walls[name].append(wall)
+            spent += wall
+    ratios = [m / s for m, s in zip(walls["per_member"], walls["stacked"])]
+    member_wall = statistics.median(walls["per_member"])
+    stacked_wall = statistics.median(walls["stacked"])
 
     # Same seeds + same schedule: every parameter must come out bit-equal
     # to the autograd oracle's.
     identical = True
-    for want, got in zip(members, stacked.members):
+    for want, got in zip(trained["per_member"], trained["stacked"]):
         for net in ("policy", "value"):
             for key, value in getattr(want, net).state_dict().items():
                 identical = identical and np.array_equal(
@@ -166,11 +205,12 @@ def _run_arm(*, k: int, hidden_dim: int, episodes: int, steps: int,
         "k": k,
         "hidden_dim": hidden_dim,
         "transitions": total,
+        "rounds": len(ratios),
         "per_member_wall_s": round(member_wall, 4),
         "stacked_wall_s": round(stacked_wall, 4),
         "per_member_steps_per_s": round(total / member_wall, 1),
         "stacked_steps_per_s": round(total / stacked_wall, 1),
-        "speedup": round(member_wall / stacked_wall, 2),
+        "speedup": round(statistics.median(ratios), 2),
         "bit_identical": bool(identical),
     }
 

@@ -7,7 +7,8 @@ call advances the whole population's simulated second in-process,
 without N pool processes.  Each member keeps its own RNG stream, draws
 its episode start through :meth:`SimulatorEnv.start_episode`, and maps
 actions, assembles states and scores rewards through the scalar
-environment's codec — so column ``i`` *is* ``SimulatorEnv(configs[i],
+environment's codec on the ``StageMetrics`` its own simulator column
+returned — so column ``i`` *is* ``SimulatorEnv(configs[i],
 rng=rngs[i])`` stepped through the batch, and a population trained
 through the batched path matches the scalar path exactly (see
 ``tests/core/test_population_batched.py``).
@@ -27,8 +28,9 @@ import numpy as np
 
 from repro.core.env import ACTION_DIM, STATE_DIM, SimulatorEnv
 from repro.core.utility import UtilityFunction
-from repro.simulator.batch import BatchedSimulator, BatchStageMetrics
+from repro.simulator.batch import BatchedSimulator
 from repro.simulator.config import SimulatorConfig
+from repro.simulator.core import StageMetrics
 from repro.utils.errors import ConfigError
 
 __all__ = ["BatchedEnv"]
@@ -106,14 +108,16 @@ class BatchedEnv:
         metrics = self.simulator.step_second(threads)
         return np.array([
             member.make_state(m.threads, m.throughputs, m.sender_free, m.receiver_free)
-            for member, m in zip(self.members, map(metrics.column, range(self.batch)))
+            for member, m in zip(self.members, metrics)
         ])
 
-    def step_all(self, actions) -> tuple[np.ndarray, np.ndarray, bool, BatchStageMetrics]:
+    def step_all(
+        self, actions
+    ) -> tuple[np.ndarray, np.ndarray, bool, list[StageMetrics]]:
         """One simulated second for every column; returns per-column rewards.
 
         The ``done`` flag is a single bool — columns share the episode
-        clock.  The raw :class:`BatchStageMetrics` rides along as the info
+        clock.  The columns' :class:`StageMetrics` ride along as the info
         channel.
         """
         if np.shape(actions) != (self.batch, 3):
@@ -125,10 +129,7 @@ class BatchedEnv:
         ]
         metrics = self.simulator.step_second(threads)
         self._step_count += 1
-        observed = [
-            member.observe(m)
-            for member, m in zip(self.members, map(metrics.column, range(self.batch)))
-        ]
+        observed = [member.observe(m) for member, m in zip(self.members, metrics)]
         states = np.array([state for state, _, _ in observed])
         rewards = np.array([reward for _, reward, _ in observed])
         return states, rewards, self._step_count >= self.episode_steps, metrics

@@ -1,10 +1,16 @@
-"""The JSONL event log: buffered append-mode writer and a tolerant reader.
+"""The JSONL event log: buffered append-only writer and a tolerant reader.
 
 One run directory holds one ``events.jsonl``; every record is a single JSON
 object with a ``type`` discriminator (``meta``, ``span``, ``event``,
-``metric``, ``sample``, ``decision``).  The writer defaults to **append**
-mode so a checkpoint-resume (or a mid-session ``reset()``) extends the log
-instead of truncating the history that a post-mortem needs.
+``metric``, ``sample``).  The writer only ever **appends**, so a
+checkpoint-resume (or a second session on the same directory) extends the
+log instead of truncating the history that a post-mortem needs.
+
+Records reach the buffer through three lanes, cheapest last: ``write``
+(a dict, serialised now), ``write_sample`` (a ``%``-format string and one
+value tuple, formatted at flush) and ``write_columns`` (a format string
+and references to whole value columns, zipped and formatted at flush,
+with every non-finite float written as JSON ``null``).
 
 The reader tolerates a truncated final line — the normal wreckage of a
 process killed mid-write — by dropping it; corruption anywhere *else* in the
@@ -15,47 +21,57 @@ interrupted append.
 from __future__ import annotations
 
 import json
+import math
+import re
 import time
 from pathlib import Path
 
 __all__ = ["JsonlEventWriter", "read_events", "tail_events"]
 
+#: One ``%`` conversion spec of a deferred-format string.
+_SPEC = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[diouxXeEfFgGcrsa]")
+
+
+def _format_with_nulls(fmt: str, row: tuple) -> str:
+    """``fmt % row``, with every non-finite float written as JSON ``null``."""
+    values = iter(row)
+
+    def convert(match: re.Match) -> str:
+        value = next(values)
+        if isinstance(value, float) and not math.isfinite(value):
+            return "null"
+        return match.group() % (value,)
+
+    return _SPEC.sub(convert, fmt)
+
 
 class JsonlEventWriter:
-    """Buffered writer of one-JSON-object-per-line records.
-
-    ``mode`` is ``"a"`` (default, resume-safe) or ``"w"`` (truncate once at
-    first open; reopens after :meth:`close` always append so one writer
-    never erases its own earlier records).
+    """Buffered, append-only writer of one-JSON-object-per-line records.
 
     ``flush_every`` trades durability against hot-loop cost: a crash loses
     at most that many buffered records (and :func:`read_events` already
     tolerates the torn final line), while a larger buffer keeps
     serialisation and I/O out of the transfer loop entirely — the whole
-    point of :meth:`write_sample`'s deferred formatting.
+    point of the deferred-format lanes.
 
     ``cost_seconds`` self-measures everything the writer spends on
     serialisation and I/O; it is the single accounting point behind
     ``automdt obs summary``'s *telemetry overhead* line.
     """
 
-    def __init__(self, path: str | Path, *, mode: str = "a", flush_every: int = 4096) -> None:
-        if mode not in ("a", "w"):
-            raise ValueError(f"mode must be 'a' or 'w', got {mode!r}")
+    def __init__(self, path: str | Path, *, flush_every: int = 4096) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.flush_every = int(flush_every)
         self.cost_seconds = 0.0
-        self._mode = mode
         #: str entries are ready lines; tuple entries are ``(fmt, args)``
-        #: pairs formatted lazily at flush time (see :meth:`write_sample`).
-        self._buffer: list[str | tuple[str, tuple]] = []
+        #: or ``(fmt, columns, count)``, formatted lazily at flush time.
+        self._buffer: list[str | tuple] = []
         self._fh = None
 
     def _ensure_open(self) -> None:
         if self._fh is None:
-            self._fh = self.path.open(self._mode)
-            self._mode = "a"  # a "w" writer truncates at most once
+            self._fh = self.path.open("a")
 
     def write(self, record: dict) -> None:
         """Buffer one record; flushed every ``flush_every`` records."""
@@ -80,19 +96,6 @@ class JsonlEventWriter:
         if len(self._buffer) >= self.flush_every:
             self.flush()
 
-    def write_samples(self, fmt: str, rows) -> int:
-        """Buffer many deferred-format records sharing one schema.
-
-        Bulk variant of :meth:`write_sample` for whole-series exports.
-        Returns the number of records buffered.
-        """
-        before = len(self._buffer)
-        self._buffer.extend((fmt, row) for row in rows)
-        added = len(self._buffer) - before
-        if len(self._buffer) >= self.flush_every:
-            self.flush()
-        return added
-
     def write_columns(self, fmt: str, columns: tuple, count: int) -> int:
         """Buffer a whole column-oriented series as ONE deferred entry.
 
@@ -100,8 +103,10 @@ class JsonlEventWriter:
         value lists (parallel columns, one per ``fmt`` field) and performs
         the zip + ``%``-format at flush time.  The caller promises the
         first ``count`` elements of each column are final (append-only
-        lists are fine; flush slices them).  One transfer's whole interval
-        history lands in the log for the cost of a single list append.
+        lists are fine; flush slices them).  A non-finite float (a probe
+        dropout's NaN throughput) is written as JSON ``null``.  One
+        transfer's whole interval history lands in the log for the cost
+        of a single list append.
         """
         self._buffer.append((fmt, columns, count))
         # A columns entry counts as `count` records against the flush
@@ -120,7 +125,10 @@ class JsonlEventWriter:
             else:  # (fmt, columns, count)
                 fmt, columns, count = entry
                 for row in zip(*(column[:count] for column in columns)):
-                    yield fmt % row
+                    line = fmt % row
+                    if "nan" in line or "inf" in line:  # a float dropout
+                        line = _format_with_nulls(fmt, row)
+                    yield line
 
     def flush(self) -> None:
         """Format deferred samples and write buffered records to disk."""
@@ -141,15 +149,6 @@ class JsonlEventWriter:
         record already flushed stays on disk.
         """
         self._buffer.clear()
-
-    def truncate(self) -> None:
-        """Explicitly discard everything written so far and start over."""
-        self.flush()
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        self._buffer.clear()
-        self.path.write_text("")
 
     def close(self) -> None:
         """Flush and close (the writer can be reused; it reopens appending)."""

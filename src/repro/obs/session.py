@@ -62,7 +62,7 @@ class ObsSession:
     """
 
     def __init__(self, run_dir: str | Path | None = None, *, label: str = "",
-                 flush_every: int = 4096, mode: str = "a",
+                 flush_every: int = 4096,
                  events_filename: str | None = None,
                  ingest_on_close: bool = True) -> None:
         self.run_dir = Path(run_dir) if run_dir is not None else None
@@ -70,7 +70,7 @@ class ObsSession:
         self.registry = MetricsRegistry()
         self.writer = (
             JsonlEventWriter(self.run_dir / (events_filename or EVENTS_FILENAME),
-                             mode=mode, flush_every=flush_every)
+                             flush_every=flush_every)
             if self.run_dir is not None
             else None
         )
@@ -139,29 +139,12 @@ class ObsSession:
             self.writer.write(record)
             self.events_emitted += 1
 
-    def sample_fmt(self, fmt: str, args: tuple) -> None:
-        """Buffer one deferred-format sample (hot-loop fast path).
-
-        For instrumentation sites hot enough that per-call serialisation
-        would eat the overhead budget: the site supplies a fixed-schema
-        ``%``-format string and its value tuple, and the writer formats at
-        flush time — normally after the instrumented loop has finished (see
-        the transfer engine's interval sample).
-        """
-        if self.writer is not None:
-            self.writer.write_sample(fmt, args)
-            self.events_emitted += 1
-
-    def sample_fmt_many(self, fmt: str, rows) -> None:
-        """Bulk :meth:`sample_fmt`: one call for a whole series of rows."""
-        if self.writer is not None:
-            self.events_emitted += self.writer.write_samples(fmt, rows)
-
     def sample_columns(self, fmt: str, columns: tuple, count: int) -> None:
         """Column-oriented bulk sample: one buffered entry for a whole series.
 
         ``columns`` are parallel lists (first ``count`` elements final);
-        the writer zips and formats at flush time.  See
+        the writer zips and formats at flush time, writing non-finite
+        floats as ``null``.  See
         :meth:`repro.obs.events.JsonlEventWriter.write_columns`.
         """
         if self.writer is not None:
@@ -227,14 +210,14 @@ _NULL = nullcontext()
 
 
 def configure(run_dir: str | Path | None = None, *, label: str = "",
-              flush_every: int = 256, mode: str = "a",
+              flush_every: int = 256,
               events_filename: str | None = None,
               ingest_on_close: bool = True) -> ObsSession:
     """Install a global session (closing any previous one) and return it."""
     global _session
     if _session is not None:
         _session.close()
-    _session = ObsSession(run_dir, label=label, flush_every=flush_every, mode=mode,
+    _session = ObsSession(run_dir, label=label, flush_every=flush_every,
                           events_filename=events_filename,
                           ingest_on_close=ingest_on_close)
     return _session

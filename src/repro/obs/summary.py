@@ -10,7 +10,12 @@ directory (or the ``events.jsonl`` inside it) it rebuilds
   per-interval throughputs, buffer occupancy;
 * every supervisor incident, pairing ``incident/detected`` with
   ``incident/recovered`` events into time-to-detect / time-to-recover;
-* the decision trace (``TraceRecorder`` records share the log format).
+* the controller's decisions: one per ``transfer/interval`` sample, whose
+  ``threads_*`` columns hold the triple applied in that interval, so the
+  decision churn is the share of consecutive samples of one transfer whose
+  triple changed (a sample whose ``t`` precedes the previous one's starts
+  the next transfer in the log, the same clock reset that splits a series
+  into ``name#2``).
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ __all__ = [
     "resolve_events_path",
     "summarize_run",
 ]
+
+#: The transfer engine's per-interval sample: one controller decision each.
+_INTERVAL_SAMPLE = "transfer/interval"
+_THREAD_FIELDS = ("threads_read", "threads_network", "threads_write")
 
 
 @dataclass(frozen=True)
@@ -79,16 +88,23 @@ class RunSummary:
     metrics: dict[str, TimeSeries] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
     incidents: list[IncidentSummary] = field(default_factory=list)
+    #: ``transfer/interval`` samples, one controller decision each.
     decisions: int = 0
+    #: Samples whose thread triple differs from the previous sample's of
+    #: the same transfer.
     decision_changes: int = 0
+    #: Transfers the interval samples came from (each clock reset starts one).
+    transfers: int = 0
     overhead_seconds: float | None = None
 
     @property
     def churn(self) -> float:
-        """Fraction of decisions that changed the concurrency triple."""
-        if self.decisions <= 1:
-            return 0.0
-        return self.decision_changes / (self.decisions - 1)
+        """Fraction of decisions that changed their transfer's previous triple.
+
+        A transfer's first decision has no previous one and is not counted.
+        """
+        pairs = self.decisions - self.transfers
+        return self.decision_changes / pairs if pairs > 0 else 0.0
 
 
 def resolve_events_path(path: str | Path) -> Path:
@@ -133,7 +149,8 @@ def summarize_run(path: str | Path) -> RunSummary:
     summary = RunSummary(events_total=len(events))
     summary.counters = _read_counters(events_path.with_name(PROMETHEUS_FILENAME))
     seq = 0  # fallback x-axis for records with no virtual timestamp
-    last_decision: list | None = None
+    last_decision: tuple | None = None
+    last_interval_t = 0.0
     for record in events:
         kind = record.get("type")
         if kind == "meta":
@@ -160,13 +177,21 @@ def summarize_run(path: str | Path) -> RunSummary:
         elif kind == "sample":
             seq += 1
             t = record.get("t")
+            t = seq if t is None else t
             base = record.get("name", "sample")
             for key, value in record.items():
                 if key in ("type", "name", "t"):
                     continue
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    _append(summary.metrics, f"{base}.{key}",
-                            seq if t is None else t, value)
+                    _append(summary.metrics, f"{base}.{key}", t, value)
+            if base == _INTERVAL_SAMPLE:
+                decision = tuple(record.get(key) for key in _THREAD_FIELDS)
+                summary.decisions += 1
+                if last_decision is None or t < last_interval_t:
+                    summary.transfers += 1  # no previous decision to compare
+                elif decision != last_decision:
+                    summary.decision_changes += 1
+                last_decision, last_interval_t = decision, t
         elif kind == "event":
             name = record.get("name", "")
             attrs = record.get("attrs", {})
@@ -183,12 +208,6 @@ def summarize_run(path: str | Path) -> RunSummary:
                 )
             elif name == "incident/recovered":
                 _resolve_incident(summary.incidents, attrs, record)
-        elif "decision" in record:  # TraceRecorder records (type "decision")
-            summary.decisions += 1
-            decision = record["decision"]
-            if last_decision is not None and decision != last_decision:
-                summary.decision_changes += 1
-            last_decision = decision
     return summary
 
 

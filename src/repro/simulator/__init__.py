@@ -12,7 +12,7 @@ domain-randomized configurations used during offline training, and the
 bridge from a measured exploration profile to a simulator config.
 """
 
-from repro.simulator.batch import BatchedSimulator, BatchStageMetrics
+from repro.simulator.batch import BatchedSimulator
 from repro.simulator.config import SimulatorConfig
 from repro.simulator.core import IONetworkSimulator, StageMetrics
 from repro.simulator.scenarios import (
@@ -26,7 +26,6 @@ __all__ = [
     "IONetworkSimulator",
     "StageMetrics",
     "BatchedSimulator",
-    "BatchStageMetrics",
     "sample_scenario",
     "scenario_from_profile",
     "simulator_config_from_testbed",

@@ -8,8 +8,9 @@ call.  Each column steps through
 the scalar simulator's own uninstrumented step, so every
 ``StageMetrics`` field and both diagnostics are the scalar simulator's
 by construction, and population training can switch between the two
-freely.  The batch adds only the columnar packaging of the results
-(:class:`BatchStageMetrics`) and a deferred telemetry export.
+freely.  A step returns the columns' own ``StageMetrics``, one per
+transfer; the batch adds only the ``(N,)`` diagnostic arrays, masked
+resets and a deferred telemetry export.
 
 Telemetry (``sim/batch_steps``, ``sim/batch_size`` and ``sim/batch_events``
 counters and a deferred column-lane summary) accumulates in plain python
@@ -20,7 +21,6 @@ and is exported once by :meth:`BatchedSimulator.export_telemetry`.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,52 +29,10 @@ from repro.simulator.config import SimulatorConfig
 from repro.simulator.core import IONetworkSimulator, StageMetrics
 from repro.utils.errors import SimulationError
 
-__all__ = ["BatchStageMetrics", "BatchedSimulator"]
+__all__ = ["BatchedSimulator"]
 
 #: Deferred column-lane format for the end-of-run telemetry export.
 _BATCH_FMT = '{"kind":"sim.batch","step":%d,"batch":%d,"events":%d}'
-
-
-@dataclass(frozen=True)
-class BatchStageMetrics:
-    """Columnar :class:`StageMetrics`: one entry per transfer in the batch.
-
-    Array fields are aligned ``(N,)`` (or ``(N, 3)`` for ``threads``);
-    :meth:`column` materializes the scalar-simulator dataclass for one
-    transfer, bit-identical to what ``IONetworkSimulator`` returns.
-    """
-
-    throughput_read: np.ndarray
-    throughput_network: np.ndarray
-    throughput_write: np.ndarray
-    sender_usage: np.ndarray
-    receiver_usage: np.ndarray
-    sender_free: np.ndarray
-    receiver_free: np.ndarray
-    threads: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.throughput_read)
-
-    @property
-    def throughputs(self) -> np.ndarray:
-        """``(N, 3)`` Mbps array, columns (read, network, write)."""
-        return np.stack(
-            [self.throughput_read, self.throughput_network, self.throughput_write], 1
-        )
-
-    def column(self, i: int) -> StageMetrics:
-        """The scalar :class:`StageMetrics` for transfer ``i``."""
-        return StageMetrics(
-            throughput_read=float(self.throughput_read[i]),
-            throughput_network=float(self.throughput_network[i]),
-            throughput_write=float(self.throughput_write[i]),
-            sender_usage=float(self.sender_usage[i]),
-            receiver_usage=float(self.receiver_usage[i]),
-            sender_free=float(self.sender_free[i]),
-            receiver_free=float(self.receiver_free[i]),
-            threads=tuple(int(v) for v in self.threads[i]),
-        )
 
 
 class BatchedSimulator:
@@ -149,12 +107,13 @@ class BatchedSimulator:
             self.columns[i].reset(sender_usage=snd[i], receiver_usage=rcv[i])
 
     # ---------------------------------------------------------------- step
-    def step_second(self, threads) -> BatchStageMetrics:
+    def step_second(self, threads) -> list[StageMetrics]:
         """Advance every transfer by its configured ``duration``.
 
         ``threads`` is an ``(N, 3)`` array-like of per-transfer concurrency
         triples; each column rounds and clamps its row to
-        ``[1, max_threads]`` and runs its scalar step.
+        ``[1, max_threads]`` and runs its scalar step.  Returns the N
+        columns' :class:`StageMetrics`, in column order.
         """
         if np.shape(threads) != (self.batch, 3):
             raise SimulationError(
@@ -171,14 +130,7 @@ class BatchedSimulator:
         self._stat_steps += 1
         self._stat_transfer_steps += self.batch
         self._stat_events.append(sum(col.last_events for col in columns))
-        values = np.array([
-            (m.throughput_read, m.throughput_network, m.throughput_write,
-             m.sender_usage, m.receiver_usage, m.sender_free, m.receiver_free)
-            for m in metrics
-        ])
-        return BatchStageMetrics(
-            *values.T, threads=np.array([m.threads for m in metrics], dtype=np.int64)
-        )
+        return metrics
 
     # ----------------------------------------------------------- telemetry
     def export_telemetry(self) -> bool:

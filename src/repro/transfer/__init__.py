@@ -4,7 +4,7 @@
 reproduction — it drives a :class:`repro.emulator.Testbed` with the
 concurrency triples proposed by a controller (AutoMDT's policy, Marlin's
 gradient-descent optimizers, or a static configuration) and records the
-time series the paper's figures are made of.
+per-interval table the paper's figures are read from.
 :class:`MonolithicController` adapts single-concurrency tools (Globus-style)
 onto the same engine.  :class:`TransferSupervisor` wraps the engine with
 stall detection, bounded retry/backoff and checkpoint-resume, and
@@ -42,7 +42,6 @@ from repro.transfer.supervisor import (
     TransferCheckpoint,
     TransferSupervisor,
 )
-from repro.transfer.tracing import TraceRecorder, TraceSummary, load_trace, summarize_trace
 
 __all__ = [
     "Controller",
@@ -74,8 +73,4 @@ __all__ = [
     "SupervisorConfig",
     "TransferCheckpoint",
     "TransferSupervisor",
-    "TraceRecorder",
-    "TraceSummary",
-    "load_trace",
-    "summarize_trace",
 ]

@@ -35,17 +35,21 @@ from repro.utils.units import bytes_per_sec_to_mbps
 _THROUGHPUT_BUCKETS_MBPS = (10.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
                             5000.0, 10000.0, 40000.0)
 
-#: Fixed schema of the per-interval sample.  The interval loop is the
-#: hottest instrumented site in the repo (~100 µs of simulation per
-#: interval), so the engine hands this format string plus a value tuple to
-#: :meth:`repro.obs.ObsSession.sample_fmt`, which defers serialisation to
-#: flush time instead of paying json.dumps (~6 µs) per interval.  Must
-#: stay valid JSON once formatted.
+#: Fixed schema of the per-interval sample: the time column, then
+#: :data:`_INTERVAL_COLUMNS`.  The engine hands it with the whole interval
+#: table to :meth:`repro.obs.ObsSession.sample_columns`, which defers
+#: serialisation to flush time and writes a probe dropout's NaN
+#: throughputs as ``null``.  Must stay valid JSON once formatted.
 _INTERVAL_FMT = (
     '{"type":"sample","name":"transfer/interval","t":%.3f,'
     '"throughput_read":%.3f,"throughput_network":%.3f,"throughput_write":%.3f,'
     '"threads_read":%d,"threads_network":%d,"threads_write":%d,'
     '"sender_usage":%.0f,"receiver_usage":%.0f,"bytes_written":%.0f}'
+)
+_INTERVAL_COLUMNS = (
+    "throughput_read", "throughput_network", "throughput_write",
+    "threads_read", "threads_network", "threads_write",
+    "sender_usage", "receiver_usage", "bytes_written",
 )
 
 
@@ -237,62 +241,26 @@ class ModularTransferEngine:
     def _export_metrics(
         self, sess, metrics: TransferMetrics, bytes_this_run: float
     ) -> None:
-        """Emit the whole run's telemetry from the metrics bundle.
+        """Emit the whole run's telemetry from its interval table.
 
         One ``transfer/interval`` sample per probe interval goes to the
-        event log on the deferred-format lane (serialisation happens at
-        flush time, after the transfer); counters and the throughput
-        histogram are updated in the registry.  Probe-dropout intervals
-        carry NaN throughputs, which ``%f`` would render as invalid JSON,
-        so those rows take the dict (``json.dumps``) path with ``null``.
+        event log as one column-lane entry (serialisation happens at flush
+        time, after the transfer); counters and the throughput histogram
+        are updated in the registry.
         """
-        m = metrics
-        columns = (
-            m.throughput_read.raw_times,
-            m.throughput_read.raw_values, m.throughput_network.raw_values,
-            m.throughput_write.raw_values,
-            m.threads_read.raw_values, m.threads_network.raw_values,
-            m.threads_write.raw_values,
-            m.sender_usage.raw_values, m.receiver_usage.raw_values,
-            m.bytes_written.raw_values,
+        columns = metrics.columns
+        count = len(metrics)
+        sess.sample_columns(
+            _INTERVAL_FMT,
+            (metrics.times, *(columns[name] for name in _INTERVAL_COLUMNS)),
+            count,
         )
-        count = len(m.throughput_write)
-        if not any(v != v for v in m.throughput_read.raw_values):  # no NaN
-            # One buffered entry covers the whole run; the writer zips and
-            # formats at flush time, after the transfer.
-            sess.sample_columns(_INTERVAL_FMT, columns, count)
-        else:
-            # Probe-dropout rows carry NaN, which %f renders as invalid
-            # JSON — walk row-by-row, bulk-emitting the clean stretches.
-            pending: list[tuple] = []
-            for row in zip(*columns):
-                if row[1] == row[1]:  # not NaN
-                    pending.append(row)
-                else:
-                    if pending:
-                        sess.sample_fmt_many(_INTERVAL_FMT, pending)
-                        pending = []
-                    sess.sample(
-                        "transfer/interval",
-                        t=row[0],
-                        throughput_read=None,
-                        throughput_network=None,
-                        throughput_write=None,
-                        threads_read=row[4],
-                        threads_network=row[5],
-                        threads_write=row[6],
-                        sender_usage=row[7],
-                        receiver_usage=row[8],
-                        bytes_written=row[9],
-                    )
-            if pending:
-                sess.sample_fmt_many(_INTERVAL_FMT, pending)
         reg = sess.registry
         reg.counter("transfer/intervals").inc(count)
         reg.counter("transfer/bytes_written").inc(max(0.0, bytes_this_run))
         reg.histogram(
             "transfer/throughput_write_mbps", buckets=_THROUGHPUT_BUCKETS_MBPS
-        ).observe_many(m.throughput_write.raw_values)
+        ).observe_many(columns["throughput_write"])
 
     def _run(
         self,
@@ -385,8 +353,8 @@ class ModularTransferEngine:
 
         if sess is not None:
             # The interval loop itself carries ZERO instrumentation: every
-            # field of the per-interval sample is already in the metrics
-            # bundle the engine keeps anyway, so the whole telemetry bill —
+            # field of the per-interval sample is already in the interval
+            # table the engine keeps anyway, so the whole telemetry bill —
             # event-log samples, registry totals, the throughput histogram —
             # is paid here, once, after the transfer loop has finished.
             sess.virtual_time = t

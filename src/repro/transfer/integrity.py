@@ -388,7 +388,7 @@ class ChunkJournal:
     ) -> None:
         self.path = Path(path)
         self._flush_every = max(1, int(flush_every))
-        self._writer = JsonlEventWriter(self.path, mode="a", flush_every=flush_every)
+        self._writer = JsonlEventWriter(self.path, flush_every=flush_every)
         self._claims_buffered = 0
         #: The manifest's digest column (``manifest.chunk_digests``): its
         #: length is the chunk count, and it resolves digest-elided

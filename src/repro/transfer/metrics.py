@@ -1,20 +1,37 @@
-"""Per-transfer metric recording.
+"""Per-transfer interval table.
 
-One :class:`TransferMetrics` instance accumulates everything a figure needs:
-per-stage throughput, per-stage concurrency, buffer occupancy, and the
-utility/reward series, all on the virtual clock.  Supervised transfers
-additionally log per-incident :class:`FaultEvent` / :class:`RecoveryRecord`
-entries (time-to-detect, time-to-recover, goodput lost).
+One :class:`TransferMetrics` instance is the record of one transfer's
+production loop (§IV-F): one row per probe interval, held as a single
+time column plus one value column per field in :data:`FIELDS` — per-stage
+throughput, per-stage concurrency, buffer occupancy, the utility/reward
+and cumulative bytes written, all on the virtual clock.
+
+* The engines append each value once per interval (:meth:`record`); the
+  monotonic-time check runs once per row.
+* :class:`~repro.transfer.supervisor.TransferSupervisor` stitches its
+  attempts with :meth:`merge_from`: one boundary check, then list extends.
+* The engine hands the obs session the whole table in one column-lane
+  call (``transfer/interval`` samples).
+* Figures read a field through a :class:`~repro.utils.timeseries.TimeSeries`
+  view named after it (``metrics.threads_network``).
+
+Supervised transfers additionally log per-incident :class:`FaultEvent` /
+:class:`RecoveryRecord` entries (time-to-detect, time-to-recover, goodput
+lost).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.utils.timeseries import TimeSeries
 from repro.utils.units import bytes_per_sec_to_mbps
 
-_SERIES_NAMES = (
+#: The table's value columns.  ``utility`` is optional per row: a row
+#: recorded without one holds ``None`` there, and the view skips it.
+FIELDS = (
     "throughput_read",
     "throughput_network",
     "throughput_write",
@@ -46,17 +63,8 @@ class FaultEvent:
         return self.t_detected - self.t_onset
 
     def to_dict(self) -> dict:
-        """JSON-friendly form (inverse of :meth:`from_dict`)."""
+        """JSON-friendly form (the attributes of the ``incident/detected`` event)."""
         return {"kind": self.kind, "t_onset": self.t_onset, "t_detected": self.t_detected}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            kind=str(data["kind"]),
-            t_onset=float(data["t_onset"]),
-            t_detected=float(data["t_detected"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,7 @@ class RecoveryRecord:
         return self.t_recovered - self.t_onset
 
     def to_dict(self) -> dict:
-        """JSON-friendly form (inverse of :meth:`from_dict`)."""
+        """JSON-friendly form (the attributes of the ``incident/recovered`` event)."""
         return {
             "kind": self.kind,
             "t_onset": self.t_onset,
@@ -86,35 +94,38 @@ class RecoveryRecord:
             "goodput_lost_bytes": self.goodput_lost_bytes,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoveryRecord":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            kind=str(data["kind"]),
-            t_onset=float(data["t_onset"]),
-            t_detected=float(data["t_detected"]),
-            t_recovered=float(data["t_recovered"]),
-            retries=int(data["retries"]),
-            goodput_lost_bytes=float(data["goodput_lost_bytes"]),
-        )
+
+def _view(name: str) -> property:
+    def series(self: TransferMetrics) -> TimeSeries:
+        return self.series(name)
+
+    return property(series, doc=f"The ``{name}`` column as a :class:`TimeSeries`.")
 
 
 class TransferMetrics:
-    """Time-series bundle recorded by a transfer engine."""
+    """One transfer's interval table: a time column and one column per field."""
+
+    throughput_read = _view("throughput_read")
+    throughput_network = _view("throughput_network")
+    throughput_write = _view("throughput_write")
+    threads_read = _view("threads_read")
+    threads_network = _view("threads_network")
+    threads_write = _view("threads_write")
+    sender_usage = _view("sender_usage")
+    receiver_usage = _view("receiver_usage")
+    utility = _view("utility")
+    bytes_written = _view("bytes_written")
 
     def __init__(self) -> None:
-        self.throughput_read = TimeSeries("throughput_read")
-        self.throughput_network = TimeSeries("throughput_network")
-        self.throughput_write = TimeSeries("throughput_write")
-        self.threads_read = TimeSeries("threads_read")
-        self.threads_network = TimeSeries("threads_network")
-        self.threads_write = TimeSeries("threads_write")
-        self.sender_usage = TimeSeries("sender_usage")
-        self.receiver_usage = TimeSeries("receiver_usage")
-        self.utility = TimeSeries("utility")
-        self.bytes_written = TimeSeries("bytes_written")
+        #: Row times (virtual seconds), non-decreasing.
+        self.times: list[float] = []
+        #: One list per :data:`FIELDS` entry, each as long as :attr:`times`.
+        self.columns: dict[str, list] = {name: [] for name in FIELDS}
         self.fault_events: list[FaultEvent] = []
         self.recoveries: list[RecoveryRecord] = []
+
+    def __len__(self) -> int:
+        return len(self.times)
 
     def record(
         self,
@@ -124,22 +135,25 @@ class TransferMetrics:
         threads: tuple[int, int, int],
         sender_usage: float,
         receiver_usage: float,
+        bytes_written_total: float,
         utility: float | None = None,
-        bytes_written_total: float | None = None,
     ) -> None:
-        """Append one probe interval's samples at virtual time ``t``."""
-        self.throughput_read.append(t, throughputs[0])
-        self.throughput_network.append(t, throughputs[1])
-        self.throughput_write.append(t, throughputs[2])
-        self.threads_read.append(t, threads[0])
-        self.threads_network.append(t, threads[1])
-        self.threads_write.append(t, threads[2])
-        self.sender_usage.append(t, sender_usage)
-        self.receiver_usage.append(t, receiver_usage)
-        if utility is not None:
-            self.utility.append(t, utility)
-        if bytes_written_total is not None:
-            self.bytes_written.append(t, bytes_written_total)
+        """Append one probe interval's row at virtual time ``t``."""
+        times = self.times
+        if times and t < times[-1]:
+            raise ValueError(f"interval time {t} precedes the last recorded time {times[-1]}")
+        times.append(float(t))
+        c = self.columns
+        c["throughput_read"].append(float(throughputs[0]))
+        c["throughput_network"].append(float(throughputs[1]))
+        c["throughput_write"].append(float(throughputs[2]))
+        c["threads_read"].append(float(threads[0]))
+        c["threads_network"].append(float(threads[1]))
+        c["threads_write"].append(float(threads[2]))
+        c["sender_usage"].append(float(sender_usage))
+        c["receiver_usage"].append(float(receiver_usage))
+        c["utility"].append(None if utility is None else float(utility))
+        c["bytes_written"].append(float(bytes_written_total))
 
     def record_fault(self, event: FaultEvent) -> None:
         """Log a detected incident."""
@@ -149,25 +163,37 @@ class TransferMetrics:
         """Log the resolution of an incident."""
         self.recoveries.append(record)
 
-    def merge_from(self, other: "TransferMetrics") -> None:
-        """Append another bundle's samples and incidents (times must follow ours).
+    def merge_from(self, other: TransferMetrics) -> None:
+        """Append another table's rows and incidents (times must follow ours).
 
-        The supervisor uses this to stitch per-attempt metrics into one
+        The supervisor uses this to stitch per-attempt tables into one
         transfer-wide record: attempts run on a shared global clock, so each
-        attempt's series continues where the previous one stopped.
+        attempt's rows continue where the previous one stopped.
         """
-        for name in _SERIES_NAMES:
-            ours: TimeSeries = getattr(self, name)
-            for t, v in getattr(other, name):
-                ours.append(t, v)
+        if self.times and other.times and other.times[0] < self.times[-1]:
+            raise ValueError(
+                f"stitched rows start at {other.times[0]}, before the last "
+                f"recorded time {self.times[-1]}"
+            )
+        self.times.extend(other.times)
+        for name, column in self.columns.items():
+            column.extend(other.columns[name])
         self.fault_events.extend(other.fault_events)
         self.recoveries.extend(other.recoveries)
 
     # ---------------------------------------------------------------- queries
+    def series(self, name: str) -> TimeSeries:
+        """Column ``name`` paired with the time column (a copy)."""
+        times, values = self.times, self.columns[name]
+        if None in values:  # rows recorded without a utility
+            times = [t for t, v in zip(times, values) if v is not None]
+            values = [v for v in values if v is not None]
+        return TimeSeries(name, zip(times, values))
+
     @property
     def duration(self) -> float:
         """Last recorded time (0 when empty)."""
-        return self.throughput_read.times[-1] if len(self.throughput_read) else 0.0
+        return self.times[-1] if self.times else 0.0
 
     def average_throughput(self, *, warmup: float = 0.0) -> float:
         """Mean end-to-end (write-stage) throughput in Mbps after ``warmup``."""
@@ -189,34 +215,12 @@ class TransferMetrics:
 
     def concurrency_cost(self) -> float:
         """Mean total thread count across stages — the overhead measure."""
-        total = (
-            self.threads_read.values + self.threads_network.values + self.threads_write.values
-        )
-        return float(total.mean()) if len(total) else 0.0
+        if not self.times:
+            return 0.0
+        c = self.columns
+        total = np.add(np.add(c["threads_read"], c["threads_network"]), c["threads_write"])
+        return float(total.mean())
 
     def stability(self, series_name: str = "threads_network", *, t_start: float = 0.0) -> float:
         """Standard deviation of a concurrency series (lower = more stable)."""
-        series: TimeSeries = getattr(self, series_name)
-        return series.std(t_start=t_start)
-
-    def to_dict(self) -> dict:
-        """Serialize every series and incident record (JSON-friendly)."""
-        blob = {name: getattr(self, name).to_dict() for name in _SERIES_NAMES}
-        blob["fault_events"] = [e.to_dict() for e in self.fault_events]
-        blob["recoveries"] = [r.to_dict() for r in self.recoveries]
-        return blob
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransferMetrics":
-        """Rebuild a bundle from :meth:`to_dict` output (archived runs).
-
-        Tolerates missing keys so partial/older dumps still load: absent
-        series stay empty, absent incident lists stay empty.
-        """
-        metrics = cls()
-        for name in _SERIES_NAMES:
-            if name in data:
-                setattr(metrics, name, TimeSeries.from_dict(data[name]))
-        metrics.fault_events = [FaultEvent.from_dict(d) for d in data.get("fault_events", [])]
-        metrics.recoveries = [RecoveryRecord.from_dict(d) for d in data.get("recoveries", [])]
-        return metrics
+        return self.series(series_name).std(t_start=t_start)

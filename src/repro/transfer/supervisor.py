@@ -16,13 +16,15 @@ with the failure handling the paper's production loop (§IV-F) assumes away:
 * **incident accounting** — each incident produces a
   :class:`~repro.transfer.metrics.FaultEvent` and, once progress resumes, a
   :class:`~repro.transfer.metrics.RecoveryRecord` (time-to-detect,
-  time-to-recover, goodput lost) in the stitched transfer metrics.
+  time-to-recover, goodput lost) in the stitched transfer metrics (each
+  attempt's interval table appended to the transfer's).
 
 The supervisor state machine::
 
     RUNNING --(no progress for N intervals)--> DETECTED
     DETECTED --(retries left)--> BACKOFF --> RESUME(checkpoint) --> RUNNING
     DETECTED --(retries exhausted)--> FAILED
+    DETECTED --(resume at or past max_seconds)--> TIMED_OUT
     RUNNING --(all bytes written)--> COMPLETED
     RUNNING --(max_seconds)--> TIMED_OUT
 """
@@ -321,6 +323,7 @@ class TransferSupervisor:
         budget = RetryBudget(cfg.max_elapsed)
         budget.start(checkpoint.elapsed if checkpoint is not None else 0.0)
         budget_exhausted = False
+        horizon_reached = False
 
         while True:
             start_bytes = checkpoint.bytes_completed if checkpoint else 0.0
@@ -419,6 +422,11 @@ class TransferSupervisor:
                 )
                 obs.count("supervisor/retry_budget_exhausted")
                 break
+            if resume_at >= self.engine.config.max_seconds:
+                # The resume would land past the engine's horizon: the retry
+                # never runs, so it is not counted and the transfer timed out.
+                horizon_reached = True
+                break
             retries_used += 1
             pending_retries += 1
             obs.event(
@@ -426,8 +434,6 @@ class TransferSupervisor:
                 delay=delay, resume_at=resume_at, retry=retries_used,
             )
             obs.count("supervisor/retries")
-            if resume_at >= self.engine.config.max_seconds:
-                break  # no budget left to retry into
             checkpoint = TransferCheckpoint(
                 bytes_completed=result.bytes_transferred,
                 elapsed=resume_at,
@@ -447,7 +453,7 @@ class TransferSupervisor:
         )
         return SupervisedTransferResult(
             completed=result.completed,
-            timed_out=result.timed_out,
+            timed_out=result.timed_out or horizon_reached,
             completion_time=result.completion_time,
             total_bytes=result.total_bytes,
             metrics=metrics,

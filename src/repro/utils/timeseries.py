@@ -48,21 +48,6 @@ class TimeSeries:
         """Sample values as an array."""
         return np.asarray(self._values, dtype=float)
 
-    @property
-    def raw_times(self) -> list[float]:
-        """The underlying times list (treat as read-only).
-
-        ``times`` builds a fresh numpy array per access and iterating it
-        boxes one ``np.float64`` per element; bulk consumers on a budget
-        (the telemetry exporter) iterate the plain floats instead.
-        """
-        return self._times
-
-    @property
-    def raw_values(self) -> list[float]:
-        """The underlying values list (treat as read-only)."""
-        return self._values
-
     def __len__(self) -> int:
         return len(self._times)
 

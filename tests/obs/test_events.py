@@ -24,18 +24,6 @@ class TestWriter:
                 w.write({"i": i})
         assert [r["i"] for r in read_events(path)] == [0, 1]
 
-    def test_w_mode_truncates_once(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        path.write_text('{"old":1}\n')
-        w = JsonlEventWriter(path, mode="w")
-        w.write({"i": 0})
-        w.flush()
-        w.close()
-        # Reuse after close appends; the first truncate is not repeated.
-        w.write({"i": 1})
-        w.close()
-        assert [r["i"] for r in read_events(path)] == [0, 1]
-
     def test_flush_every_threshold(self, tmp_path):
         path = tmp_path / "e.jsonl"
         w = JsonlEventWriter(path, flush_every=3)
@@ -54,14 +42,6 @@ class TestWriter:
         rec = read_events(path)[0]
         assert (rec["t"], rec["v"]) == (1.0, 2.5)
 
-    def test_write_samples_bulk(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        fmt = '{"t":%.3f,"v":%.3f}'
-        with JsonlEventWriter(path) as w:
-            added = w.write_samples(fmt, [(0.0, 1.0), (1.0, 2.0)])
-        assert added == 2
-        assert [r["v"] for r in read_events(path)] == [1.0, 2.0]
-
     def test_write_columns_zips_at_flush(self, tmp_path):
         path = tmp_path / "e.jsonl"
         fmt = '{"t":%.3f,"a":%.3f,"b":%d}'
@@ -79,6 +59,20 @@ class TestWriter:
         assert len(records) == 3
         assert records[-1] == {"t": 2.0, "a": 30.0, "b": 3}
 
+    def test_write_columns_writes_non_finite_as_null(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        fmt = '{"t":%.3f,"a":%.3f,"n":%d}'
+        nan, inf = float("nan"), float("inf")
+        with JsonlEventWriter(path) as w:
+            w.write_columns(fmt, ([0.0, 1.0, 2.0, 3.0], [1.5, nan, -inf, 2.0],
+                                  [1, 2, 3, 4]), 4)
+        assert path.read_text().splitlines() == [
+            '{"t":0.000,"a":1.500,"n":1}',
+            '{"t":1.000,"a":null,"n":2}',
+            '{"t":2.000,"a":null,"n":3}',
+            '{"t":3.000,"a":2.000,"n":4}',
+        ]
+
     def test_lanes_preserve_order(self, tmp_path):
         path = tmp_path / "e.jsonl"
         with JsonlEventWriter(path) as w:
@@ -87,15 +81,6 @@ class TestWriter:
             w.write_columns('{"i":%d}', ([2, 3],), 2)
             w.write({"i": 4})
         assert [r["i"] for r in read_events(path)] == [0, 1, 2, 3, 4]
-
-    def test_truncate_discards(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        w = JsonlEventWriter(path)
-        w.write({"i": 0})
-        w.truncate()
-        w.write({"i": 1})
-        w.close()
-        assert [r["i"] for r in read_events(path)] == [1]
 
     def test_cost_seconds_accumulates(self, tmp_path):
         w = JsonlEventWriter(tmp_path / "e.jsonl")

@@ -6,6 +6,8 @@ session active, then reconstruct phases, series and incidents from nothing
 but the ``events.jsonl`` it left behind.
 """
 
+import json
+
 import pytest
 
 from repro import obs
@@ -106,6 +108,13 @@ class TestTransferSummary:
         assert incident.time_to_recover == pytest.approx(recovery.time_to_recover)
         assert incident.retries == recovery.retries
 
+    def test_static_controller_decisions_never_change(self, flap_run):
+        run_dir, result = flap_run
+        summary = summarize_run(run_dir)
+        assert summary.decisions == len(result.metrics)
+        assert summary.decision_changes == 0
+        assert summary.churn == 0.0
+
     def test_overhead_self_reported(self, flap_run):
         run_dir, _ = flap_run
         summary = summarize_run(run_dir)
@@ -118,6 +127,65 @@ class TestTransferSummary:
         assert "transfer/supervised" in text
         assert "link_flap" in text
         assert "transfer/interval.throughput_write" in text
+
+
+@pytest.fixture(scope="module")
+def dropout_run(tmp_path_factory):
+    """``automdt run faults_probe_dropout --obs DIR``: intervals with NaN probes."""
+    run_dir = tmp_path_factory.mktemp("dropout-run")
+    assert cli_main(["run", "faults_probe_dropout", "--obs", str(run_dir)]) == 0
+    lines = (run_dir / obs.EVENTS_FILENAME).read_text().splitlines()
+    intervals = [json.loads(line) for line in lines if '"name":"transfer/interval"' in line]
+    return run_dir, intervals
+
+
+class TestIntervalSamples:
+    def test_one_decision_per_interval_sample(self, dropout_run):
+        run_dir, intervals = dropout_run
+        summary = summarize_run(run_dir)
+        assert len(intervals) > 0
+        assert summary.decisions == len(intervals)
+        # The experiment logs two transfers (bare, then supervised); each
+        # one's clock starts over, and its first decision has no predecessor.
+        transfers = [[]]
+        for prev, record in zip([None, *intervals], intervals):
+            if prev is not None and record["t"] < prev["t"]:
+                transfers.append([])
+            transfers[-1].append(
+                (record["threads_read"], record["threads_network"], record["threads_write"])
+            )
+        assert len(transfers) == 2
+        changes = sum(a != b for triples in transfers for a, b in zip(triples, triples[1:]))
+        assert changes > 0
+        assert summary.transfers == 2
+        assert summary.decision_changes == changes
+        assert summary.churn == pytest.approx(changes / (len(intervals) - 2))
+        assert f"decisions              : {len(intervals)}" in render_summary(summary)
+
+    def test_log_without_interval_samples_has_no_decisions(self, tmp_path):
+        with obs.session(tmp_path):
+            obs.metric("x", 1.0, t=0.0)
+            obs.sample("other", t=1.0, threads_read=3)
+        summary = summarize_run(tmp_path)
+        assert summary.decisions == summary.decision_changes == 0
+        assert summary.churn == 0.0
+
+    def test_every_interval_line_has_one_schema(self, dropout_run):
+        _, intervals = dropout_run
+        schemas = {
+            tuple((key, type(value).__name__) for key, value in record.items()
+                  if not key.startswith("throughput_"))
+            for record in intervals
+        }
+        assert len(schemas) == 1
+        assert len({tuple(record) for record in intervals}) == 1
+        for record in intervals:
+            assert all(type(record[f"threads_{stage}"]) is int
+                       for stage in ("read", "network", "write"))
+        dropped = [r for r in intervals if r["throughput_read"] is None]
+        assert 0 < len(dropped) < len(intervals)
+        assert all(r["throughput_network"] is None and r["throughput_write"] is None
+                   for r in dropped)
 
 
 class BanditEnv:

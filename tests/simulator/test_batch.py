@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.simulator import BatchedSimulator, SimulatorConfig
+from repro.simulator import BatchedSimulator, SimulatorConfig, StageMetrics
 from repro.utils.errors import SimulationError
 
 
@@ -49,8 +49,9 @@ class TestStepping:
         sim = BatchedSimulator(_config(), 4)
         metrics = sim.step_second(np.full((4, 3), 5))
         assert len(metrics) == 4
-        assert metrics.throughputs.shape == (4, 3)
-        assert metrics.threads.shape == (4, 3)
+        assert all(type(m) is StageMetrics for m in metrics)
+        assert np.shape([m.throughputs for m in metrics]) == (4, 3)
+        assert [m.threads for m in metrics] == [(5, 5, 5)] * 4
         assert np.all(sim.elapsed == 1.0)
         assert sim.last_blocked_retries.shape == (4,)
         assert np.all(sim.last_queue_peak == 15)
@@ -60,7 +61,7 @@ class TestStepping:
         metrics = sim.step_second(np.full((3, 3), 4))
         for field in ("throughput_read", "throughput_network", "throughput_write",
                       "sender_usage", "receiver_usage"):
-            column = getattr(metrics, field)
+            column = [getattr(m, field) for m in metrics]
             assert column[0] == column[1] == column[2]
 
     def test_masked_reset_touches_only_selected_columns(self):

@@ -34,7 +34,7 @@ PRESETS = {
 def assert_matches(got, batched, expected, scalars, where):
     """Every metric, both diagnostics and both buffers equal the oracles'."""
     for i, want in enumerate(expected):
-        assert got.column(i) == want, f"{where} column {i}"
+        assert got[i] == want, f"{where} column {i}"
         assert batched.last_blocked_retries[i] == scalars[i].last_blocked_retries, where
         assert batched.last_queue_peak[i] == scalars[i].last_queue_peak, where
     assert np.all(batched.sender_usage == [s.sender_usage for s in scalars]), where
@@ -113,5 +113,5 @@ def test_equivalence_clamps_threads_like_scalar():
     config = simulator_config_from_testbed(fig5_read_bottleneck())
     want = IONetworkSimulator(config).step_second((0, 999, 2.4))
     got = BatchedSimulator(config, 1).step_second(np.array([[0.0, 999.0, 2.4]]))
-    assert got.column(0) == want
-    assert got.threads[0].tolist() == list(want.threads)
+    assert got == [want]
+    assert got[0].threads == want.threads == (1, 30, 2)

@@ -12,6 +12,7 @@ from repro.transfer import (
     ThroughputProbe,
     TransferMetrics,
 )
+from repro.transfer.metrics import FIELDS
 
 NAN = float("nan")
 
@@ -170,15 +171,43 @@ class TestTransferMetrics:
         assert m.stability("threads_write") == 0.0
         assert m.stability("threads_network") > 0.0
 
-    def test_to_dict_roundtrippable(self):
-        blob = self.make_metrics().to_dict()
-        assert set(blob) >= {"throughput_read", "threads_network", "utility"}
-        assert len(blob["utility"]["values"]) == 10
-
     def test_empty_metrics(self):
         m = TransferMetrics()
         assert m.duration == 0.0
         assert m.concurrency_cost() == 0.0
+
+    def test_one_time_column_and_aligned_value_columns(self):
+        m = self.make_metrics()
+        assert len(m) == 10
+        assert m.times == [float(t + 1) for t in range(10)]
+        assert set(m.columns) == set(FIELDS)
+        assert all(len(column) == 10 for column in m.columns.values())
+        view = m.threads_network
+        assert view.name == "threads_network"
+        assert list(view.times) == m.times
+        assert list(view.values) == [4.0] * 5 + [5.0] * 5
+        assert m.concurrency_cost() == pytest.approx(12.5)
+
+    def test_views_are_copies(self):
+        m = self.make_metrics()
+        m.throughput_write.append(11.0, 0.0)
+        assert len(m.throughput_write) == len(m) == 10
+
+    def test_record_rejects_time_regression(self):
+        m = self.make_metrics()
+        with pytest.raises(ValueError):
+            m.record(9.5, throughputs=(1, 1, 1), threads=(1, 1, 1),
+                     sender_usage=0, receiver_usage=0, bytes_written_total=0)
+        assert len(m) == 10
+
+    def test_utility_view_skips_rows_recorded_without_one(self):
+        m = TransferMetrics()
+        for t, utility in ((1.0, None), (2.0, 0.5), (3.0, None)):
+            m.record(t, throughputs=(1, 1, 1), threads=(1, 1, 1), sender_usage=0,
+                     receiver_usage=0, bytes_written_total=t, utility=utility)
+        assert list(m.utility.times) == [2.0]
+        assert list(m.utility.values) == [0.5]
+        assert len(m.bytes_written) == 3
 
 
 class TestIncidentRecords:
@@ -197,6 +226,17 @@ class TestIncidentRecords:
         )
         assert record.time_to_recover == pytest.approx(11.0)
 
+    def test_fault_event_to_dict(self):
+        event = FaultEvent("link_flap", 10.0, 15.5)
+        assert event.to_dict() == {"kind": "link_flap", "t_onset": 10.0, "t_detected": 15.5}
+
+    def test_recovery_record_to_dict(self):
+        record = RecoveryRecord("stall", 10.0, 15.5, 21.25, 2, 5e8)
+        assert record.to_dict() == {
+            "kind": "stall", "t_onset": 10.0, "t_detected": 15.5,
+            "t_recovered": 21.25, "retries": 2, "goodput_lost_bytes": 5e8,
+        }
+
     def test_merge_from_stitches_series_and_incidents(self):
         first, second = TransferMetrics(), TransferMetrics()
         for t in (1.0, 2.0):
@@ -212,47 +252,15 @@ class TestIncidentRecords:
         second.record_fault(FaultEvent("stall", 2.5, 3.0))
         first.merge_from(second)
         assert list(first.bytes_written.times) == [1.0, 2.0, 3.0, 4.0]
+        assert list(first.threads_read.values) == [1.0, 1.0, 2.0, 2.0]
         assert len(first.fault_events) == 1
 
-    def test_to_dict_includes_incidents(self):
-        m = TransferMetrics()
-        m.record_fault(FaultEvent("link_flap", 1.0, 2.0))
-        m.record_recovery(RecoveryRecord("link_flap", 1.0, 2.0, 4.0, 1, 0.0))
-        blob = m.to_dict()
-        assert blob["fault_events"][0]["kind"] == "link_flap"
-        assert blob["recoveries"][0]["t_recovered"] == 4.0
+    def test_merge_from_rejects_an_attempt_that_starts_earlier(self):
+        first, second = TransferMetrics(), TransferMetrics()
+        for table, t in ((first, 5.0), (second, 4.0)):
+            table.record(t, throughputs=(1, 1, 1), threads=(1, 1, 1),
+                         sender_usage=0, receiver_usage=0, bytes_written_total=t)
+        with pytest.raises(ValueError):
+            first.merge_from(second)
+        assert first.times == [5.0]
 
-    def test_fault_event_dict_round_trip(self):
-        event = FaultEvent("link_flap", 10.0, 15.5)
-        assert FaultEvent.from_dict(event.to_dict()) == event
-
-    def test_recovery_record_dict_round_trip(self):
-        record = RecoveryRecord("stall", 10.0, 15.5, 21.25, 2, 5e8)
-        assert RecoveryRecord.from_dict(record.to_dict()) == record
-
-    def test_metrics_dict_round_trip_survives_json(self):
-        import json
-
-        m = TransferMetrics()
-        for t in (1.0, 2.0):
-            m.record(
-                t, throughputs=(1.5, 2.5, 3.5), threads=(1, 2, 3),
-                sender_usage=0.1, receiver_usage=0.2,
-                utility=0.5, bytes_written_total=t * 1e9,
-            )
-        m.record_fault(FaultEvent("link_flap", 1.0, 2.0))
-        m.record_recovery(RecoveryRecord("link_flap", 1.0, 2.0, 4.0, 1, 1e8))
-        rebuilt = TransferMetrics.from_dict(json.loads(json.dumps(m.to_dict())))
-        assert list(rebuilt.throughput_write.values) == list(m.throughput_write.values)
-        assert list(rebuilt.utility.times) == [1.0, 2.0]
-        assert rebuilt.fault_events == m.fault_events
-        assert rebuilt.recoveries == m.recoveries
-
-    def test_from_dict_tolerates_partial_blob(self):
-        rebuilt = TransferMetrics.from_dict(
-            {"throughput_write": {"name": "throughput_write",
-                                  "times": [0.0], "values": [100.0]}}
-        )
-        assert len(rebuilt.throughput_write) == 1
-        assert len(rebuilt.threads_read) == 0
-        assert rebuilt.fault_events == [] and rebuilt.recoveries == []

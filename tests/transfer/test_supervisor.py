@@ -13,6 +13,8 @@ from repro.emulator import (
     Testbed,
     TestbedConfig,
 )
+from repro.emulator.presets import fig5_read_bottleneck
+from repro.obs import EVENTS_FILENAME, PROMETHEUS_FILENAME, read_events, session
 from repro.transfer import (
     EngineConfig,
     ModularTransferEngine,
@@ -223,6 +225,45 @@ class TestPermanentOutage:
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
         assert 1.5 <= gaps[0] <= 2.5
         assert 3.0 <= gaps[1] <= 5.0
+
+
+class TestResumePastHorizon:
+    """A stall whose backoff would resume at or after ``max_seconds``."""
+
+    def run_supervised(self, tmp_path=None):
+        testbed = Testbed(
+            fig5_read_bottleneck(), rng=0,
+            faults=FaultSchedule([LinkFlap(start=5, duration=100, severity=1)]),
+        )
+        engine = ModularTransferEngine(
+            testbed, uniform_dataset(4, 1e9), StaticController((13, 7, 5)),
+            EngineConfig(max_seconds=14, seed=0),
+        )
+        supervisor = TransferSupervisor(engine, SupervisorConfig(seed=0, backoff_base=4))
+        if tmp_path is None:
+            return supervisor.run()
+        with session(tmp_path):
+            return supervisor.run()
+
+    def test_retry_that_never_runs_is_not_counted(self):
+        result = self.run_supervised()
+        assert [a.outcome for a in result.attempts] == ["stalled"]
+        assert result.attempts[0].end_time + 4 * 0.75 >= 14
+        assert result.retries_used == 0
+        assert result.last_checkpoint.attempt == 0
+        assert len(result.metrics.fault_events) == 1
+
+    def test_reported_as_timed_out(self):
+        result = self.run_supervised()
+        assert result.timed_out
+        assert not result.completed and not result.budget_exhausted
+
+    def test_no_backoff_logged(self, tmp_path):
+        self.run_supervised(tmp_path)
+        names = [r.get("name") for r in read_events(tmp_path / EVENTS_FILENAME)]
+        assert "incident/detected" in names
+        assert "supervisor/backoff" not in names
+        assert "supervisor_retries" not in (tmp_path / PROMETHEUS_FILENAME).read_text()
 
 
 class TestExplicitResume:

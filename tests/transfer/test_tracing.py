@@ -1,50 +1,71 @@
-"""Transfer tracing: recorder, loader, summaries."""
+"""The per-interval decision trace: ``transfer/interval`` samples in the event log.
+
+Each interval the engine applies one thread triple and probes per-stage
+throughput; with an obs session active that record lands in
+``events.jsonl`` as one ``transfer/interval`` sample.  These tests read the
+trace back through the shared event reader and summarise its decisions
+with ``summarize_run``.
+"""
 
 import json
 
 import pytest
 
+from repro import obs
 from repro.baselines import StaticController
 from repro.emulator import Testbed, fig5_read_bottleneck
-from repro.emulator import testbed_for_optimal as calibrated_testbed
-from repro.transfer import (
-    EngineConfig,
-    ModularTransferEngine,
-    TraceRecorder,
-    load_trace,
-    summarize_trace,
-)
+from repro.obs.events import read_events
+from repro.obs.summary import summarize_run
+from repro.transfer import EngineConfig, ModularTransferEngine
 from repro.transfer.files import uniform_dataset
+
+INTERVAL = "transfer/interval"
+THREADS = ("threads_read", "threads_network", "threads_write")
+
+
+@pytest.fixture(autouse=True)
+def _clean_global_session():
+    obs.shutdown()
+    yield
+    obs.shutdown()
+
+
+def make_engine(controller, *, files=3, size=1e9, max_seconds=300):
+    return ModularTransferEngine(
+        Testbed(fig5_read_bottleneck(), rng=0),
+        uniform_dataset(files, size),
+        controller,
+        EngineConfig(max_seconds=max_seconds),
+    )
+
+
+def load_intervals(path):
+    return [r for r in read_events(path) if r.get("name") == INTERVAL]
 
 
 class TestTraceRecorder:
     def run_traced(self, tmp_path, controller=None):
-        path = tmp_path / "trace.jsonl"
-        recorder = TraceRecorder(controller or StaticController((13, 7, 5)), path)
-        engine = ModularTransferEngine(
-            Testbed(fig5_read_bottleneck(), rng=0),
-            uniform_dataset(3, 1e9),
-            recorder,
-            EngineConfig(max_seconds=300),
-        )
-        result = engine.run()
-        recorder.close()
-        return path, result
+        with obs.session(tmp_path):
+            result = make_engine(controller or StaticController((13, 7, 5))).run()
+        return tmp_path / obs.EVENTS_FILENAME, result
 
     def test_one_record_per_decision(self, tmp_path):
         path, result = self.run_traced(tmp_path)
-        records = load_trace(path)
+        records = load_intervals(path)
         assert len(records) == len(result.metrics.throughput_read)
+        assert summarize_run(path).decisions == len(records)
 
     def test_record_schema(self, tmp_path):
         path, _ = self.run_traced(tmp_path)
-        record = load_trace(path)[0]
+        record = load_intervals(path)[0]
         assert set(record) == {
-            "type", "t", "threads_before", "throughputs", "sender_free",
-            "receiver_free", "bytes_written", "decision",
+            "type", "name", "t",
+            "throughput_read", "throughput_network", "throughput_write",
+            *THREADS,
+            "sender_usage", "receiver_usage", "bytes_written",
         }
-        assert record["type"] == "decision"
-        assert record["decision"] == [13, 7, 5]
+        assert record["type"] == "sample"
+        assert tuple(record[key] for key in THREADS) == (13, 7, 5)
 
     def test_valid_jsonl(self, tmp_path):
         path, _ = self.run_traced(tmp_path)
@@ -52,70 +73,38 @@ class TestTraceRecorder:
             json.loads(line)
 
     def test_reset_appends(self, tmp_path):
-        # Resume-safety: a second engine run through the same recorder
-        # extends the trace instead of erasing the first run's records.
-        path = tmp_path / "t.jsonl"
-        recorder = TraceRecorder(StaticController((2, 2, 2)), path)
+        # Resume-safety: a second engine run in the same session extends the
+        # trace instead of erasing the first run's records.
+        path = tmp_path / obs.EVENTS_FILENAME
         counts = []
-        for _ in range(2):
-            engine = ModularTransferEngine(
-                Testbed(fig5_read_bottleneck(), rng=0),
-                uniform_dataset(1, 5e8),
-                recorder,
-                EngineConfig(max_seconds=120),
-            )
-            engine.run()
-            recorder.flush()
-            counts.append(len(load_trace(path)))
-        recorder.close()
+        with obs.session(tmp_path) as session:
+            for _ in range(2):
+                make_engine(
+                    StaticController((2, 2, 2)), files=1, size=5e8, max_seconds=120
+                ).run()
+                session.flush()
+                counts.append(len(load_intervals(path)))
         assert counts[1] == 2 * counts[0]
         # The resume boundary is visible as a time reset mid-file.
-        records = load_trace(path)
-        assert records[counts[0]]["t"] == 0.0
-        assert records[counts[0] - 1]["t"] > 0.0
-
-    def test_truncate_discards_history(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        recorder = TraceRecorder(StaticController((2, 2, 2)), path)
-        for i in range(2):
-            engine = ModularTransferEngine(
-                Testbed(fig5_read_bottleneck(), rng=0),
-                uniform_dataset(1, 5e8),
-                recorder,
-                EngineConfig(max_seconds=120),
-            )
-            if i == 1:
-                recorder.truncate()
-            engine.run()
-        recorder.close()
-        records = load_trace(path)
-        # Only the second run's records survive the explicit truncate.
-        assert records[0]["t"] == 0.0
-        assert sum(1 for r in records if r["t"] == 0.0) == 1
-
-    def test_context_manager(self, tmp_path):
-        path = tmp_path / "cm.jsonl"
-        with TraceRecorder(StaticController((1, 1, 1)), path) as recorder:
-            from repro.transfer.engine import Observation
-
-            obs = Observation((1, 1, 1), (0, 0, 0), 1, 1, 1, 1, 0.0, 0.0)
-            recorder.propose(obs)
-        assert len(load_trace(path)) == 1
+        records = load_intervals(path)
+        assert records[counts[0]]["t"] == records[0]["t"]
+        assert records[counts[0] - 1]["t"] > records[counts[0]]["t"]
 
 
 class TestLoadTraceEdgeCases:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert load_trace(path) == []
+        assert read_events(path) == []
+        assert summarize_run(path).decisions == 0
 
     def test_truncated_final_line_dropped(self, tmp_path):
         path, _ = TestTraceRecorder().run_traced(tmp_path)
-        full = load_trace(path)
+        full = read_events(path)
         # Simulate a process killed mid-append: chop the last line in half.
         text = path.read_text()
         path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
-        assert len(load_trace(path)) == len(full) - 1
+        assert read_events(path) == full[:-1]
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path, _ = TestTraceRecorder().run_traced(tmp_path)
@@ -123,81 +112,38 @@ class TestLoadTraceEdgeCases:
         lines[1] = lines[1][:5]  # damage an interior line
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
-            load_trace(path)
-
-    def test_filters_non_decision_records(self, tmp_path):
-        path, _ = TestTraceRecorder().run_traced(tmp_path)
-        n = len(load_trace(path))
-        with path.open("a") as fh:
-            fh.write('{"type":"metric","name":"x","t":1.0,"value":2.0}\n')
-        assert len(load_trace(path)) == n
-
-    def test_legacy_records_without_type(self, tmp_path):
-        path = tmp_path / "old.jsonl"
-        path.write_text(
-            '{"t":0.0,"decision":[1,1,1],"throughputs":[0,0,0]}\n'
-        )
-        records = load_trace(path)
-        assert len(records) == 1 and records[0]["decision"] == [1, 1, 1]
+            read_events(path)
+        with pytest.raises(ValueError):
+            summarize_run(path)
 
 
 class TestSummarizeTrace:
-    def test_summary_fields(self, tmp_path):
-        recorder = TraceRecorder(StaticController((13, 7, 5)), tmp_path / "t.jsonl")
-        engine = ModularTransferEngine(
-            Testbed(fig5_read_bottleneck(), rng=0),
-            uniform_dataset(3, 1e9),
-            recorder,
-            EngineConfig(max_seconds=300),
-        )
-        engine.run()
-        recorder.close()
-        summary = summarize_trace(load_trace(tmp_path / "t.jsonl"))
-        assert summary.mean_threads == (13.0, 7.0, 5.0)
-        assert summary.mean_total_threads == 25.0
-        assert summary.decision_changes == 0
-        assert summary.churn == 0.0
-
-    def test_churn_counts_changes(self):
-        records = [
-            {"t": float(i), "decision": [1 + (i % 2), 1, 1], "throughputs": [0, 0, 0]}
-            for i in range(5)
-        ]
-        summary = summarize_trace(records)
+    def test_churn_counts_changes(self, tmp_path):
+        with obs.session(tmp_path):
+            for i in range(5):
+                obs.sample(
+                    INTERVAL, t=float(i), threads_read=1 + (i % 2),
+                    threads_network=1, threads_write=1, throughput_read=0.0,
+                )
+        summary = summarize_run(tmp_path)
+        assert summary.decisions == 5
         assert summary.decision_changes == 4
         assert summary.churn == 1.0
 
-    def test_empty_trace(self):
-        summary = summarize_trace([])
-        assert summary.decisions == 0
+    def test_churn_restarts_at_each_transfer(self, tmp_path):
+        # Two transfers in one session under different static controllers:
+        # neither controller ever changes its triple, so the switch at the
+        # boundary (where the clock resets) is no decision change.
+        with obs.session(tmp_path):
+            for triple in ((2, 2, 2), (13, 7, 5)):
+                make_engine(
+                    StaticController(triple), files=1, size=5e8, max_seconds=120
+                ).run()
+        records = load_intervals(tmp_path / obs.EVENTS_FILENAME)
+        summary = summarize_run(tmp_path)
+        assert summary.decisions == len(records)
+        assert summary.transfers == 2
+        assert summary.decision_changes == 0
         assert summary.churn == 0.0
-
-
-class TestCalibration:
-    def test_round_trip_optimal(self):
-        cfg = calibrated_testbed((13, 7, 5), 1000.0)
-        assert cfg.optimal_threads() == (13, 7, 5)
-
-    def test_arbitrary_triples(self):
-        for triple in [(1, 1, 1), (20, 3, 9), (5, 14, 6)]:
-            cfg = calibrated_testbed(triple, 2500.0)
-            assert cfg.optimal_threads() == triple
-
-    def test_headroom_moves_bottleneck_to_network(self):
-        cfg = calibrated_testbed((10, 10, 10), 1000.0, headroom=1.5)
-        assert cfg.bottleneck_bandwidth == pytest.approx(1000.0)
-        assert cfg.source.bandwidth > 1000.0
-
-    def test_runs_on_testbed(self):
-        cfg = calibrated_testbed((4, 8, 2), 800.0)
-        tb = Testbed(cfg, rng=0)
-        flows = [tb.advance((4, 8, 2)) for _ in range(5)][-1]
-        assert flows.throughput_write == pytest.approx(800.0, rel=0.1)
-
-    def test_invalid_inputs(self):
-        from repro.utils.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            calibrated_testbed((0, 1, 1), 1000.0)
-        with pytest.raises(ConfigError):
-            calibrated_testbed((1, 1), 1000.0)
+        # The same log's series split at that reset too.
+        assert "transfer/interval.threads_read#2" in summary.metrics
