@@ -360,7 +360,7 @@ def _run_case(index: int, config: SoakConfig, out_dir: str) -> dict:
     )
     # The warm journal's column against a cold fold of the same file: the
     # warm journal itself would read nothing on a second replay.
-    with ChunkJournal(journal.path, manifest.chunk_digests) as cold:
+    with ChunkJournal(journal.path, manifest.digests_np) as cold:
         replay_idempotent = bool(np.array_equal(cold.replay(), claims))
     last_pass_bytes = (
         result.supervised.attempts[-1].end_bytes if result.supervised.attempts else 0.0

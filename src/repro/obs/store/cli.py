@@ -82,7 +82,8 @@ def add_store_parsers(sub) -> None:
     )
     regress.add_argument(
         "--suite", action="append", default=None,
-        help="restrict to a suite (repeatable)",
+        help="restrict to a suite (repeatable); without it, every stored "
+        "suite needs a current report or a declared removal",
     )
     regress.add_argument(
         "--no-ingest", action="store_true",

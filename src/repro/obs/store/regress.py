@@ -16,7 +16,10 @@ as informational drift — they say more about the runner than the code.
 A bench that deletes a gated arm declares it in a top-level ``retired``
 list of ``{"key": <dotted key>, "reason": <why>}`` entries; the verdict
 prints each one, and a retired key is exempt from the missing-key rule
-while it stays missing (see :func:`compare_suite`).
+while it stays missing (see :func:`compare_suite`).  A whole suite goes
+the same way: one with a stored baseline and no current report is a
+regression unless :data:`REMOVED_SUITES` declares its removal, with a
+reason the verdict prints.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.obs.store.db import KNOWN_BENCH_SCHEMAS, ResultsStore, flatten_numeri
 from repro.utils.errors import BenchSchemaError
 
 __all__ = [
+    "REMOVED_SUITES",
     "Finding",
     "classify_key",
     "compare_suite",
@@ -53,6 +57,17 @@ _BOOL_SUFFIXES = (
     "capacity_respected", "throughput_identical", "equivalent", "bit_identical",
 )
 _INFO_MARKERS = ("wall", "mb_per_s", "mbps", "seconds", "_s", "ms_per_round")
+
+#: Bench suites deleted from the tree, each with the reason it went.  A
+#: suite with a stored baseline but no current report passes only when it
+#: is listed here; ``regress`` prints the reason instead of comparing.
+REMOVED_SUITES: dict[str, str] = {
+    "dataplane": (
+        "its kernel legs timed checksum code that was deleted; its "
+        "equivalence checks are tier-1 tests and its overhead leg is "
+        "bench_integrity's"
+    ),
+}
 
 
 def skipped_prefixes(report: Mapping) -> tuple[str, ...]:
@@ -236,9 +251,12 @@ def run_regress(
     """Compare each report against its stored baseline; optionally ingest.
 
     Returns a JSON-able result with per-suite findings; ``ok`` is False
-    iff any gated key regressed.  Suites with no stored baseline are
-    reported as ``no_baseline`` (not a failure — the first ingest seeds
-    the trajectory).
+    iff any gated key regressed or a suite went missing.  Suites with no
+    stored baseline are reported as ``no_baseline`` (not a failure — the
+    first ingest seeds the trajectory).  Every stored suite (each of
+    ``suites`` when given) that ``paths`` holds no report of is reported as
+    ``removed`` when :data:`REMOVED_SUITES` declares it, and as ``missing``,
+    a regression, when it does not.
     """
     results: dict[str, dict] = {}
     ok = True
@@ -272,6 +290,19 @@ def run_regress(
         if ingest:
             entry["ingested_run"] = store.ingest_bench(suite, report, path=path)
         results[suite] = entry
+    for suite in sorted({row["scenario"] for row in store.runs(kind="bench")}):
+        if suite in results or (suites and suite not in suites):
+            continue
+        point = store.latest_bench(suite)
+        entry = {"path": None, "keys": 0, "findings": [],
+                 "baseline_run": point.run_id, "baseline_rev": point.git_rev}
+        if suite in REMOVED_SUITES:
+            entry["status"] = "removed"
+            entry["reason"] = REMOVED_SUITES[suite]
+        else:
+            entry["status"] = "missing"
+            ok = False
+        results[suite] = entry
     return {"ok": ok, "threshold": threshold, "suites": results}
 
 
@@ -286,6 +317,15 @@ def render_regress(result: Mapping) -> str:
         if status == "no_baseline":
             lines.append(f"{suite}: no stored baseline ({entry['keys']} keys ingested)")
             lines.extend(retired)
+            continue
+        if status == "removed":
+            lines.append(f"{suite}: removed — {entry['reason']}")
+            continue
+        if status == "missing":
+            lines.append(
+                f"{suite}: MISSING — baseline {entry['baseline_rev']} has a report "
+                "and the tree has none (a deleted suite belongs in REMOVED_SUITES)"
+            )
             continue
         findings = [Finding(**f) for f in entry["findings"]]
         gated = [f for f in findings if f.direction != INFO]

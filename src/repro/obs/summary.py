@@ -255,17 +255,21 @@ def _resolve_incident(incidents: list[IncidentSummary], attrs: dict, record: dic
 
 # ------------------------------------------------------------------ rendering
 def render_summary(summary: RunSummary) -> str:
-    """Human-readable report of one run (what ``obs summary`` prints)."""
+    """Human-readable report of one run (what ``obs summary`` prints).
+
+    Every number is formatted here by :func:`_fmt`, not by the table
+    renderer, which cuts floats to one decimal.
+    """
     parts: list[str] = []
     header = {
         "events": summary.events_total,
         "decisions": summary.decisions,
-        "decision churn": round(summary.churn, 3),
+        "decision churn": _fmt(summary.churn),
     }
     if summary.label:
         header = {"label": summary.label, **header}
     if summary.overhead_seconds is not None:
-        header["telemetry overhead (s)"] = round(summary.overhead_seconds, 4)
+        header["telemetry overhead (s)"] = _fmt(summary.overhead_seconds)
     parts.append(render_kv(header, title="=== run summary ==="))
 
     if summary.spans:
@@ -274,8 +278,8 @@ def render_summary(summary: RunSummary) -> str:
                 a.name,
                 a.parent or "-",
                 a.count,
-                round(a.wall_seconds, 4),
-                round(a.virtual_seconds, 1),
+                _fmt(a.wall_seconds),
+                _fmt(a.virtual_seconds),
                 a.errors,
             ]
             for a in summary.spans.values()
@@ -313,11 +317,11 @@ def render_summary(summary: RunSummary) -> str:
             [
                 i + 1,
                 inc.kind,
-                round(inc.t_onset, 1),
-                round(inc.time_to_detect, 2),
-                round(inc.time_to_recover, 2) if inc.time_to_recover is not None else "open",
+                _fmt(inc.t_onset),
+                _fmt(inc.time_to_detect),
+                _fmt(inc.time_to_recover) if inc.time_to_recover is not None else "open",
                 inc.retries,
-                round(inc.goodput_lost_bytes / 1e6, 2),
+                _fmt(inc.goodput_lost_bytes / 1e6),
             ]
             for i, inc in enumerate(summary.incidents)
         ]
@@ -351,7 +355,7 @@ def diff_runs(a: RunSummary, b: RunSummary, *, label_a: str = "A", label_b: str 
         rows = []
         for name in common_spans:
             wa, wb = a.spans[name].wall_seconds, b.spans[name].wall_seconds
-            rows.append([name, round(wa, 4), round(wb, 4), _fmt_delta(wa, wb)])
+            rows.append([name, _fmt(wa), _fmt(wb), _fmt_delta(wa, wb)])
         parts.append(
             render_table(
                 ["span (wall s)", label_a, label_b, "delta"], rows, title="span diff"
@@ -372,11 +376,16 @@ def diff_runs(a: RunSummary, b: RunSummary, *, label_a: str = "A", label_b: str 
 
 
 def _fmt(value: float) -> str:
+    """A whole number as an integer (a count of 2,500 prints ``2500``), any
+    other to four significant digits (``0.01293``); one of 1,000 or more
+    keeps every digit of its integer part."""
     if value != value:  # NaN
         return "nan"
-    if abs(value) >= 1000 or (0 < abs(value) < 0.01):
-        return f"{value:.3g}"
-    return f"{value:.3f}".rstrip("0").rstrip(".") or "0"
+    if float(value).is_integer():
+        return str(int(value))
+    if abs(value) >= 1000:
+        return f"{value:.0f}"
+    return f"{value:.4g}"
 
 
 def _fmt_delta(a: float, b: float) -> str:

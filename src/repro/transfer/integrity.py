@@ -55,8 +55,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from bisect import bisect_right
-from itertools import accumulate, compress
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -138,6 +136,22 @@ def _is_count(value) -> bool:
     return type(value) is int and 0 <= value < 1 << 63
 
 
+def _int_column(values: list[int]) -> np.ndarray | None:
+    """JSON ints as an int64 column; ``None`` when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Sum of ``values`` added left to right, one rounding per addition (the
+    bits of Python 3.11's ``sum`` over the same list, not of ``np.sum``'s
+    pairwise sum): a resume checkpoint, and every fingerprint after it,
+    carries them."""
+    return np.add.accumulate(values).item(-1) if len(values) else 0.0
+
+
 def _json_number(data: dict, key: str, default, where: str):
     """``data[key]`` (``default`` when absent), which must be a JSON number."""
     value = data.get(key, default)
@@ -179,22 +193,10 @@ class TransferManifest:
         # per-chunk objects would be rescanned on every collection for the
         # whole transfer (a measurable slice of the verification overhead
         # budget).  Chunk ids are row indices.
-        file_sizes = np.array([s for _, s in self.files], dtype=np.float64)
-        counts = np.maximum(
-            1, np.ceil(file_sizes / self.chunk_size).astype(np.int64)
-        ) if len(self.files) else np.zeros(0, dtype=np.int64)
-        total_chunks = int(counts.sum())
-        file_idx = np.repeat(np.arange(len(self.files), dtype=np.int64), counts)
-        starts = np.zeros(len(self.files), dtype=np.int64)
-        if len(self.files):
-            starts[1:] = np.cumsum(counts)[:-1]
-        indices = np.arange(total_chunks, dtype=np.int64) - np.repeat(starts, counts)
+        file_sizes, counts, file_idx, indices = self._layout()
         chunk_bytes = np.minimum(
             self.chunk_size, file_sizes[file_idx] - indices.astype(np.float64) * self.chunk_size
         )
-        running = np.cumsum(chunk_bytes)
-        offsets = np.zeros(total_chunks, dtype=np.float64)
-        offsets[1:] = running[:-1]
         # Chunk digests by CRC32C linearity.  A tag is ``prefix + tail``,
         # with ``prefix = f"{dataset}:{file}:"`` per file and
         # ``tail = f"{index}:{content_seed}"`` per in-file index, so
@@ -222,25 +224,26 @@ class TransferManifest:
             column = shifted[d] = crc32c_zeros(column, 1)
         digests = shifted[digits[indices] - 1, file_idx] ^ crcs[n_files:][indices]
 
-        # File, in-file index and dataset offset of each chunk: only
-        # :meth:`to_dict` reads them.
-        self._file_idx = file_idx
-        self._indices = indices
-        self._offsets = offsets
-        # Full chunks share the one ``chunk_size`` float: a distinct float
-        # per chunk would cost a quarter of a 1 TB set's build.
-        partial = np.flatnonzero(chunk_bytes != self.chunk_size)
-        sizes = [self.chunk_size] * total_chunks
-        for cid, size in zip(partial.tolist(), chunk_bytes[partial].tolist()):
-            sizes[cid] = size
-        #: Per-chunk sizes and expected digests as tuples: hot paths index
-        #: them one scalar at a time, where a tuple beats a numpy array.
-        self.chunk_sizes: tuple[float, ...] = tuple(sizes)
-        self.chunk_digests: tuple[int, ...] = tuple(digests.tolist())
-        #: Vector views of the chunk table for the ledger's sweep kernels.
+        #: The chunk table, one column per field, indexed by chunk id: byte
+        #: sizes, expected digests, and the running byte total at each
+        #: chunk's end (the ledger's full-pass queue searches it).  The
+        #: file, in-file index and offset of each chunk are recomputed by
+        #: :meth:`to_dict`, the only reader.
         self.sizes_np = chunk_bytes
-        self.digests_np = np.asarray(digests, dtype=np.int64)
-        self.total_bytes = float(running[-1]) if total_chunks else 0.0
+        self.digests_np = digests.astype(np.int64)
+        self.cum_sizes_np = np.cumsum(chunk_bytes)
+        self.total_bytes = self.cum_sizes_np.item(-1) if len(chunk_bytes) else 0.0
+
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Size and chunk count of each file, and each chunk's file and
+        in-file index."""
+        file_sizes = np.array([s for _, s in self.files], dtype=np.float64)
+        counts = np.maximum(1, np.ceil(file_sizes / self.chunk_size).astype(np.int64))
+        file_idx = np.repeat(np.arange(len(self.files), dtype=np.int64), counts)
+        starts = np.zeros(len(self.files), dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        indices = np.arange(len(file_idx), dtype=np.int64) - np.repeat(starts, counts)
+        return file_sizes, counts, file_idx, indices
 
     @classmethod
     def from_dataset(
@@ -257,12 +260,8 @@ class TransferManifest:
             content_seed=content_seed,
         )
 
-    def size_of(self, chunk_id: int) -> float:
-        """Byte size of one chunk."""
-        return self.chunk_sizes[chunk_id]
-
     def __len__(self) -> int:
-        return len(self.chunk_sizes)
+        return len(self.sizes_np)
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> dict:
@@ -272,12 +271,15 @@ class TransferManifest:
         row.
         """
         names = [name for name, _ in self.files]
+        _, _, file_idx, indices = self._layout()
+        offsets = np.zeros(len(self), dtype=np.float64)
+        offsets[1:] = self.cum_sizes_np[:-1]
         rows = zip(
-            self._file_idx.tolist(),
-            self._indices.tolist(),
-            self._offsets.tolist(),
-            self.chunk_sizes,
-            self.chunk_digests,
+            file_idx.tolist(),
+            indices.tolist(),
+            offsets.tolist(),
+            self.sizes_np.tolist(),
+            self.digests_np.tolist(),
         )
         return {
             "version": MANIFEST_VERSION,
@@ -297,9 +299,10 @@ class TransferManifest:
         """Rebuild from :meth:`to_dict` output (digests are re-derived by
         the same build and cross-checked, so a tampered manifest file fails
         loudly).  A missing field, a chunk row that is not a six-field
-        list, a field that does not convert (a null or list size, say), or a
+        list, a field that does not convert (a null or list size, say), a
         row id, digest or content seed that is not a JSON int (a bool, a
-        float, a numeric string) raises :class:`IntegrityError`."""
+        float, a numeric string), or a chunk table without exactly one row
+        for each chunk id ``0 … n-1`` raises :class:`IntegrityError`."""
         if not isinstance(data, dict):
             raise IntegrityError(f"manifest is a JSON {type(data).__name__}, not an object")
         missing = [k for k in ("dataset", "algorithm", "files", "chunk_size", "chunks")
@@ -333,7 +336,14 @@ class TransferManifest:
                 f"manifest for {data['dataset']!r} has a chunk id, digest or "
                 "content seed that is not an int"
             )
-        if dict(zip(ids, digests)) != dict(enumerate(manifest.chunk_digests)):
+        n = len(manifest)
+        id_col, digest_col = _int_column(ids), _int_column(digests)
+        if id_col is None or not np.array_equal(np.sort(id_col), np.arange(n)):
+            raise IntegrityError(
+                f"manifest for {data['dataset']!r} needs exactly one row for "
+                f"each of its {n} chunk ids"
+            )
+        if not np.array_equal(digest_col, manifest.digests_np[id_col]):
             raise IntegrityError(
                 f"manifest digests for {data['dataset']!r} do not match re-derived values"
             )
@@ -390,10 +400,10 @@ class ChunkJournal:
         self._flush_every = max(1, int(flush_every))
         self._writer = JsonlEventWriter(self.path, flush_every=flush_every)
         self._claims_buffered = 0
-        #: The manifest's digest column (``manifest.chunk_digests``): its
-        #: length is the chunk count, and it resolves digest-elided
-        #: ``chunkrun`` records at replay.
-        self._expected = expected
+        #: The manifest's digest column (``manifest.digests_np``): its
+        #: length is the chunk count, and a slice of it resolves each
+        #: digest-elided ``chunkrun`` record at replay.
+        self._expected = np.asarray(expected, dtype=np.int64)
         #: Open coalescing run ``[lo, hi, t]`` not yet handed to the
         #: writer: consecutive clean syncs complete consecutive ids, so
         #: most :meth:`record_runs` calls just advance ``hi``.  Counts as
@@ -638,7 +648,7 @@ class DestinationLedger:
     State is columnar: status codes, digests, send counts and completion
     sequence numbers as numpy arrays indexed by chunk id.  On the
     fault-free path :meth:`sync` only advances the pending queue's head:
-    one ``bisect`` against the queue's cumulative sizes maps a byte delta
+    one binary search of the queue's cumulative sizes maps a byte delta
     onto every chunk it completes.
 
     Statuses: ``missing`` (not durable), ``ok`` (digest matches manifest),
@@ -656,8 +666,6 @@ class DestinationLedger:
         self.manifest = manifest
         self.faults = faults
         self.seed = int(seed)
-        self._sizes = manifest.chunk_sizes
-        self._expected = manifest.chunk_digests
         self._sizes_np = manifest.sizes_np
         self._expected_np = manifest.digests_np
         n = len(manifest)
@@ -674,13 +682,12 @@ class DestinationLedger:
         #: :class:`SilentTruncation` cuts from the end of).
         self._seq_arr = np.full(n, -1, dtype=np.int64)
         self._next_seq = 0
-        # Full-pass queue state, precomputed once: plain python lists, not
-        # arrays — per-sync batches are ~tens of chunks, where C-level list
-        # slicing and ``bisect`` beat numpy's per-call dispatch overhead.
-        self._all_ids: list[int] = list(range(n))
-        self._full_cum: list[float] = np.cumsum(self._sizes_np).tolist()
-        self._pending: list[int] = self._all_ids
-        self._pend_cum: list[float] = self._full_cum
+        #: The pending queue: chunk ids in id order (``range(n)`` for a full
+        #: pass, an id array for a partial one) and the running byte total
+        #: at each queued chunk's end (the manifest's own column for a full
+        #: pass), which :meth:`sync` searches.
+        self._pending: range | np.ndarray = range(n)
+        self._pend_cum: np.ndarray = manifest.cum_sizes_np
         self._head = 0  # completed entries of the pending queue
         self._folded = 0  # completed entries already folded into the columns
         self._partial = 0.0  # bytes already written into the head chunk
@@ -704,7 +711,7 @@ class DestinationLedger:
         expected digest: ``crc32c(a + b) == crc32c(b, value=crc32c(a))``,
         and the payload's digest is the manifest's expected value.
         """
-        expected = self._expected[chunk_id]
+        expected = self._expected_np.item(chunk_id)
         digest = crc32c(marker, value=expected)
         while digest == expected:  # 2**-32 collision: keep salting
             digest = crc32c(b"!", value=digest)
@@ -712,7 +719,7 @@ class DestinationLedger:
 
     def _complete_chunk(self, chunk_id: int, t: float) -> int:
         """Mark one chunk durable; returns the digest the destination holds."""
-        send = int(self._send_arr[chunk_id]) + 1
+        send = self._send_arr.item(chunk_id) + 1
         self._send_arr[chunk_id] = send
         if self._torn_pending:
             self._torn_pending = False
@@ -724,7 +731,7 @@ class DestinationLedger:
                     chunk_id, b"|flip:%d" % send
                 )
             else:
-                code, digest = _OK, self._expected[chunk_id]
+                code, digest = _OK, self._expected_np.item(chunk_id)
         self._status_arr[chunk_id] = code
         self._digest_arr[chunk_id] = digest
         self._seq_arr[chunk_id] = self._next_seq
@@ -747,8 +754,8 @@ class DestinationLedger:
         ids = self._pending[self._folded : head]
         # The queue is in id order, so a full-span check detects the
         # contiguous common case and folds it as a slice.
-        lo, hi = ids[0], ids[-1] + 1
-        index = slice(lo, hi) if hi - lo == len(ids) else np.array(ids)
+        lo, hi = int(ids[0]), int(ids[-1]) + 1
+        index = slice(lo, hi) if hi - lo == len(ids) else ids
         self._status_arr[index] = _OK
         self._digest_arr[index] = self._expected_np[index]
         self._send_arr[index] += 1
@@ -774,9 +781,9 @@ class DestinationLedger:
             self._seq_arr[lost] = -1
         elif isinstance(event, DataCorruption):  # site == "storage", at-rest
             for chunk_id in self._durable_ids().tolist():
-                if self._status_arr[chunk_id] != _OK:
+                if self._status_arr.item(chunk_id) != _OK:
                     continue
-                send = int(self._send_arr[chunk_id])
+                send = self._send_arr.item(chunk_id)
                 if self._uniform(_DRAW_ATREST, chunk_id, send) < event.rate:
                     self._status_arr[chunk_id] = _CORRUPT
                     self._digest_arr[chunk_id] = self._divergent_digest(
@@ -792,24 +799,21 @@ class DestinationLedger:
         (whose checkpoints rewind the byte count) stay consistent.
         """
         self._materialize()  # fold the previous pass before swapping queues
-        if isinstance(chunk_ids, range) and chunk_ids == range(len(self._all_ids)):
-            ids = None  # full pass, checked O(1)
-        elif isinstance(chunk_ids, range):
-            ids = list(chunk_ids) if chunk_ids.step == 1 else sorted(chunk_ids)
+        n = len(self._sizes_np)
+        full = isinstance(chunk_ids, range) and chunk_ids == range(n)  # O(1)
+        if not full:
+            ids = np.sort(np.asarray(chunk_ids, dtype=np.int64))
+            full = len(ids) == n and (not n or (ids[0] == 0 and ids[-1] == n - 1))
+        if full:
+            # Full pass (sorted distinct ids spanning 0..n-1): queue the
+            # manifest's own cumulative column instead of a copy of it.
+            self._pending = range(n)
+            self._pend_cum = self.manifest.cum_sizes_np
         else:
-            ids = sorted(int(c) for c in chunk_ids)
-        if ids is None or (
-            len(ids) == len(self._all_ids)
-            and (not ids or (ids[0] == 0 and ids[-1] == len(ids) - 1))
-        ):
-            # Full pass (sorted distinct ids spanning 0..n-1): reuse the
-            # precomputed queue instead of rebuilding n-element lists.
-            self._pending = self._all_ids
-            self._pend_cum = self._full_cum
-        else:
-            sizes = self._sizes
+            # ``np.cumsum`` adds left to right (never pairwise), so each
+            # bound carries the bits of a sequential sum of the sizes.
             self._pending = ids
-            self._pend_cum = list(accumulate(sizes[c] for c in ids))
+            self._pend_cum = np.cumsum(self._sizes_np[ids])
         self._head = 0
         self._folded = 0
         self._partial = 0.0
@@ -831,8 +835,8 @@ class DestinationLedger:
         forward; a smaller ``bytes_total`` than already synced is ignored
         (stale observation).
 
-        Fault-free ledgers only advance the queue head (one ``bisect``
-        against the queue's cumulative sizes finds every chunk the delta
+        Fault-free ledgers only advance the queue head (one binary search
+        of the queue's cumulative sizes finds every chunk the delta
         completes) and defer the column writes to :meth:`_materialize`.
         Faulted ledgers route per-chunk through :meth:`_complete_chunk`,
         which handles torn/corrupt outcomes and re-send bookkeeping.
@@ -851,9 +855,8 @@ class DestinationLedger:
             return
 
         # Fault-free hot path, inlined (runs once per engine interval).
-        # One ``bisect`` against the pending queue's cumulative sizes finds
-        # every chunk the delta completes; a per-sync batch is ~tens of
-        # chunks, where C-level list slicing beats numpy dispatch overhead.
+        # One binary search of the pending queue's cumulative sizes finds
+        # every chunk the delta completes.
         if t > self._clock:
             self._clock = t
         delta = bytes_total - self._synced_bytes
@@ -862,39 +865,33 @@ class DestinationLedger:
         self._synced_bytes = bytes_total
         self.bytes_applied_total += delta
         cum = self._pend_cum
-        count = len(cum)
         head = self._head
         consumed = self._consumed + delta
         # Chunk j completes when consumed >= cum[j] - eps — identical to the
         # scalar walk, where each completion subtracts its full size and the
-        # epsilon forgives at most one shortfall in total.  The search is
-        # windowed near the head first: a sync advances by ~tens of chunks,
-        # and probing the whole 50k-element list would touch cold cachelines
-        # every interval.
-        limit = consumed + _COMPLETE_EPS
-        window = head + 128
-        if window < count and cum[window] > limit:
-            new_head = bisect_right(cum, limit, head, window)
-        else:
-            new_head = bisect_right(cum, limit, head)
-        if new_head >= count and consumed - (cum[-1] if count else 0.0) > _COMPLETE_EPS:
-            overflow = consumed - (cum[-1] if count else 0.0)
+        # epsilon forgives at most one shortfall in total.  The search may
+        # span the whole queue: every completed chunk ends at or below the
+        # bytes consumed so far, so none lies past the insertion point.
+        new_head = int(cum.searchsorted(consumed + _COMPLETE_EPS, "right"))
+        done = cum.item(new_head - 1) if new_head else 0.0  # where the new head chunk starts
+        if new_head >= len(cum) and consumed - done > _COMPLETE_EPS:
             raise IntegrityError(
-                f"destination received {overflow:.0f} bytes beyond the pending chunk set"
+                f"destination received {consumed - done:.0f} bytes beyond the pending chunk set"
             )
         if new_head > head:
             # Durability is recorded by advancing the head alone; the
             # column writes are deferred to :meth:`_materialize`.  (Safe
             # because a queued chunk is never already durable:
             # :meth:`begin_pass` callers demote first.)
-            consumed = max(consumed, cum[new_head - 1])
+            consumed = max(consumed, done)
             if journal is not None:
                 # Clean completions carry the manifest digests by
                 # construction — journal them as digest-elided runs.
-                journal.record_runs(self._pending[head:new_head], t)
+                ids = self._pending[head:new_head]
+                journal.record_runs(ids if type(ids) is range else ids.tolist(), t)
         self._head = new_head
         self._consumed = consumed
-        self._partial = consumed - (cum[new_head - 1] if new_head else 0.0)
+        self._partial = consumed - done
 
     def _sync_faulted(
         self, delta: float, t: float, journal: "ChunkJournal | None"
@@ -902,16 +899,19 @@ class DestinationLedger:
         """Scalar delta mapping for faulted ledgers (torn/corrupt outcomes)."""
         pending, sizes, head, partial = (
             self._pending,
-            self._sizes,
+            self._sizes_np,
             self._head,
             self._partial,
         )
         count = len(pending)
+        # Python ints from either queue: a ``range`` yields them, and
+        # ``ndarray.item`` returns one without building a numpy scalar.
+        chunk_at = pending.__getitem__ if type(pending) is range else pending.item
         ids: list[int] = []
         digests: list[int] = []
         while delta > 0.0 and head < count:
-            chunk_id = pending[head]
-            need = sizes[chunk_id] - partial
+            chunk_id = chunk_at(head)
+            need = sizes.item(chunk_id) - partial
             if delta >= need - _COMPLETE_EPS:
                 delta -= need
                 partial = 0.0
@@ -922,7 +922,7 @@ class DestinationLedger:
                 partial += delta
                 delta = 0.0
         self._head, self._partial = head, partial
-        self._consumed = (self._pend_cum[head - 1] if head else 0.0) + partial
+        self._consumed = (self._pend_cum.item(head - 1) if head else 0.0) + partial
         if delta > _COMPLETE_EPS and head >= count:
             raise IntegrityError(
                 f"destination received {delta:.0f} bytes beyond the pending chunk set"
@@ -1076,11 +1076,11 @@ class IntegrityConfig:
 
     #: Verification/recovery granularity.  Smaller chunks bound the bytes
     #: re-sent per corrupt/torn unit more tightly and make resume
-    #: checkpoints finer.  With the one-sweep manifest digest, columnar
-    #: ledger sweeps and batched WAL appends, 4 MB keeps even a
-    #: multi-hundred-GB transfer (tens of thousands of chunks) within the
-    #: ≤5% clean-path verification budget that previously required 128 MB
-    #: chunks (``benchmarks/bench_integrity.py`` holds the line).
+    #: checkpoints finer, at ~49 bytes of manifest and ledger state per
+    #: chunk (~12 MB per TB at 4 MB).  The clean-path verification budget
+    #: is ≤5% of an unverified run's CPU; at 4 MB, a 200 GB transfer's
+    #: 50,000 chunks miss it: ``benchmarks/bench_integrity.py``'s committed
+    #: run reads 6.8% (``within_budget: false``).
     chunk_size: float = 4e6
     max_repair_rounds: int = 3
     #: Journal claims buffered between fsync-like flushes.  A crash loses
@@ -1168,7 +1168,7 @@ class VerifiedTransfer:
         )
         journal = ChunkJournal(
             Path(run_dir) / "journal.jsonl",
-            manifest.chunk_digests,
+            manifest.digests_np,
             flush_every=config.journal_flush_every,
         )
         return cls(supervisor, manifest, ledger, journal, config)
@@ -1235,12 +1235,9 @@ class VerifiedTransfer:
         """
         claims = self.journal.replay()
         ok = (claims == self.manifest.digests_np) & self.ledger.verified_mask()
-        pending = np.flatnonzero(~ok).tolist()
+        pending = np.flatnonzero(~ok)
         self.ledger.demote(pending)
-        # Python's sum in ascending id order, not numpy's pairwise one: the
-        # resume checkpoint, and with it every fingerprint, carries its
-        # rounding.
-        start_bytes = sum(compress(self.manifest.chunk_sizes, ok.tolist()))
+        start_bytes = _ordered_sum(self.manifest.sizes_np[ok])
         self.ledger.begin_pass(pending, start_bytes=start_bytes)
         resent = np.flatnonzero((claims >= 0) & ~ok).tolist()
         return start_bytes, int(np.count_nonzero(ok)), resent
@@ -1301,7 +1298,7 @@ class VerifiedTransfer:
             obs.count("integrity/chunks_resent", len(bad))
             with obs.span("integrity/repair", round=repair_rounds, chunks=len(bad)):
                 self.ledger.demote(bad)
-                rewind = sum(self.manifest.size_of(c) for c in bad)
+                rewind = _ordered_sum(self.manifest.sizes_np[bad])
                 pass_start = self.manifest.total_bytes - rewind
                 self.ledger.begin_pass(bad, start_bytes=pass_start)
                 resent.extend(bad)
@@ -1352,11 +1349,11 @@ def verify_artifacts(run_dir: str | Path) -> dict:
     manifest = TransferManifest.load(run_dir / "manifest.json")
 
     journal_path = run_dir / "journal.jsonl"
-    with ChunkJournal(journal_path, manifest.chunk_digests) as journal:
+    with ChunkJournal(journal_path, manifest.digests_np) as journal:
         claims = journal.replay()
     # The column against a cold fold of the file that replay healed: the
     # same journal's second replay would read nothing past its cursor.
-    with ChunkJournal(journal_path, manifest.chunk_digests) as cold:
+    with ChunkJournal(journal_path, manifest.digests_np) as cold:
         replay_idempotent = bool(np.array_equal(cold.replay(), claims))
     claimed = claims >= 0
     claimed_ok = claims == manifest.digests_np

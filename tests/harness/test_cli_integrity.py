@@ -96,6 +96,12 @@ BAD_MANIFESTS = {
     "missing_chunk_size": _drop("chunk_size"),
     "missing_algorithm": _drop("algorithm"),
     "string_content_seed": lambda blob: blob.update(content_seed=str(blob["content_seed"])),
+    # Chunk 0's row with a flipped digest before its true row, and one
+    # extra copy of a row: each id needs exactly one row.
+    "flipped_duplicate_row_first": lambda blob: blob["chunks"].insert(
+        0, blob["chunks"][0][:5] + [blob["chunks"][0][5] ^ 1]
+    ),
+    "extra_duplicate_row": lambda blob: blob["chunks"].append(list(blob["chunks"][1])),
 }
 
 

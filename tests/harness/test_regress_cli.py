@@ -6,6 +6,7 @@ import pytest
 
 from repro.harness.cli import main
 from repro.obs.store import ResultsStore
+from repro.obs.store import regress
 from repro.obs.store.regress import BOOL, HIGHER, INFO, LOWER, classify_key, run_regress
 from repro.utils.errors import BenchSchemaError
 
@@ -194,6 +195,38 @@ def test_retired_entry_needs_a_reason(tmp_path, capsys):
     path = _current(tmp_path, arm={}, retired=[{"key": "arm.speedup"}])
     assert main(["regress", str(path), "--store", str(db), "--no-ingest"]) == 2
     assert "BenchSchemaError" in capsys.readouterr().err
+
+
+def _two_suites(tmp_path):
+    """A store with ``kernels`` and ``dataplane`` baselines, and a current
+    report of ``kernels`` alone."""
+    db = tmp_path / "store.db"
+    _baseline(db, speedup=4.0)
+    _baseline(db, suite="dataplane", speedup=2.0, ok=True)
+    return db, _current(tmp_path, speedup=4.0)
+
+
+def test_suite_without_a_current_report_regresses(tmp_path, capsys, monkeypatch):
+    monkeypatch.delitem(regress.REMOVED_SUITES, "dataplane", raising=False)
+    db, path = _two_suites(tmp_path)
+    assert main(["regress", str(path), "--store", str(db), "--no-ingest"]) == 1
+    out = capsys.readouterr().out
+    assert "kernels: OK" in out
+    assert "dataplane: MISSING — baseline baseline has a report" in out
+    # Naming only the suite at hand compares just that one.
+    assert main(["regress", str(path), "--store", str(db), "--no-ingest",
+                 "--suite", "kernels"]) == 0
+
+
+def test_declared_suite_removal_passes_and_is_printed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(regress.REMOVED_SUITES, "dataplane", "its code was deleted")
+    db, path = _two_suites(tmp_path)
+    assert main(["regress", str(path), "--store", str(db), "--no-ingest"]) == 0
+    out = capsys.readouterr().out
+    assert "dataplane: removed — its code was deleted" in out
+    assert "MISSING" not in out
+    result = run_regress(ResultsStore(db), [path], ingest=False)
+    assert result["ok"] and result["suites"]["dataplane"]["status"] == "removed"
 
 
 def test_skipped_prefixes_walks_nested_legs():

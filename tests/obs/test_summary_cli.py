@@ -22,7 +22,13 @@ from repro.emulator import (
 )
 from repro.harness.cli import main as cli_main
 from repro.obs.exporters import export_run_csv, write_prometheus_from_events
-from repro.obs.summary import diff_runs, render_summary, summarize_run
+from repro.obs.summary import (
+    RunSummary,
+    SpanAggregate,
+    diff_runs,
+    render_summary,
+    summarize_run,
+)
 from repro.transfer import (
     EngineConfig,
     ModularTransferEngine,
@@ -186,6 +192,54 @@ class TestIntervalSamples:
         assert 0 < len(dropped) < len(intervals)
         assert all(r["throughput_network"] is None and r["throughput_write"] is None
                    for r in dropped)
+
+
+def _cells(text: str, first: str) -> list[str]:
+    """The cells of the rendered table row (or ``key : value`` line) that
+    starts with ``first``."""
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip("|").replace(" : ", "|").split("|")]
+        if cells[0] == first:
+            return cells
+    raise AssertionError(f"no row {first!r} in:\n{text}")
+
+
+class TestRenderedNumbers:
+    """``render_summary`` prints a float to four significant digits and a
+    whole count as an integer; the table renderer would cut both to one
+    decimal."""
+
+    @pytest.fixture
+    def text(self):
+        return render_summary(
+            RunSummary(
+                events_total=12,
+                decisions=4,
+                decision_changes=1,
+                transfers=1,
+                overhead_seconds=0.012931,
+                spans={
+                    "integrity/verify": SpanAggregate(
+                        "integrity/verify", "transfer/run", count=3,
+                        wall_seconds=0.0123456, virtual_seconds=41.25,
+                    )
+                },
+                counters={"integrity/chunks_resent": 2500.0},
+            )
+        )
+
+    def test_header(self, text):
+        assert _cells(text, "telemetry overhead (s)") == ["telemetry overhead (s)", "0.01293"]
+        assert _cells(text, "decision churn") == ["decision churn", "0.3333"]
+        assert _cells(text, "decisions") == ["decisions", "4"]
+
+    def test_span_row(self, text):
+        assert _cells(text, "integrity/verify") == [
+            "integrity/verify", "transfer/run", "3", "0.01235", "41.25", "0"
+        ]
+
+    def test_counter(self, text):
+        assert _cells(text, "integrity/chunks_resent") == ["integrity/chunks_resent", "2500"]
 
 
 class BanditEnv:

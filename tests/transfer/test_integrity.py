@@ -1,6 +1,10 @@
 """End-to-end integrity: manifest, journal, ledger, verified resume/repair."""
 
+import functools
+import gc
 import hashlib
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,18 +94,20 @@ class TestManifest:
         cid, file, index, offset, size, _ = manifest.to_dict()["chunks"][3]
         assert (cid, file, index) == (3, "f00", 3)
         assert offset == pytest.approx(0.9e9)
-        assert size == pytest.approx(1e9 - 3 * 0.3e9) == manifest.size_of(3)
+        assert size == pytest.approx(1e9 - 3 * 0.3e9) == manifest.sizes_np[3]
         assert manifest.to_dict()["chunks"][4][1:4] == ["f01", 0, pytest.approx(1e9)]
 
     def test_deterministic_and_seed_sensitive(self):
-        assert make_manifest().chunk_digests == make_manifest().chunk_digests
-        assert make_manifest().chunk_digests != make_manifest(content_seed=1).chunk_digests
+        assert np.array_equal(make_manifest().digests_np, make_manifest().digests_np)
+        assert not np.array_equal(
+            make_manifest().digests_np, make_manifest(content_seed=1).digests_np
+        )
 
     def test_roundtrip(self, tmp_path):
         manifest = make_manifest(content_seed=3)
         manifest.save(tmp_path / "manifest.json")
         loaded = TransferManifest.load(tmp_path / "manifest.json")
-        assert loaded.chunk_digests == manifest.chunk_digests
+        assert np.array_equal(loaded.digests_np, manifest.digests_np)
         assert loaded.to_dict() == manifest.to_dict()
 
     def test_tampered_manifest_fails_loudly(self, tmp_path):
@@ -110,6 +116,31 @@ class TestManifest:
         blob["chunks"][0][5] ^= 1  # flip a digest bit
         with pytest.raises(IntegrityError):
             TransferManifest.from_dict(blob)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # Chunk 0's row with a flipped digest, then its true row: a
+            # later row for the same id must not override an earlier one.
+            lambda rows: rows.insert(0, rows[0][:5] + [rows[0][5] ^ 1]),
+            lambda rows: rows.append(list(rows[2])),
+            lambda rows: rows.__setitem__(4, rows[3][:1] + rows[4][1:]),
+            lambda rows: rows.pop(),
+        ],
+        ids=["flipped-duplicate-first", "extra-duplicate", "id-repeated-id-missing", "row-missing"],
+    )
+    def test_chunk_table_needs_one_row_per_id(self, edit):
+        blob = make_manifest(files=1, chunk_size=0.2e9).to_dict()
+        assert len(blob["chunks"]) == 5
+        edit(blob["chunks"])
+        with pytest.raises(IntegrityError, match="exactly one row"):
+            TransferManifest.from_dict(blob)
+
+    def test_chunk_rows_may_come_in_any_order(self):
+        manifest = make_manifest(files=1, chunk_size=0.2e9)
+        blob = manifest.to_dict()
+        blob["chunks"].reverse()
+        assert TransferManifest.from_dict(blob).to_dict() == manifest.to_dict()
 
     @pytest.mark.parametrize(
         ("row", "field", "edit"),
@@ -269,7 +300,7 @@ class TestLedger:
         snapshot = ledger.to_dict()
         assert snapshot["order"] == [0]
         assert snapshot["chunks"]["0"] == {
-            "status": "ok", "digest": manifest.chunk_digests[0], "sends": 1
+            "status": "ok", "digest": manifest.digests_np[0].item(), "sends": 1
         }
         assert snapshot["chunks"]["1"] == {"status": "missing", "digest": None, "sends": 0}
         ledger.sync(1e9, 2.0)
@@ -352,7 +383,7 @@ class TestLedger:
         assert 0 < len(bad) < len(manifest)  # rate 0.5: some of each
         ledger.demote(bad)
         ledger.begin_pass(bad, start_bytes=manifest.total_bytes - sum(
-            manifest.size_of(c) for c in bad
+            manifest.sizes_np[bad].tolist()
         ))
         ledger.sync(manifest.total_bytes, 2.0)
         assert len(ledger.verify()) < len(bad)  # fresh draws recover some
@@ -370,7 +401,7 @@ class TestLedger:
         bad = ledger.verify()
         ledger.demote(bad)
         ledger.begin_pass(bad, start_bytes=manifest.total_bytes - sum(
-            manifest.size_of(c) for c in bad
+            manifest.sizes_np[bad].tolist()
         ))
         ledger.sync(manifest.total_bytes, 20.0)
         ledger.save(tmp_path / "destination.json")
@@ -582,7 +613,7 @@ class TestBatchedJournal:
         faults = FaultSchedule(DataCorruption(start=0.0, duration=100.0, rate=1.0))
         manifest = make_manifest()
         ledger = DestinationLedger(manifest, faults, seed=1)
-        journal = ChunkJournal(tmp_path / "j.jsonl", manifest.chunk_digests, flush_every=1)
+        journal = ChunkJournal(tmp_path / "j.jsonl", manifest.digests_np, flush_every=1)
         ledger.begin_pass(range(len(manifest)), start_bytes=0.0)
         ledger.sync(manifest.total_bytes, 1.0, journal)
         journal.close()
@@ -666,7 +697,7 @@ class TestZeroCopyPipeline:
         manifest = make_manifest(content_seed=3)
         for cid, file, index, _offset, _size, digest in manifest.to_dict()["chunks"]:
             tag = f"{manifest.dataset_name}:{file}:{index}:{manifest.content_seed}"
-            assert digest == manifest.chunk_digests[cid] == crc32c(tag.encode())
+            assert digest == manifest.digests_np[cid] == crc32c(tag.encode())
 
     @pytest.mark.parametrize("case", sorted(ORACLE_MANIFESTS))
     def test_digest_columns_match_per_tag_oracle(self, case):
@@ -677,10 +708,8 @@ class TestZeroCopyPipeline:
             for _cid, file, index, *_ in manifest.to_dict()["chunks"]
         ]
         assert len(oracle) == sum(max(1, int(size)) for _, size in files)
-        assert list(manifest.chunk_digests) == oracle
         assert manifest.digests_np.dtype == np.int64
         assert manifest.digests_np.tolist() == oracle
-        assert list(manifest.chunk_sizes) == manifest.sizes_np.tolist()
 
     def test_mixed_manifest_digests_are_pinned(self):
         # sha256 of the digest column of a 100 GB Mixed set at 4 MB chunks
@@ -704,7 +733,7 @@ class TestZeroCopyPipeline:
             1008849964, 2345802399, 985935019, 795944920,
             3322313657, 1911928074, 3236135742, 3579217997,
         ]
-        assert len({manifest.chunk_digests[0], *digests[:4]}) == 5
+        assert len({manifest.digests_np[0].item(), *digests[:4]}) == 5
 
 
 class TestColumnarLedgerViews:
@@ -726,6 +755,54 @@ class TestColumnarLedgerViews:
         assert clean.send_counts == faulted.send_counts
         assert clean.verified_bytes == faulted.verified_bytes
 
+
+class TestOneColumnPerField:
+    def test_one_terabyte_state_is_at_most_64_bytes_a_chunk(self):
+        # 1 TB at 4 MB chunks: 250k chunks.  The manifest keeps its size,
+        # digest and cumulative-size columns (24 bytes a chunk), the ledger
+        # its status, digest, send and sequence columns (25) and a queue
+        # over the manifest's own cumulative column; no per-chunk copy.
+        dataset = uniform_dataset(1000, 1e9)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            manifest = TransferManifest.from_dataset(dataset, 4e6)
+            ledger = DestinationLedger(manifest)
+            ledger.begin_pass(range(len(manifest)), start_bytes=0.0)
+            ledger.sync(manifest.total_bytes / 2, 1.0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(manifest) == 250_000
+        assert retained / len(manifest) <= 64
+        assert ledger.status_counts() == {"ok": 125_000, "missing": 125_000}
+
+    def test_resume_start_bytes_is_the_left_to_right_sum(self, tmp_path):
+        # One-chunk files: a 2**52-byte one, then half-byte ones.  Added left
+        # to right, each half rounds away (a tie, to even); numpy's pairwise
+        # ``np.sum`` adds halves together first and keeps them.  The resume
+        # checkpoint must carry the left-to-right bits.
+        sizes = [2.0**52] + [0.5] * 299
+        manifest = TransferManifest(
+            "ragged", [(f"f{i:03d}", size) for i, size in enumerate(sizes)], 2.0**53
+        )
+        ledger = DestinationLedger(manifest)
+        journal = ChunkJournal(tmp_path / "j.jsonl", manifest.digests_np)
+        ledger.begin_pass(range(len(manifest)), start_bytes=0.0)
+        ledger.sync(manifest.total_bytes, 1.0, journal)
+        journal.flush()
+        lost = [c for c in range(len(manifest)) if c % 3]
+        ledger.demote(lost)
+        vt = VerifiedTransfer(None, manifest, ledger, journal)
+        start_bytes, verified, resent = vt._verified_resume()
+        kept = sizes[::3]
+        assert (verified, resent) == (len(kept), lost)
+        assert start_bytes == functools.reduce(operator.add, kept) == 2.0**52
+        assert np.sum(kept) > start_bytes
+        assert type(start_bytes) is float
+        journal.close()
 
 def _journal_lines(tmp_path, kind):
     """The journal of a clean run, a faulted run, or a crash-with-torn-tail
@@ -762,7 +839,7 @@ class TestReplayOracle:
     @pytest.mark.parametrize("kind", ["clean", "faulted", "crash-resume"])
     def test_every_prefix_matches_oracle(self, tmp_path, kind):
         lines, manifest = _journal_lines(tmp_path / "run", kind)
-        expected = manifest.chunk_digests
+        expected = manifest.digests_np
         assert len(lines) > 3
         path = tmp_path / "j.jsonl"
         for k in range(len(lines) + 1):
@@ -786,7 +863,7 @@ class TestReplayOracle:
         """One long-lived journal replays the file as it grows line by line,
         through torn tails, crashes, outside truncation and a malformed line."""
         lines, manifest = _journal_lines(tmp_path / "run", kind)
-        expected = manifest.chunk_digests
+        expected = manifest.digests_np
         path, reference = tmp_path / "j.jsonl", tmp_path / "oracle.jsonl"
         journal = ChunkJournal(path, expected)
 
