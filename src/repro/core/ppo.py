@@ -29,6 +29,7 @@ Deviations exposed as configuration (see EXPERIMENTS.md for the study):
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -280,8 +281,9 @@ class PPOAgent(ActorCritic):
         #: Adam learning rate of the next :meth:`update`.
         self.lr = cfg.learning_rate
         # The stacked engine holding this agent's parameters and Adam
-        # moments, and this agent's row in it; bound by the engine itself.
-        self._stack = None
+        # moments (a weak reference to a population's engine, which owns
+        # this agent), and this agent's row in it; bound by the engine.
+        self._stack_link = None
         self._row = 0
         # Compiled zero-Tensor inference plan.  It dereferences
         # ``param.data`` at call time, so in-place updates, load_state_dict,
@@ -301,6 +303,20 @@ class PPOAgent(ActorCritic):
         """
         state = np.asarray(state, dtype=float)
         return self._policy_plan.act(state, self.rng, deterministic=deterministic)
+
+    @property
+    def _stack(self):
+        """The stacked engine holding this agent's parameters, or ``None``
+        before the first update of an agent outside any population."""
+        link = self._stack_link
+        if type(link) is not weakref.ref:
+            return link
+        stack = link()
+        if stack is None:
+            raise RuntimeError(
+                "this agent's population engine, which held its Adam moments, was freed"
+            )
+        return stack
 
     # ----------------------------------------------------------------- update
     def update(self) -> dict[str, float]:

@@ -18,10 +18,11 @@ terms (the test oracle), because every stacked operation is either
 
 * elementwise (tanh, exp, clip, Adam's in-place update sequence) — batching
   does not change per-element float arithmetic, and neither does running
-  Adam block by block over the flat buffers;
+  Adam piece by piece over a block of member rows;
 * a batched ``np.matmul`` over a leading stack axis, which numpy computes as
-  the identical per-slice GEMM (``np.einsum`` is *not* used: its different
-  reduction order breaks bit-identity);
+  the identical per-slice GEMM whatever the stack axis's stride
+  (``np.einsum`` is *not* used: its different reduction order breaks
+  bit-identity);
 * a row-contiguous reduction (``sum``/``mean``/``std`` over the batch or
   feature axis), which performs the same pairwise accumulation per row as
   the member-local reduction.
@@ -38,22 +39,32 @@ norm accumulation in parameter order (policy then value, depth-first —
 :meth:`PPOAgent.parameters <repro.core.ppo.PPOAgent.parameters>`), and
 unclipped members are scaled by exactly 1.0 (a bitwise identity).
 
-Partial populations (members that converged and deactivated) are handled by
-*gathering* the active rows into contiguous stacks, updating, and scattering
-back — never by zero-masking gradients, since ``x + 0.0`` is not a bitwise
-identity for ``-0.0``.  Active members always share one Adam step count
-(members deactivate monotonically and never rejoin), which the engine
-asserts.
+Storage is member-major: member ``i``'s P parameters are row ``i`` of one
+``(K, P)`` buffer, and so are its two Adam moments, each in a buffer of its
+own.  An update runs over *blocks* of consecutive active rows whose
+parameters fit ``_BLOCK_BYTES`` (one member at the paper's hidden 256, up
+to 94 members at hidden 24), so its gradients and epoch activations are
+sized for one block, and a block's parameters and moments are row views,
+not copies.  Partial populations (members that converged
+and deactivated) are therefore never zero-masked — ``x + 0.0`` is not a
+bitwise identity for ``-0.0`` — and never gathered: a run of consecutive
+active rows is already a view.  Active members always share one Adam step
+count (members deactivate monotonically and never rejoin), which the
+engine asserts.
 
 Member :class:`~repro.nn.module.Parameter` objects are rebound to row views
 of the stacks, so per-member ``state_dict`` / ``load_state_dict`` /
 checkpointing and the compiled inference plans (:mod:`repro.nn.plan`) keep
-working unchanged and stay in sync with the stacked storage.
+working unchanged and stay in sync with the stacked storage.  Of an engine
+and its members, the owner holds the other strongly and the other links
+back weakly (a population engine owns its members; a lone agent owns its
+K=1 engine), so reference counting frees an engine with its last user.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -70,6 +81,10 @@ _ENTROPY_CONST = 0.5 + 0.5 * _LOG_2PI
 #: Elements per Adam block: five float64 blocks (params, grads, both
 #: moments, scratch) take 1.25 MB, so each block's 13 passes stay in L2.
 _ADAM_BLOCK = 1 << 15
+#: Parameter bytes per update block: rows of consecutive members whose
+#: parameters fit take one block (at least one member), so an update's
+#: gradients and activations are sized for one block, not for K members.
+_BLOCK_BYTES = 1 << 22
 
 
 def _ln_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float):
@@ -125,35 +140,44 @@ class StackedPPOAgent:
     ) -> None:
         if not len(rngs):
             raise ValueError("StackedPPOAgent needs at least one member rng")
-        self._bind([PPOAgent(state_dim, action_dim, config, rng=rng) for rng in rngs])
+        members = [PPOAgent(state_dim, action_dim, config, rng=rng) for rng in rngs]
+        self._bind(members, members, weakref.ref(self))
 
     @classmethod
     def from_agents(cls, agents: Sequence[PPOAgent]) -> StackedPPOAgent:
-        """Stack existing agents — a lone :class:`PPOAgent`'s K=1 engine."""
+        """Stack existing agents — a lone :class:`PPOAgent`'s K=1 engine.
+
+        The agents own the engine: each holds it, and it links back to
+        them weakly.
+        """
         stack = cls.__new__(cls)
-        stack._bind(list(agents))
+        stack._bind(list(agents), [weakref.proxy(a) for a in agents], stack)
         return stack
 
-    def _bind(self, members: list[PPOAgent]) -> None:
-        """Move the members' parameters into stacked storage and own them."""
-        if any(m._stack is not None for m in members):
+    def _bind(self, agents: list[PPOAgent], members: list, link) -> None:
+        """Move the agents' parameters into stacked storage.
+
+        ``members`` is how the engine holds the agents and ``link`` how
+        each agent holds the engine; one side of the pair is weak.
+        """
+        if any(a._stack is not None for a in agents):
             raise ValueError("an agent's parameters already live in a stacked engine")
         self.members = members
-        self.k = len(members)
+        self.k = len(agents)
         self.lr = self.config.learning_rate
-        self._stack_parameters()
-        self._build_structure_index()
+        self._stack_parameters(agents)
+        self._build_structure_index(agents[0])
         # np.zeros maps lazy zero pages; np.zeros_like would memset them.
-        size = self._flat_params.size
-        self._flat_m = np.zeros(size)
-        self._flat_v = np.zeros(size)
-        self._flat_g = np.empty(size)
-        self._grad_views = self._segment_views(self._flat_g, self.k)
-        self._adam_scratch = np.empty(min(size, _ADAM_BLOCK))
+        size = self._member_size
+        self._flat_m = np.zeros((self.k, size))
+        self._flat_v = np.zeros((self.k, size))
+        self._block_rows = min(self.k, max(1, _BLOCK_BYTES // (8 * size)))
+        self._flat_g = np.empty((self._block_rows, size))
+        self._grad_views = self._segment_views(self._flat_g)
+        self._adam_scratch = np.empty(min(self._flat_g.size, _ADAM_BLOCK))
         self._step_counts = np.zeros(self.k, dtype=np.int64)
-        self._n_params = len(self._params)
-        for row, member in enumerate(members):
-            member._stack, member._row = self, row
+        for row, agent in enumerate(agents):
+            agent._stack_link, agent._row = link, row
 
     @property
     def config(self) -> PPOConfig:
@@ -161,16 +185,18 @@ class StackedPPOAgent:
         return self.members[0].config
 
     # ------------------------------------------------------------ construction
-    def _stack_parameters(self) -> None:
+    def _stack_parameters(self, agents: list[PPOAgent]) -> None:
         """Stack member params to (K, …) and rebind members to row views.
 
-        Every (K, *shape) stack is a segment view of ONE contiguous flat
-        buffer, so the Adam epoch can run its in-place op sequence over
-        the whole population's parameters/moments block by block instead
-        of 13 numpy calls per parameter — elementwise arithmetic is
-        position-independent, so the fused sweep stays bit-identical.
+        Member ``i``'s parameters are the contiguous row ``i`` of one
+        ``(K, P)`` buffer, and every (K, *shape) stack is a view of a
+        column segment of it (outer stride P), so a block of consecutive
+        rows is one contiguous slice: the Adam epoch runs its in-place op
+        sequence over a block's parameters/moments in cache-sized pieces
+        instead of 13 numpy calls per parameter — elementwise arithmetic
+        is position-independent, so the fused sweep stays bit-identical.
         """
-        param_lists = [m.parameters() for m in self.members]
+        param_lists = [a.parameters() for a in agents]
         n = len(param_lists[0])
         if any(len(lst) != n for lst in param_lists):
             raise ValueError("members disagree on parameter count")
@@ -195,12 +221,11 @@ class StackedPPOAgent:
         self._shapes = shapes
         self._fordered = fordered
         sizes = [int(np.prod(s)) if s else 1 for s in shapes]
-        self._sizes = sizes
         self._offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
         self._member_size = int(self._offsets[-1])
 
-        self._flat_params = np.empty(self.k * self._member_size)
-        stacks = self._segment_views(self._flat_params, self.k)
+        self._flat_params = np.empty((self.k, self._member_size))
+        stacks = self._segment_views(self._flat_params)
         for j, stacked in enumerate(stacks):
             for i, lst in enumerate(param_lists):
                 stacked[i] = lst[j].data
@@ -209,27 +234,29 @@ class StackedPPOAgent:
                 lst[j].data = stacked[i]
         self._params = stacks
 
-    def _segment_views(self, flat: np.ndarray, rows: int) -> list[np.ndarray]:
-        """Per-parameter (rows, *shape) views over one flat buffer.
+    def _segment_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter (rows, *shape) views over a (rows, P) buffer.
 
         Fortran-ordered scalar weights get their segment stored transposed
         and exposed through ``transpose(0, 2, 1)`` so every row view has
-        the scalar array's exact strides (see _stack_parameters).
+        the scalar array's exact strides (see _stack_parameters).  Each
+        view splits a column segment's contiguous axis, which reshape does
+        without a copy.
         """
+        rows = len(flat)
         views = []
         for a, b, shape, f in zip(
             self._offsets, self._offsets[1:], self._shapes, self._fordered
         ):
             if f:
-                seg = flat[rows * a: rows * b].reshape((rows,) + shape[::-1])
+                seg = flat[:, a:b].reshape((rows,) + shape[::-1])
                 views.append(seg.transpose(0, 2, 1))
             else:
-                views.append(flat[rows * a: rows * b].reshape((rows,) + shape))
+                views.append(flat[:, a:b].reshape((rows,) + shape))
         return views
 
-    def _build_structure_index(self) -> None:
+    def _build_structure_index(self, member: PPOAgent) -> None:
         """Map network structure to update-order stack indices."""
-        member = self.members[0]
         index_of = {id(p): j for j, p in enumerate(member.parameters())}
 
         def ix(param) -> int:
@@ -386,8 +413,11 @@ class StackedPPOAgent:
         """One PPO update of the members at ``indices``, Adam at ``lr``.
 
         The update of :func:`~repro.core.ppo.autograd_ppo_update`, bit for
-        bit, over each member's stored rollout.  Emits no telemetry; returns
-        one diagnostics dict per row.
+        bit, over each member's stored rollout.  Runs of consecutive rows
+        are cut into blocks of at most ``_block_rows``, and every epoch of
+        a block runs on row views of the stacks (members are independent,
+        so the order of blocks changes no bit).  Emits no telemetry;
+        returns one diagnostics dict per row.
         """
         idx = np.asarray(indices, dtype=np.int64)
         counts = self._step_counts[idx]
@@ -402,54 +432,38 @@ class StackedPPOAgent:
             raise RuntimeError(
                 f"active members hold unequal rollout lengths {sorted(lengths)}"
             )
-        states = np.stack([b[0] for b in batches])
-        actions = np.stack([b[1] for b in batches])
-        old_log_probs = np.stack([b[2] for b in batches])
-        returns = np.stack([b[3] for b in batches])
-
-        rows = int(idx.size)
-        full = rows == self.k and np.array_equal(idx, np.arange(self.k))
-        if full:
-            flat_p, flat_m, flat_v = self._flat_params, self._flat_m, self._flat_v
-            flat_g, grad_views = self._flat_g, self._grad_views
-            params = self._params
-            m_views = v_views = None
-        else:
-            # Gather the active rows into contiguous flat buffers — never
-            # zero-mask: x + 0.0 is not a bitwise identity for -0.0.
-            flat_p = np.empty(rows * self._member_size)
-            flat_m = np.empty_like(flat_p)
-            flat_v = np.empty_like(flat_p)
-            flat_g = self._flat_g[: flat_p.size]
-            grad_views = self._segment_views(flat_g, rows)
-            params = self._segment_views(flat_p, rows)
-            m_views = self._segment_views(flat_m, rows)
-            v_views = self._segment_views(flat_v, rows)
-            full_m = self._segment_views(self._flat_m, self.k)
-            full_v = self._segment_views(self._flat_v, self.k)
-            for j in range(self._n_params):
-                params[j][...] = self._params[j][idx]
-                m_views[j][...] = full_m[j][idx]
-                v_views[j][...] = full_v[j][idx]
-
-        base_count = int(counts[0])
-        for epoch in range(self.config.update_epochs):
-            stats_rows = self._update_epoch(
-                params, states, actions, old_log_probs, returns,
-                grad_views, flat_p, flat_g, flat_m, flat_v,
-                base_count + epoch + 1, lr,
-            )
-
-        if not full:
-            for j in range(self._n_params):
-                self._params[j][idx] = params[j]
-                full_m[j][idx] = m_views[j]
-                full_v[j][idx] = v_views[j]
+        step = int(counts[0])
+        results: list[dict[str, float]] = []
+        for start, end in self._blocks(idx):
+            lo, hi = int(idx[start]), int(idx[end - 1]) + 1
+            rollout = [np.stack([b[f] for b in batches[start:end]]) for f in range(4)]
+            params = [p[lo:hi] for p in self._params]
+            grads = [g[: hi - lo] for g in self._grad_views]
+            flats = [
+                buf.reshape(-1)
+                for buf in (self._flat_params[lo:hi], self._flat_g[: hi - lo],
+                            self._flat_m[lo:hi], self._flat_v[lo:hi])
+            ]
+            for epoch in range(self.config.update_epochs):
+                stats = self._update_epoch(
+                    params, *rollout, grads, *flats, step + epoch + 1, lr
+                )
+            results += [
+                {key: float(col[row]) for key, col in stats.items()}
+                for row in range(hi - lo)
+            ]
         self._step_counts[idx] += self.config.update_epochs
-        return [
-            {key: float(col[row]) for key, col in stats_rows.items()}
-            for row in range(rows)
-        ]
+        return results
+
+    def _blocks(self, idx: np.ndarray):
+        """Yield the ``(start, end)`` positions in ``idx`` of each update
+        block: a run of consecutive rows, at most ``_block_rows`` long."""
+        start = 0
+        for end in range(1, idx.size + 1):
+            if (end == idx.size or idx[end] != idx[end - 1] + 1
+                    or end - start == self._block_rows):
+                yield start, end
+                start = end
 
     def _update_epoch(
         self,
@@ -466,7 +480,12 @@ class StackedPPOAgent:
         step_count: int,
         lr: float,
     ) -> dict[str, np.ndarray]:
-        """One stacked epoch: forward, loss, backward, clip, Adam."""
+        """One stacked epoch of a block: forward, loss, backward, clip, Adam.
+
+        ``P`` and ``grad_views`` are the block's per-parameter stacks, and
+        the ``flat_*`` arrays its contiguous parameter, gradient and moment
+        rows, viewed as one 1-D array each.
+        """
         cfg = self.config
         A, B = returns.shape
         inv_b = 1.0 / float(B)
@@ -508,8 +527,8 @@ class StackedPPOAgent:
         # Gradient flow replays the scalar engine's reversed depth-first
         # topological order; every accumulation below happens in the same
         # sequence (and with the same float expressions) as Tensor.backward.
-        # Each gradient lands in its segment of the contiguous ``flat_g``
-        # buffer so clip + Adam can run on one 1-D array (see adam_step below).
+        # Each gradient lands in its segment of the block's ``flat_g`` rows
+        # so clip + Adam can run on one 1-D array (see adam_step below).
         grads = grad_views
 
         g_mn = np.full((A, B), -1.0 * inv_b)
@@ -588,10 +607,10 @@ class StackedPPOAgent:
 
         # ---------------------------------------------- clip_grad_norm + Adam
         self._clip_grad_norm(grads, cfg.max_grad_norm, A)
-        # Adam's elementwise op sequence over the flat buffers, one cache
-        # block at a time: the same bits in every slot as one call per
-        # parameter, with ~13 numpy dispatches per block instead of 13 per
-        # parameter, and each pass reads its block from L2, not from memory.
+        # Adam's elementwise op sequence over the block's flat rows, one
+        # ``_ADAM_BLOCK`` piece at a time: the same bits in every slot as one
+        # call per parameter, with ~13 numpy dispatches per piece instead of
+        # 13 per parameter, and each pass reads its piece from L2, not memory.
         scratch = self._adam_scratch
         for lo in range(0, flat_p.size, _ADAM_BLOCK):
             hi = lo + _ADAM_BLOCK

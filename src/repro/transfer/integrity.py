@@ -236,8 +236,15 @@ class TransferManifest:
 
     def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Size and chunk count of each file, and each chunk's file and
-        in-file index."""
+        in-file index.  A file size that is negative, NaN or infinite
+        raises :class:`ConfigError` (a zero-byte file is one empty chunk)."""
         file_sizes = np.array([s for _, s in self.files], dtype=np.float64)
+        legal = np.isfinite(file_sizes) & (file_sizes >= 0.0)
+        if not legal.all():
+            name, size = self.files[int(np.argmin(legal))]
+            raise ConfigError(
+                f"file {name!r} has size {size}; sizes must be finite and non-negative"
+            )
         counts = np.maximum(1, np.ceil(file_sizes / self.chunk_size).astype(np.int64))
         file_idx = np.repeat(np.arange(len(self.files), dtype=np.int64), counts)
         starts = np.zeros(len(self.files), dtype=np.int64)
@@ -271,9 +278,7 @@ class TransferManifest:
         row.
         """
         names = [name for name, _ in self.files]
-        _, _, file_idx, indices = self._layout()
-        offsets = np.zeros(len(self), dtype=np.float64)
-        offsets[1:] = self.cum_sizes_np[:-1]
+        file_idx, indices, offsets = self._row_columns()
         rows = zip(
             file_idx.tolist(),
             indices.tolist(),
@@ -294,15 +299,25 @@ class TransferManifest:
             ],
         }
 
+    def _row_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each chunk's file, in-file index and byte offset: the row
+        fields :meth:`to_dict` writes beside its size and digest."""
+        _, _, file_idx, indices = self._layout()
+        offsets = np.zeros(len(self), dtype=np.float64)
+        offsets[1:] = self.cum_sizes_np[:-1]
+        return file_idx, indices, offsets
+
     @classmethod
     def from_dict(cls, data: dict) -> "TransferManifest":
-        """Rebuild from :meth:`to_dict` output (digests are re-derived by
-        the same build and cross-checked, so a tampered manifest file fails
-        loudly).  A missing field, a chunk row that is not a six-field
-        list, a field that does not convert (a null or list size, say), a
-        row id, digest or content seed that is not a JSON int (a bool, a
-        float, a numeric string), or a chunk table without exactly one row
-        for each chunk id ``0 … n-1`` raises :class:`IntegrityError`."""
+        """Rebuild from :meth:`to_dict` output (digests and the chunk layout
+        are re-derived by the same build and cross-checked, so a tampered
+        manifest file fails loudly).  A missing field, a chunk row that is
+        not a six-field list, a field that does not convert (a null or list
+        size, say), a file size that is negative or not finite, a row id,
+        index, digest or content seed that is not a JSON int (a bool, a
+        float, a numeric string), a chunk table without exactly one row for
+        each chunk id ``0 … n-1``, or a row whose file, index, offset or
+        size is not the build's raises :class:`IntegrityError`."""
         if not isinstance(data, dict):
             raise IntegrityError(f"manifest is a JSON {type(data).__name__}, not an object")
         missing = [k for k in ("dataset", "algorithm", "files", "chunk_size", "chunks")
@@ -321,20 +336,22 @@ class TransferManifest:
                 float(data["chunk_size"]),
                 content_seed=int(data.get("content_seed", 0)),
             )
-            if not all(type(row) is list and len(row) == 6 for row in data["chunks"]):
+            rows = data["chunks"]
+            if not all(type(row) is list and len(row) == 6 for row in rows):
                 raise TypeError("a chunk row is not a list of six fields")
-            ids = [row[0] for row in data["chunks"]]
-            digests = [row[5] for row in data["chunks"]]
+            ids = [row[0] for row in rows]
+            digests = [row[5] for row in rows]
         except (ConfigError, TypeError, ValueError) as exc:
             raise IntegrityError(
                 f"manifest for {data['dataset']!r} is malformed: {exc}"
             ) from exc
         # JSON ints only: ``int()`` would quietly fold a bool, a float or a
-        # numeric string into the right id, digest or seed.
-        if not set(map(type, ids + digests + [data.get("content_seed", 0)])) <= {int}:
+        # numeric string into the right id, index, digest or seed.
+        ints = ids + [row[2] for row in rows] + digests + [data.get("content_seed", 0)]
+        if not set(map(type, ints)) <= {int}:
             raise IntegrityError(
-                f"manifest for {data['dataset']!r} has a chunk id, digest or "
-                "content seed that is not an int"
+                f"manifest for {data['dataset']!r} has a chunk id, index, digest "
+                "or content seed that is not an int"
             )
         n = len(manifest)
         id_col, digest_col = _int_column(ids), _int_column(digests)
@@ -346,6 +363,20 @@ class TransferManifest:
         if not np.array_equal(digest_col, manifest.digests_np[id_col]):
             raise IntegrityError(
                 f"manifest digests for {data['dataset']!r} do not match re-derived values"
+            )
+        # File, index, offset and size: the columns to_dict writes for the
+        # rebuilt manifest, compared as Python values (object arrays).
+        file_idx, indices, offsets = manifest._row_columns()
+        names = np.array([name for name, _ in manifest.files], dtype=object)
+        wrong = np.zeros(n, dtype=bool)
+        for field, want in enumerate((names[file_idx], indices, offsets, manifest.sizes_np), 1):
+            got = np.fromiter((row[field] for row in rows), dtype=object, count=n)
+            wrong |= got != want[id_col]
+        if wrong.any():
+            row = rows[int(np.argmax(wrong))]
+            raise IntegrityError(
+                f"manifest for {data['dataset']!r} lists chunk {row[0]} at "
+                f"{row[1:5]}, which is not its layout's file, index, offset and size"
             )
         return manifest
 

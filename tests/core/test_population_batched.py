@@ -7,7 +7,9 @@ tests pin that contract: every reward, checkpoint metric and evaluation
 score must match ``workers=1`` exactly — ``==`` on floats, no tolerance.
 """
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from repro.core.env import SimulatorEnv
 from repro.core.population import train_population
 from repro.core.ppo import PPOConfig
 from repro.core.training import TrainingConfig
+from repro.nn.stacked import StackedPPOAgent
 from repro.parallel import derive_seed
 from repro.simulator.config import SimulatorConfig
 
@@ -157,3 +160,30 @@ def test_population_batched_result_is_pinned():
         eval_episodes=2, batched=True,
     )
     assert _result_digest(result) == PINNED_POPULATION_DIGEST
+
+
+def test_population_engine_is_freed_on_return(monkeypatch):
+    """The population engine owns its members, which link back weakly, so
+    reference counting frees it when ``train_population`` returns; with the
+    cyclic collector off, nothing of it is left."""
+    engines = []
+    build = StackedPPOAgent.__init__
+
+    def recording_build(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(StackedPPOAgent, "__init__", recording_build)
+    training = TrainingConfig(max_episodes=2, steps_per_episode=4, episodes_per_update=2)
+    ppo = PPOConfig(hidden_dim=16, policy_blocks=1, value_blocks=1, update_epochs=1)
+    gc.collect()
+    gc.disable()
+    try:
+        train_population(
+            [_variant(1.0), _variant(0.8)], root_seed=3, training_config=training,
+            ppo_config=ppo, eval_episodes=1, batched=True,
+        )
+        alive = [engine() for engine in engines]
+    finally:
+        gc.enable()
+    assert len(engines) == 1 and alive == [None]

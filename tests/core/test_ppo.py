@@ -1,7 +1,9 @@
 """PPO agent: memory, returns, update mechanics."""
 
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +249,22 @@ class TestAgentUpdate:
         agent.update()
         assert agent._stack is stack
         assert agent.updates == 2
+
+    def test_dropping_the_agent_frees_its_engine(self):
+        """The agent owns its K=1 engine, which links back weakly, so
+        reference counting frees the engine with the agent; no cyclic
+        collection is needed."""
+        agent = PPOAgent(config=tiny_config(), rng=0)
+        self.fill_memory(agent)
+        agent.update()
+        engine = weakref.ref(agent._stack)
+        gc.collect()
+        gc.disable()
+        try:
+            del agent
+            assert engine() is None
+        finally:
+            gc.enable()
 
 
 class TestStateDict:

@@ -102,6 +102,11 @@ BAD_MANIFESTS = {
         0, blob["chunks"][0][:5] + [blob["chunks"][0][5] ^ 1]
     ),
     "extra_duplicate_row": lambda blob: blob["chunks"].append(list(blob["chunks"][1])),
+    # A row's file, index, offset and size are the build's, like its digest.
+    "row_size_edited": lambda blob: blob["chunks"][1].__setitem__(4, 1.0),
+    "row_offset_edited": lambda blob: blob["chunks"][1].__setitem__(3, 123.0),
+    "row_file_renamed": lambda blob: blob["chunks"][2].__setitem__(1, "other"),
+    "row_index_edited": lambda blob: blob["chunks"][2].__setitem__(2, 5),
 }
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.core.ppo as ppo_module
+import repro.nn.stacked as stacked_module
 from repro.core.ppo import PPOConfig
 from repro.nn.optim import clip_grad_norm
 from repro.nn.stacked import _ADAM_BLOCK, StackedPPOAgent
@@ -136,8 +137,9 @@ def test_repeated_updates_keep_adam_state_identical():
         _update_and_compare(reference, stacked, [0, 1, 2, 3])
 
 
-def test_partial_active_gather_scatter():
-    """Deactivated members' rows are untouched; active rows update exactly."""
+def test_partial_active_rows_update_in_place():
+    """Deactivated members' rows are untouched; active rows update exactly,
+    on views of their own rows."""
     cfg = tiny_config()
     reference, stacked = _build(5, cfg)
     rng = np.random.default_rng(9)
@@ -155,6 +157,22 @@ def test_partial_active_gather_scatter():
             assert np.array_equal(want, got.data), i
 
 
+@pytest.mark.parametrize("block_rows", [1, 2])
+def test_row_blocks_match_oracle(monkeypatch, block_rows):
+    """Blocks of one and two rows: gaps in the active set and the block cap
+    both split runs of rows ([0..4] → 0-1, 2-3, 4 at two rows; [0, 2, 3]
+    → 0, 2-3), and every block matches the oracle through three updates."""
+    cfg = tiny_config()
+    member_bytes = StackedPPOAgent(8, 3, cfg, rngs=[0])._flat_params.nbytes
+    monkeypatch.setattr(stacked_module, "_BLOCK_BYTES", block_rows * member_bytes)
+    reference, stacked = _build(5, cfg)
+    assert stacked._flat_g.shape == (block_rows, stacked._member_size)
+    rng = np.random.default_rng(12)
+    for active in ([0, 1, 2, 3, 4], [0, 2, 3], [0, 2, 3]):
+        _rollout(reference, stacked, rng, steps=4, episodes=1, active=active)
+        _update_and_compare(reference, stacked, active)
+
+
 def test_member_update_stays_on_its_population_row():
     """A member's own update() runs on its row of the population stack: no
     private stack, no rebinding away from it, the other rows untouched."""
@@ -168,10 +186,29 @@ def test_member_update_stays_on_its_population_row():
     assert member._stack is stacked and member.updates == 1
     for param, view in zip(member.parameters(), bound):
         assert param.data is view
-        assert np.shares_memory(param.data, stacked._flat_params)
+    # Member-major storage: each member's parameters lie in its own row.
+    for i, agent in enumerate(stacked.members):
+        for param in agent.parameters():
+            for row in range(stacked.k):
+                assert np.shares_memory(param.data, stacked._flat_params[row]) == (row == i)
     _assert_params_equal(reference, stacked)
     with pytest.raises(ValueError, match="already live"):
         StackedPPOAgent.from_agents([member])
+
+
+def test_member_of_a_freed_engine_refuses_to_update():
+    """A population engine owns its members; a member that outlives it
+    keeps its weights (row views) but not its Adam moments, so its update
+    raises instead of restarting Adam from zero in a new engine."""
+    cfg = tiny_config()
+    reference, stacked = _build(2, cfg)
+    _rollout(reference, stacked, np.random.default_rng(6), steps=3, episodes=1)
+    member = stacked.members[0]
+    del stacked
+    with pytest.raises(RuntimeError, match="freed"):
+        member.update()
+    want, _ = reference[0].act(np.full(8, 0.5), deterministic=True)
+    assert np.array_equal(member.act(np.full(8, 0.5), deterministic=True)[0], want)
 
 
 def test_diverged_step_counts_rejected():
@@ -243,11 +280,11 @@ def test_wide_hidden_preserves_scalar_strides_and_bits():
 
 
 def test_adam_blocks_ending_inside_segments_stay_exact(monkeypatch):
-    """At the paper's hidden 256 a K=3 stack's flat buffers hold ~2M
-    elements, so Adam's cache blocks end inside parameter segments.  The
-    blocked sweep must still match the oracle on every parameter, with one
-    member clipped and one not in the same epoch, on the full path and on
-    the gather path (a two-row subset)."""
+    """At the paper's hidden 256 a member's row holds ~666k elements, so
+    Adam's cache-sized pieces end inside parameter segments.  The blocked
+    sweep must still match the oracle on every parameter, with one member
+    clipped and one not in the same epoch, over all three rows and over a
+    two-row subset."""
     norms = []
 
     def recording_clip(parameters, max_norm):
@@ -257,7 +294,7 @@ def test_adam_blocks_ending_inside_segments_stay_exact(monkeypatch):
     monkeypatch.setattr(ppo_module, "clip_grad_norm", recording_clip)
     cfg = PPOConfig(hidden_dim=256, update_epochs=2, max_grad_norm=30.0)
     reference, stacked = _build(3, cfg)
-    assert stacked._flat_params.size > 60 * _ADAM_BLOCK
+    assert stacked._member_size > 20 * _ADAM_BLOCK
     rng = np.random.default_rng(3)
     for active in (None, [0, 1]):
         _rollout(reference, stacked, rng, steps=6, episodes=1, active=active)
@@ -281,23 +318,27 @@ def _filled_stack(k: int, cfg: PPOConfig, transitions: int, seed: int) -> Stacke
     return stacked
 
 
-def test_full_update_allocates_no_flat_sized_buffer():
-    """The full path's gradients land in the engine's own buffer and Adam
-    runs through one block-sized scratch, so an update's transient memory
-    stays below one flat buffer (10.2 MiB at hidden 256, K=2)."""
+def test_update_holds_one_member_of_gradients():
+    """At hidden 256 one member's parameters (5.33 MB) exceed a block, so
+    the engine keeps a one-member gradient buffer, updates member by member
+    on row views, and runs Adam through one small scratch: an update's
+    transient memory stays below one member's parameter bytes (K=4)."""
     cfg = PPOConfig(hidden_dim=256)
-    stacked = _filled_stack(2, cfg, transitions=40, seed=5)
+    stacked = _filled_stack(4, cfg, transitions=40, seed=5)
+    member_bytes = stacked._flat_params[0].nbytes
+    assert stacked._flat_g.nbytes == member_bytes
     tracemalloc.start()
     try:
-        stacked.update_rows(np.arange(2), stacked.lr)
+        stacked.update_rows(np.arange(4), stacked.lr)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < stacked._flat_params.nbytes, (peak, stacked._flat_params.nbytes)
+    assert peak < member_bytes, (peak, member_bytes)
 
 
-#: sha256 of ``_flat_m`` / ``_flat_v`` after ``test_adam_moments_are_pinned``'s
-#: three updates, taken before Adam ran in cache blocks.
+#: sha256 of the Adam moments after ``test_adam_moments_are_pinned``'s three
+#: updates, taken before Adam ran in cache blocks, over the parameter-major
+#: layout the engine then had (see ``_parameter_major_bytes``).
 PINNED_MOMENTS = {
     "m": "4965427c705cef4f1de454e6bdafb4b85f9741255fe50234576d6669640dd9a1",
     "v": "e0d86dcc9e3fb23d791c128fe3226d6facc37ca020c1a8558cbb9bc7396b02f5",
@@ -317,7 +358,20 @@ def test_adam_moments_are_pinned():
         _rollout(reference, stacked, rng, steps=5, episodes=1)
         _update_and_compare(reference, stacked, [0, 1])
     digests = {
-        name: hashlib.sha256(getattr(stacked, f"_flat_{name}").tobytes()).hexdigest()
+        name: hashlib.sha256(
+            _parameter_major_bytes(stacked, getattr(stacked, f"_flat_{name}"))
+        ).hexdigest()
         for name in PINNED_MOMENTS
     }
     assert digests == PINNED_MOMENTS
+
+
+def _parameter_major_bytes(stacked: StackedPPOAgent, flat: np.ndarray) -> bytes:
+    """A member-major ``(K, P)`` buffer's bytes in parameter-major order:
+    each parameter's ``(K, *shape)`` stack in turn, a Fortran-ordered one
+    transposed back to how its segment was stored."""
+    stacks = stacked._segment_views(flat)
+    return b"".join(
+        np.ascontiguousarray(s.transpose(0, 2, 1) if f else s).tobytes()
+        for s, f in zip(stacks, stacked._fordered)
+    )

@@ -36,7 +36,7 @@ from repro.transfer import (
 from repro.transfer.files import uniform_dataset
 from repro.utils.checksum import crc32c
 from repro.utils.config import dump_json, load_json
-from repro.utils.errors import IntegrityError
+from repro.utils.errors import ConfigError, IntegrityError
 from repro.utils.units import GiB
 from repro.workloads import mixed_dataset
 from tests.transfer import journal_oracle
@@ -154,6 +154,33 @@ class TestManifest:
         blob["chunks"][row][field] = edit(blob["chunks"][row][field])
         with pytest.raises(IntegrityError, match="not an int"):
             TransferManifest.from_dict(blob)
+
+    @pytest.mark.parametrize(
+        ("row", "field", "value"),
+        [(2, 1, "other"), (2, 2, 3), (1, 3, 123.0), (1, 4, 1.0), (1, 4, float("nan")),
+         (1, 4, [0.25e9]), (1, 3, "0.25e9")],
+        ids=["file", "index", "offset", "size", "nan-size", "list-size", "string-offset"],
+    )
+    def test_chunk_row_must_match_the_layout(self, row, field, value):
+        # Each row's file, index, offset and size must be the build's, as
+        # its id and digest must.
+        blob = make_manifest().to_dict()
+        blob["chunks"][row][field] = value
+        with pytest.raises(IntegrityError, match="layout"):
+            TransferManifest.from_dict(blob)
+
+    @pytest.mark.parametrize("size", [-5.0, float("nan"), float("inf")])
+    def test_file_size_must_be_finite_and_non_negative(self, size):
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            TransferManifest("ds", [("a", size), ("b", 1e9)], 0.25e9)
+        # The same file in a manifest file: its row would otherwise load.
+        blob = TransferManifest("ds", [("a", 5.0), ("b", 1e9)], 0.25e9).to_dict()
+        blob["files"][0][1] = blob["chunks"][0][4] = size
+        with pytest.raises(IntegrityError, match="finite and non-negative"):
+            TransferManifest.from_dict(blob)
+        # A zero-byte file is legal: one empty chunk.
+        empty = TransferManifest("ds", [("a", 0.0), ("b", 1e9)], 0.25e9)
+        assert len(empty) == 5 and empty.sizes_np[0] == 0.0
 
     def test_unknown_algorithm_rejected(self):
         # A manifest file comes from outside the program: one naming any
