@@ -4,7 +4,7 @@ Three sections, one machine-readable report (``BENCH_parallel.json`` at the
 repo root, like the other ``BENCH_*.json`` artifacts):
 
 * ``sweep`` — a real multi-seed experiment sweep (``figure1``) through
-  :func:`repro.harness.multirun.run_seeded`, serial vs ``--workers``
+  :func:`repro.harness.grid.run_grid`, serial vs ``--workers``
   processes.  CPU-bound: the speedup ceiling is the machine's core count,
   which the report records.  On a single-core runner the leg is marked
   ``skipped_single_core`` — pool overhead with no cores to overlap would
@@ -102,18 +102,25 @@ def bench_io_bound(*, tasks: int = 8, seconds: float = 0.25, workers: int = 4) -
 
 
 def bench_sweep(*, seeds: int = 10, workers: int = 4) -> dict:
-    """Real experiment sweep (figure1 × seeds), serial vs process pool."""
-    from repro.harness.experiments import experiment_figure1
-    from repro.harness.multirun import run_seeded
+    """Real experiment sweep (figure1 × seeds), serial vs process pool.
+
+    Both arms recompute every cell (``resume=False``): with a results store
+    active, the serial arm ingests its cells, and a resuming parallel arm
+    would load them all from the store and time nothing.
+    """
+    from repro.harness.grid import run_grid
 
     seed_list = list(range(seeds))
     t0 = time.perf_counter()
-    serial = run_seeded(experiment_figure1, seed_list, workers=1)
+    serial = run_grid(["figure1"], seed_list, workers=1, resume=False)
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = run_seeded(experiment_figure1, seed_list, workers=workers)
+    parallel = run_grid(["figure1"], seed_list, workers=workers, resume=False)
     parallel_s = time.perf_counter() - t0
-    identical = serial.stats == parallel.stats
+    identical = (
+        serial.ok and parallel.ok
+        and serial.aggregates["figure1"].stats == parallel.aggregates["figure1"].stats
+    )
     return {
         "experiment": "figure1",
         "seeds": seeds,

@@ -35,44 +35,3 @@ def rolling_convergence_episode(
         return None
     return int(hits[0]) + window - 1
 
-
-def time_to_sustained(
-    times: Sequence[float],
-    values: Sequence[float],
-    threshold: float,
-    *,
-    sustain: int = 5,
-) -> float | None:
-    """First time ``values`` reaches ``threshold`` for ``sustain`` samples."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    ok = v >= threshold
-    run = 0
-    for i, flag in enumerate(ok):
-        run = run + 1 if flag else 0
-        if run >= sustain:
-            return float(t[i - sustain + 1])
-    return None
-
-
-def detect_plateau(
-    values: Sequence[float],
-    *,
-    window: int = 100,
-    tolerance: float = 0.02,
-) -> int | None:
-    """Earliest index after which the rolling mean changes < ``tolerance``
-    (relative) to the final level.  ``None`` if the curve never settles."""
-    roll = rolling_mean(values, window)
-    if roll.size == 0:
-        return None
-    final = roll[-1]
-    scale = max(abs(final), 1e-12)
-    within = np.abs(roll - final) / scale <= tolerance
-    outside = np.nonzero(~within)[0]
-    if len(outside) == 0:
-        return window - 1
-    idx = outside[-1] + 1
-    if idx >= roll.size:
-        return None
-    return int(idx) + window - 1

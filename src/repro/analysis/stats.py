@@ -83,18 +83,3 @@ def ratio_ci(
     low, high = np.quantile(replicates, [alpha, 1.0 - alpha])
     return ConfidenceInterval(estimate, float(low), float(high), confidence)
 
-
-def summarize(values: Sequence[float]) -> dict[str, float]:
-    """Mean/std/min/max/median of a sample (nan-safe)."""
-    data = np.asarray(values, dtype=float)
-    data = data[np.isfinite(data)]
-    if data.size == 0:
-        return {k: float("nan") for k in ("mean", "std", "min", "max", "median", "n")}
-    return {
-        "mean": float(data.mean()),
-        "std": float(data.std()),
-        "min": float(data.min()),
-        "max": float(data.max()),
-        "median": float(np.median(data)),
-        "n": float(data.size),
-    }

@@ -3,16 +3,17 @@
 Each experiment function is pure-Python callable (used by the benchmark
 suite) and registered with the CLI::
 
-    python -m repro.harness run figure3 --fast
+    python -m repro.harness run figure3
     python -m repro.harness list
 
 Results print as the same rows/series the paper reports and can be dumped
-to JSON.
+to JSON.  Multi-seed runs (``run --seeds`` and ``sweep`` alike) go through
+:func:`~repro.harness.grid.run_grid`, which aggregates each experiment's
+summary over its seeds.
 """
 
 from repro.harness.artifacts import trained_automdt
-from repro.harness.grid import GridResult, parse_seeds, run_grid
-from repro.harness.multirun import AggregateResult, aggregate, run_seeded
+from repro.harness.grid import AggregateResult, GridResult, aggregate, parse_seeds, run_grid
 from repro.harness.soak import SoakConfig, render_soak_report, run_soak
 from repro.harness.experiments import (
     EXPERIMENTS,
@@ -41,7 +42,6 @@ __all__ = [
     "aggregate",
     "parse_seeds",
     "run_grid",
-    "run_seeded",
     "SoakConfig",
     "render_soak_report",
     "run_soak",

@@ -28,8 +28,11 @@ event log (spans, PPO losses, per-interval transfer samples, supervisor
 incidents) that the ``obs`` subcommands reconstruct.  ``run``, ``sweep``,
 ``soak`` and ``fleet`` accept ``--store DB`` (or ``AUTOMDT_STORE``) to
 append every run's metrics to the results store (see
-:mod:`repro.obs.store`); with a store, ``sweep`` also *resumes* — cells
-already completed at the current revision are skipped.
+:mod:`repro.obs.store`).  ``run --seeds`` and ``sweep`` both run the
+grid of (experiment, seed) cells through
+:func:`repro.harness.grid.run_grid` and share one exit-code rule; with a
+store, ``sweep`` also *resumes* — cells already completed at the current
+revision are skipped — while ``run`` recomputes every cell.
 """
 
 from __future__ import annotations
@@ -270,13 +273,17 @@ def _failure_mode(summary: dict) -> str | None:
     stall) or ``"failed"`` (stall timeout / retry exhaustion / failed
     verification).  A bare-engine ``unsupervised_completed=False`` is an
     expected demonstration (that is the point of the fault experiments);
-    only the *supervised* transfer's outcome counts.
+    only the *supervised* transfer's outcome counts.  Flags are read by
+    value: a fresh summary holds bools, a cell loaded from the results
+    store holds ``0.0``/``1.0``.
     """
-    if summary.get("supervised_completed") is False:
-        if summary.get("supervised_budget_exhausted") is True:
+    completed = summary.get("supervised_completed")
+    if completed is not None and not completed:
+        if summary.get("supervised_budget_exhausted"):
             return "budget_exhausted"
         return "failed"
-    if summary.get("verified") is False:
+    verified = summary.get("verified")
+    if verified is not None and not verified:
         return "failed"
     return None
 
@@ -316,37 +323,66 @@ def _merge_exit(current: int, mode: str) -> int:
     return 1
 
 
+def _grid_exit(result, exit_code: int = 0) -> int:
+    """Report a grid's failed cells and fold each into ``exit_code``.
+
+    A cell that raised, crashed or timed out prints ``FAILED <exp> seed
+    <k>`` and fails the command.  Every other cell, fresh or loaded from
+    the store, is classified by :func:`_failure_mode`.
+    """
+    for name, seed, outcome in result.failures:
+        print(
+            f"FAILED {name} seed {seed}: {outcome.error} "
+            f"({outcome.attempts} attempt(s))",
+            file=sys.stderr,
+        )
+        exit_code = _merge_exit(exit_code, "failed")
+    for name, agg in result.aggregates.items():
+        for seed, run in zip(agg.seeds, agg.runs):
+            mode = _failure_mode(run.summary)
+            if mode:
+                _report_failure(f"{name} seed {seed}", mode)
+                exit_code = _merge_exit(exit_code, mode)
+    return exit_code
+
+
 def _cmd_run(args) -> int:
+    from repro.harness.grid import parse_seeds, run_grid
+
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {unknown}; try 'automdt list'", file=sys.stderr)
         return 2
+    seeds = None
+    if args.seeds:
+        try:
+            seeds = parse_seeds(args.seeds)
+        except ValueError as exc:
+            print(f"bad --seeds: {exc}", file=sys.stderr)
+            return 2
 
     exit_code = 0
     for name in names:
         started = time.perf_counter()
-        fn = EXPERIMENTS[name]
-        kwargs = {"fast": not args.full, **_experiment_kwargs(name, args)}
-        if args.seeds:
-            from repro.harness.grid import parse_seeds
-            from repro.harness.multirun import run_seeded
-
-            seeds = parse_seeds(args.seeds)
-            aggregate = run_seeded(fn, seeds, workers=args.workers, **kwargs)
-            print(aggregate.table())
-            modes = [_failure_mode(run.summary) for run in aggregate.runs]
-            for mode in (m for m in modes if m):
-                exit_code = _merge_exit(exit_code, mode)
-            if any(modes):
-                _report_failure(name, next(m for m in modes if m))
-            if args.out:
-                for seed, run in zip(seeds, aggregate.runs):
-                    run.name = f"{name}_seed{seed}"
-                    print(f"saved {run.save(args.out)}")
+        kwargs = _experiment_kwargs(name, args)
+        if seeds is not None:
+            grid = run_grid(
+                [name], seeds, fast=not args.full, workers=args.workers,
+                out=args.out, resume=False, **kwargs,
+            )
+            if name in grid.aggregates:
+                print(grid.aggregates[name].table())
+            exit_code = _grid_exit(grid, exit_code)
+            for path in grid.saved:
+                print(f"saved {path}")
         else:
+            from repro.obs.store import record_experiment
+
             wall_start = time.time()
-            result = fn(seed=args.seed, **kwargs)
+            # In-process, not through the pool, so an exception keeps its
+            # traceback.
+            result = EXPERIMENTS[name](fast=not args.full, seed=args.seed, **kwargs)
             print(result.render())
             mode = _failure_mode(result.summary)
             if mode:
@@ -354,17 +390,9 @@ def _cmd_run(args) -> int:
                 exit_code = _merge_exit(exit_code, mode)
             if args.out:
                 print(f"saved {result.save(args.out)}")
-
-            from repro.harness.multirun import flatten_summary
-            from repro.obs.store import experiment_config, record_report
-
-            record_report(
-                "experiment",
-                name,
-                seed=args.seed,
-                config=experiment_config(name, **kwargs),
-                metrics=flatten_summary(result.summary),
-                started=wall_start,
+            record_experiment(
+                name, args.seed, result.summary,
+                started=wall_start, fast=not args.full, **kwargs,
             )
         print(f"[{name} finished in {time.perf_counter() - started:.1f}s]\n")
     return exit_code
@@ -405,13 +433,7 @@ def _cmd_sweep(args) -> int:
     print(result.table())
     if args.out:
         print(f"per-cell results saved under {args.out}")
-    for name, seed, outcome in result.failures:
-        print(
-            f"FAILED {name} seed {seed}: {outcome.error} "
-            f"({outcome.attempts} attempt(s))",
-            file=sys.stderr,
-        )
-    return 0 if result.ok else 1
+    return _grid_exit(result)
 
 
 def _cmd_explore(args) -> int:

@@ -1,11 +1,16 @@
 """Experiment grid runner: experiments × seeds over the process pool.
 
-``automdt sweep`` is the CLI face of this module.  A grid flattens to one
-task per (experiment, seed) cell and fans the cells out across a
-:class:`repro.parallel.ParallelMap` pool — better load balance than
-parallelising seeds within one experiment at a time, because a slow cell
-(e.g. ``table1``) overlaps with every other experiment's cells instead of
-serialising behind its siblings.
+Every multi-seed run goes through :func:`run_grid`: ``automdt sweep`` and
+``automdt run --seeds`` are its CLI faces.  The paper's Table I numbers
+are "averages of those runs" repeated over a week; a grid reproduces that
+protocol by running each experiment across several seeds and aggregating
+every numeric summary field into mean/std/min/max.
+
+A grid flattens to one task per (experiment, seed) cell and fans the cells
+out across a :class:`repro.parallel.ParallelMap` pool — better load
+balance than parallelising seeds within one experiment at a time, because
+a slow cell (e.g. ``table1``) overlaps with every other experiment's cells
+instead of serialising behind its siblings.
 
 Each cell calls the registered experiment exactly as the serial harness
 would, so a parallel grid reproduces the serial numbers bit-for-bit; cells
@@ -29,12 +34,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.harness.multirun import AggregateResult, aggregate
 from repro.harness.result import ExperimentResult
 from repro.parallel import ParallelMap, TaskOutcome, merge_worker_logs
 from repro.utils.tables import render_table
 
-__all__ = ["GridResult", "parse_seeds", "run_grid"]
+__all__ = ["AggregateResult", "GridResult", "aggregate", "parse_seeds", "run_grid"]
 
 
 def parse_seeds(spec: str | Sequence[int]) -> list[int]:
@@ -63,12 +67,54 @@ def parse_seeds(spec: str | Sequence[int]) -> list[int]:
     return seeds
 
 
-def _grid_call(cell: tuple[str, int, bool]) -> ExperimentResult:
-    """One grid cell — top-level so the pool's fork/serial paths match."""
-    from repro.harness.experiments import EXPERIMENTS
+@dataclass
+class AggregateResult:
+    """Per-metric statistics over several seeded runs of one experiment."""
 
-    name, seed, fast = cell
-    return EXPERIMENTS[name](fast=fast, seed=seed)
+    name: str
+    seeds: tuple[int, ...]
+    runs: list[ExperimentResult]
+    stats: dict[str, dict[str, float]] = field(default_factory=dict)
+
+    def table(self) -> str:
+        """Render the aggregated metrics as a text table."""
+        rows = [
+            [key, round(s["mean"], 3), round(s["std"], 3), round(s["min"], 3),
+             round(s["max"], 3), int(s["n"])]
+            for key, s in sorted(self.stats.items())
+        ]
+        return render_table(
+            ["metric", "mean", "std", "min", "max", "n"],
+            rows,
+            title=f"{self.name} over seeds {list(self.seeds)}",
+        )
+
+    def mean(self, metric: str) -> float:
+        """Mean of one aggregated metric (KeyError if never numeric)."""
+        return self.stats[metric]["mean"]
+
+
+def aggregate(
+    name: str, seeds: Sequence[int], runs: Sequence[ExperimentResult]
+) -> AggregateResult:
+    """Fold per-seed :class:`ExperimentResult` runs into mean/std/min/max.
+
+    Metrics that are missing (e.g. a "time to reach" that is None for some
+    seed) are aggregated over the runs where they exist; ``n`` records how
+    many runs contributed.
+    """
+    from repro.obs.store import flatten_numeric, sample_stats
+
+    samples: dict[str, list[float]] = {}
+    for run in runs:
+        for key, value in flatten_numeric(run.summary).items():
+            samples.setdefault(key, []).append(value)
+    return AggregateResult(
+        name=name,
+        seeds=tuple(int(s) for s in seeds),
+        runs=list(runs),
+        stats={key: sample_stats(vals) for key, vals in samples.items()},
+    )
 
 
 @dataclass
@@ -83,6 +129,8 @@ class GridResult:
     failures: list[tuple[str, int, TaskOutcome]] = field(default_factory=list)
     #: cells found complete in the results store and not re-run
     skipped: list[tuple[str, int]] = field(default_factory=list)
+    #: per-cell JSON files written under ``out``
+    saved: list[Path] = field(default_factory=list)
     workers: int = 1
     wall_seconds: float = 0.0
 
@@ -129,14 +177,17 @@ def run_grid(
     out: str | Path | None = None,
     store=None,
     resume: bool = True,
+    **kwargs,
 ) -> GridResult:
     """Run every (experiment, seed) cell, optionally in parallel.
 
-    ``workers`` follows :class:`ParallelMap` semantics (``0`` = all cores,
-    ``1`` = serial in-process).  If a global obs session with a run
-    directory is active, pool workers write per-worker event logs there and
-    they are merged back after the sweep.  With ``out`` set, every
-    successful cell is saved as ``<out>/<experiment>_seed<k>.json``.
+    Each cell calls ``EXPERIMENTS[name](fast=fast, seed=seed, **kwargs)``;
+    ``kwargs`` (``adapt=True``) joins ``fast`` in every cell's identity in
+    the store.  ``workers`` follows :class:`ParallelMap` semantics (``0`` =
+    all cores, ``1`` = serial in-process).  If a global obs session with a
+    run directory is active, pool workers write per-worker event logs
+    there and they are merged back after the sweep.  With ``out`` set,
+    every fresh cell is saved as ``<out>/<experiment>_seed<k>.json``.
 
     ``store`` is a results database (path or
     :class:`~repro.obs.store.ResultsStore`; defaults to the process's
@@ -147,13 +198,14 @@ def run_grid(
     interrupted sweep computes only what is missing and never duplicates
     rows.
     """
-    import time as wall_clock
-
     from repro import obs
     from repro.harness.experiments import EXPERIMENTS
-    from repro.harness.multirun import flatten_summary
-    from repro.obs.store import RunRecord, experiment_config, fingerprint_config
-    from repro.obs.store import resolve_store as _resolve_store
+    from repro.obs.store import (
+        experiment_config,
+        fingerprint_config,
+        record_experiment,
+        resolve_store,
+    )
 
     unknown = [n for n in experiments if n not in EXPERIMENTS]
     if unknown:
@@ -162,23 +214,22 @@ def run_grid(
     if not seeds:
         raise ValueError("need at least one seed")
 
-    sink = _resolve_store(store)
-    cells = [(name, seed, fast) for name in experiments for seed in seeds]
-    fingerprints = {
-        name: fingerprint_config(experiment_config(name, fast=fast))
-        for name in experiments
-    }
-
+    sink = resolve_store(store)
+    cells = [(name, seed) for name in experiments for seed in seeds]
     result = GridResult(experiments=tuple(experiments), seeds=tuple(seeds))
     runs_by_name: dict[str, list[tuple[int, ExperimentResult]]] = {}
 
     pending = cells
     if sink is not None and resume:
+        fingerprints = {
+            name: fingerprint_config(experiment_config(name, fast=fast, **kwargs))
+            for name in experiments
+        }
         pending = []
-        for name, seed, fast_flag in cells:
+        for name, seed in cells:
             run_id = sink.completed_run("experiment", name, seed, fingerprints[name])
             if run_id is None:
-                pending.append((name, seed, fast_flag))
+                pending.append((name, seed))
             else:
                 # Rebuild the cell's result from its stored flat metrics —
                 # flattening is idempotent, so the aggregate is identical.
@@ -186,13 +237,17 @@ def run_grid(
                 runs_by_name.setdefault(name, []).append((seed, stored))
                 result.skipped.append((name, seed))
 
+    def call(cell: tuple[str, int]) -> ExperimentResult:
+        name, seed = cell
+        return EXPERIMENTS[name](fast=fast, seed=seed, **kwargs)
+
     sess = obs.active()
     run_dir = sess.run_dir if sess is not None else None
 
     started = time.perf_counter()
-    sweep_started = wall_clock.time()
+    sweep_started = time.time()
     pool = ParallelMap(
-        _grid_call, workers=workers, timeout=timeout, retries=retries, obs_dir=run_dir
+        call, workers=workers, timeout=timeout, retries=retries, obs_dir=run_dir
     )
     try:
         outcomes = pool.map(pending) if pending else []
@@ -203,26 +258,17 @@ def run_grid(
     result.wall_seconds = time.perf_counter() - started
 
     fresh: list[tuple[str, int, ExperimentResult]] = []
-    for (name, seed, _fast), outcome in zip(pending, outcomes):
+    for (name, seed), outcome in zip(pending, outcomes):
         if outcome.ok:
             runs_by_name.setdefault(name, []).append((seed, outcome.value))
             fresh.append((name, seed, outcome.value))
         else:
             result.failures.append((name, seed, outcome))
-    if sink is not None:
-        finished = wall_clock.time()
-        for name, seed, run in fresh:
-            sink.ingest(
-                RunRecord(
-                    kind="experiment",
-                    scenario=name,
-                    seed=seed,
-                    config=experiment_config(name, fast=fast),
-                    started=sweep_started,
-                    finished=finished,
-                    metrics=flatten_summary(run.summary),
-                )
-            )
+    for name, seed, run in fresh:
+        record_experiment(
+            name, seed, run.summary,
+            started=sweep_started, store=sink, fast=fast, **kwargs,
+        )
     for name, seeded_runs in runs_by_name.items():
         result.aggregates[name] = aggregate(
             name, [s for s, _ in seeded_runs], [r for _, r in seeded_runs]
@@ -230,5 +276,5 @@ def run_grid(
     if out is not None:
         for name, seed, run in fresh:
             run.name = f"{name}_seed{seed}"
-            run.save(out)
+            result.saved.append(run.save(out))
     return result

@@ -36,11 +36,13 @@ from repro.obs.store.sink import (
     active_store,
     experiment_config,
     record_bench_report,
+    record_experiment,
     record_report,
     record_session,
     resolve_store,
     set_default_store,
 )
+from repro.obs.store.report import sample_stats
 
 __all__ = [
     "BenchPoint",
@@ -57,8 +59,10 @@ __all__ = [
     "flatten_numeric",
     "make_run_id",
     "record_bench_report",
+    "record_experiment",
     "record_report",
     "record_session",
     "resolve_store",
+    "sample_stats",
     "set_default_store",
 ]

@@ -131,9 +131,10 @@ def _flatten(prefix: str, value, out: dict[str, float]) -> None:
 def flatten_numeric(mapping: Mapping) -> dict[str, float]:
     """Dotted-key flattening of the numeric parts of a nested mapping.
 
-    Same convention as the harness's ``flatten_summary`` (bools become
-    0/1, finite numbers pass through, everything else is skipped), kept
-    local so the store does not import the harness it feeds.
+    Bools become 0/1, finite numbers pass through, everything else is
+    skipped.  Ingest stores metrics through it and the harness's
+    multi-seed aggregates read summaries through it; it lives here so the
+    store does not import the harness it feeds.
     """
     out: dict[str, float] = {}
     for key, value in mapping.items():

@@ -11,14 +11,21 @@ of the scenario's most recent revision.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from pathlib import Path
+
+import numpy as np
 
 from repro.obs.store.db import ResultsStore
 from repro.obs.store.identity import current_git_rev
 
-__all__ = ["build_report", "render_markdown", "split_policy_metric", "write_report"]
+__all__ = [
+    "build_report",
+    "render_markdown",
+    "sample_stats",
+    "split_policy_metric",
+    "write_report",
+]
 
 #: metric-name prefixes → display label; longest prefix wins.  The order
 #: here is also the row order of the rendered tables.
@@ -60,16 +67,19 @@ def split_policy_metric(name: str) -> tuple[str, str] | None:
     return None
 
 
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+def sample_stats(values: Sequence[float]) -> dict[str, float]:
+    """Mean, population std, min, max and ``n`` (an int) of one sample.
+
+    The per-metric statistic of ``automdt report`` and of the harness's
+    multi-seed aggregates alike.
+    """
+    data = np.asarray(values, dtype=float)
     return {
-        "mean": mean,
-        "std": math.sqrt(var),
-        "min": min(values),
-        "max": max(values),
-        "n": n,
+        "mean": float(data.mean()),
+        "std": float(data.std()),
+        "min": float(data.min()),
+        "max": float(data.max()),
+        "n": int(data.size),
     }
 
 
@@ -121,9 +131,9 @@ def build_report(
 
     for (scenario, policy, column), values in samples.items():
         policies = scenario_data[scenario].setdefault("policies", {})
-        policies.setdefault(policy, {})[column] = _stats(values)
+        policies.setdefault(policy, {})[column] = sample_stats(values)
     for (scenario, name), values in plain.items():
-        scenario_data[scenario].setdefault("metrics", {})[name] = _stats(values)
+        scenario_data[scenario].setdefault("metrics", {})[name] = sample_stats(values)
 
     report_scenarios = {}
     for scenario in sorted(scenario_data):

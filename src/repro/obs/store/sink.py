@@ -23,13 +23,14 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-from repro.obs.store.db import ResultsStore, RunRecord, flatten_numeric
+from repro.obs.store.db import ResultsStore, RunRecord
 
 __all__ = [
     "ResultSink",
     "active_store",
     "experiment_config",
     "record_bench_report",
+    "record_experiment",
     "record_report",
     "record_session",
     "resolve_store",
@@ -139,6 +140,32 @@ def record_report(
             artifacts=artifacts,
             label=label,
         )
+    )
+
+
+def record_experiment(
+    name: str,
+    seed: int,
+    summary: Mapping,
+    *,
+    started: float,
+    store: ResultsStore | str | Path | None = None,
+    **kwargs,
+) -> str | None:
+    """Ingest one experiment cell: ``name`` run at ``seed`` with ``kwargs``.
+
+    The run's config is :func:`experiment_config` of the name and the
+    experiment's keyword arguments (``fast``, ``adapt``), and its metrics
+    are the summary's numeric fields.  A no-op without a store.
+    """
+    return record_report(
+        "experiment",
+        name,
+        seed=seed,
+        config=experiment_config(name, **kwargs),
+        metrics=summary,
+        started=started,
+        store=store,
     )
 
 

@@ -14,9 +14,8 @@ the missing orchestration with zero dependencies beyond the stdlib:
 * :func:`~repro.parallel.obslog.merge_worker_logs` — folds per-worker
   ``events-worker<k>.jsonl`` telemetry back into the run's main log.
 
-Consumers: ``repro.harness.multirun.run_seeded(workers=N)``,
-``repro.harness.grid.run_grid`` (the ``automdt sweep`` verb) and
-``repro.core.population.train_population``.
+Consumers: ``repro.harness.grid.run_grid`` (``automdt sweep`` and
+``automdt run --seeds``) and ``repro.core.population.train_population``.
 """
 
 from repro.parallel.obslog import merge_worker_logs, worker_log_name

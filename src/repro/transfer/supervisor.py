@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -42,22 +41,8 @@ from repro import obs
 from repro.transfer.engine import ModularTransferEngine, Observation, TransferResult
 from repro.transfer.metrics import FaultEvent, RecoveryRecord, TransferMetrics
 from repro.utils.backoff import RetryBudget, backoff_delay
-from repro.utils.config import (
-    dump_json,
-    load_json,
-    require_in_range,
-    require_non_negative,
-    require_positive,
-)
-from repro.utils.errors import CheckpointVersionError
+from repro.utils.config import require_in_range, require_non_negative, require_positive
 from repro.utils.units import bytes_per_sec_to_mbps
-
-#: Serialization version written by :meth:`TransferCheckpoint.to_dict`.
-#: Bump when the on-disk schema changes incompatibly; loaders reject
-#: unknown versions with :class:`~repro.utils.errors.CheckpointVersionError`
-#: so a supervisor can fall back to a fresh transfer instead of resuming
-#: from fields it would misinterpret.
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -105,55 +90,15 @@ class TransferCheckpoint:
     destination — bytes lost in staging buffers are deliberately excluded
     and will be re-read on resume.  ``elapsed`` is the global virtual time
     to restart at (the abort instant plus the backoff delay), and
-    ``threads`` warm-starts the controller's view of concurrency.
+    ``threads`` warm-starts the controller's view of concurrency.  It
+    lives in memory only: a resume in a new process replays the chunk
+    journal (:class:`~repro.transfer.integrity.VerifiedTransfer`).
     """
 
     bytes_completed: float
     elapsed: float
     threads: tuple[int, int, int] = (1, 1, 1)
     attempt: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form (inverse of :meth:`from_dict`)."""
-        return {
-            "version": CHECKPOINT_VERSION,
-            "bytes_completed": self.bytes_completed,
-            "elapsed": self.elapsed,
-            "threads": list(self.threads),
-            "attempt": self.attempt,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransferCheckpoint":
-        """Rebuild from :meth:`to_dict` output.
-
-        Checkpoints written before versioning carry no ``version`` field and
-        are read as version 1; any other version raises
-        :class:`~repro.utils.errors.CheckpointVersionError` *before* any
-        field access, so schema drift surfaces as a typed error rather than
-        a ``KeyError`` mid-parse.
-        """
-        version = int(data.get("version", 1))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"unsupported checkpoint version {version} (this build reads "
-                f"version {CHECKPOINT_VERSION})"
-            )
-        return cls(
-            bytes_completed=float(data["bytes_completed"]),
-            elapsed=float(data["elapsed"]),
-            threads=tuple(int(n) for n in data.get("threads", (1, 1, 1))),  # type: ignore[arg-type]
-            attempt=int(data.get("attempt", 0)),
-        )
-
-    def save(self, path: str | Path) -> None:
-        """Persist to JSON so a new process can resume the transfer."""
-        dump_json(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TransferCheckpoint":
-        """Inverse of :meth:`save`."""
-        return cls.from_dict(load_json(path))
 
 
 @dataclass(frozen=True)
@@ -287,23 +232,6 @@ class TransferSupervisor:
             resumed=resume_from is not None,
         ):
             return self._run(resume_from, observer)
-
-    def resume_from_path(self, path: str | Path) -> SupervisedTransferResult:
-        """Resume from a checkpoint file, falling back to a fresh transfer.
-
-        An unreadable-version checkpoint
-        (:class:`~repro.utils.errors.CheckpointVersionError`) is an
-        *incident*, not a crash: it is counted on
-        ``supervisor/checkpoint_incompatible``, logged as an event, and the
-        transfer restarts from byte zero — slower, never wrong.
-        """
-        try:
-            checkpoint = TransferCheckpoint.load(path)
-        except CheckpointVersionError as exc:
-            obs.count("supervisor/checkpoint_incompatible")
-            obs.event("supervisor/checkpoint_incompatible", path=str(path), error=str(exc))
-            checkpoint = None
-        return self.run(resume_from=checkpoint)
 
     def _run(
         self,

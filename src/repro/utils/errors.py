@@ -21,10 +21,6 @@ class ConvergenceError(ReproError):
     """An optimizer or training loop failed to converge within its budget."""
 
 
-class CheckpointVersionError(ReproError):
-    """A persisted checkpoint has an unsupported serialization version."""
-
-
 class IntegrityError(ReproError):
     """Data-integrity accounting reached an inconsistent state."""
 

@@ -106,21 +106,6 @@ class TimeSeries:
                 return self._times[i - sustain + 1]
         return None
 
-    def settling_time(self, target: float, tolerance: float) -> float | None:
-        """Earliest time after which every sample stays within ``target±tolerance``."""
-        values = self.values
-        if len(values) == 0:
-            return None
-        within = np.abs(values - target) <= tolerance
-        # Last index where we were *outside* the band.
-        outside = np.nonzero(~within)[0]
-        if len(outside) == 0:
-            return self._times[0]
-        idx = outside[-1] + 1
-        if idx >= len(values):
-            return None
-        return self._times[idx]
-
     def resample(self, dt: float, t_end: float | None = None) -> "TimeSeries":
         """Zero-order-hold resample onto a regular grid of spacing ``dt``."""
         if not self._times:

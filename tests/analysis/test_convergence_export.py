@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.convergence import (
-    detect_plateau,
-    rolling_convergence_episode,
-    rolling_mean,
-    time_to_sustained,
-)
+from repro.analysis.convergence import rolling_convergence_episode, rolling_mean
 from repro.analysis.export import export_experiment, series_to_csv, summary_to_markdown
 from repro.harness.result import ExperimentResult
 from repro.utils.timeseries import TimeSeries
@@ -41,32 +36,6 @@ class TestRollingConvergence:
 
     def test_too_short(self):
         assert rolling_convergence_episode([10.0] * 5, target=1.0, window=100) is None
-
-
-class TestTimeToSustained:
-    def test_basic(self):
-        t = list(range(10))
-        v = [0, 0, 5, 5, 5, 0, 5, 5, 5, 5]
-        assert time_to_sustained(t, v, threshold=5, sustain=4) == 6.0
-
-    def test_none_when_never(self):
-        assert time_to_sustained([0, 1], [1, 1], threshold=5) is None
-
-
-class TestDetectPlateau:
-    def test_plateau_after_ramp(self):
-        values = list(np.linspace(0, 10, 200)) + [10.0] * 300
-        idx = detect_plateau(values, window=50, tolerance=0.02)
-        assert idx is not None
-        assert 150 <= idx <= 300
-
-    def test_flat_from_start(self):
-        assert detect_plateau([5.0] * 200, window=50) == 49
-
-    def test_never_settles(self):
-        values = list(np.linspace(0, 10, 500))  # still climbing at the end
-        idx = detect_plateau(values, window=50, tolerance=0.001)
-        assert idx is None or idx > 400
 
 
 class TestExport:

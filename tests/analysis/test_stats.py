@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import ConfidenceInterval, bootstrap_ci, ratio_ci, summarize
+from repro.analysis.stats import ConfidenceInterval, bootstrap_ci, ratio_ci
 
 
 class TestBootstrapCi:
@@ -73,18 +73,3 @@ class TestRatioCi:
         ci = ratio_ci(num, den)
         assert ci.low < 2.0 < ci.high
 
-
-class TestSummarize:
-    def test_fields(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s["mean"] == 2.0
-        assert s["median"] == 2.0
-        assert s["n"] == 3
-
-    def test_nan_filtered(self):
-        s = summarize([1.0, float("nan"), 3.0])
-        assert s["n"] == 2
-        assert s["mean"] == 2.0
-
-    def test_empty(self):
-        assert np.isnan(summarize([])["mean"])

@@ -1,5 +1,7 @@
 """``automdt sweep`` and the parallel flags of ``automdt run``."""
 
+import pytest
+
 from repro.harness.cli import main
 from repro.harness.experiments import EXPERIMENTS, ExperimentResult
 from repro.obs.store import ResultsStore, experiment_config, fingerprint_config
@@ -85,3 +87,66 @@ class TestRunSeedsFlag:
             (row,) = ResultsStore(db).runs(kind="experiment")
             assert row["config_fingerprint"] == want, db.name
             assert ResultsStore(db).run_metrics(row["run_id"]) == {"adapted": 1.0}
+
+
+def _flaky(*, fast=True, seed=0):
+    if seed == 1:
+        raise RuntimeError("seed 1 exploded")
+    return ExperimentResult("flaky", summary={"speed": float(seed)}, tables=[])
+
+
+#: A cell's failed supervised transfer and the exit code it sets.
+FAILED_TRANSFERS = [
+    ({"supervised_completed": False}, 1),
+    ({"supervised_completed": False, "supervised_budget_exhausted": True}, 3),
+]
+
+
+class TestExitCodeRule:
+    """``run --seeds`` and ``sweep`` fail on the same cells."""
+
+    @pytest.fixture(autouse=True)
+    def _no_default_store(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.store.sink._default", None)  # --store sets it
+
+    @staticmethod
+    def _register_doomed(monkeypatch, summary):
+        def doomed(*, fast=True, seed=0):
+            return ExperimentResult("doomed", summary=dict(summary), tables=[])
+
+        monkeypatch.setitem(EXPERIMENTS, "doomed", doomed)
+
+    @pytest.mark.parametrize(("summary", "code"), FAILED_TRANSFERS)
+    def test_sweep_exits_on_a_failed_transfer(self, summary, code, capsys, monkeypatch):
+        self._register_doomed(monkeypatch, summary)
+        assert main(["sweep", "doomed", "--seeds", "0"]) == code
+        assert "doomed seed 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("summary", "code"), FAILED_TRANSFERS)
+    def test_sweep_rerun_of_a_stored_failed_cell_keeps_its_exit_code(
+        self, summary, code, tmp_path, capsys, monkeypatch
+    ):
+        """Stored cells hold 0.0/1.0, not bools, and are classified alike."""
+        self._register_doomed(monkeypatch, summary)
+        db = tmp_path / "results.db"
+        assert main(["sweep", "doomed", "--seeds", "0", "--store", str(db)]) == code
+        assert main(["sweep", "doomed", "--seeds", "0", "--store", str(db)]) == code
+        # The re-run loaded the cell from the store instead of running it.
+        assert len(ResultsStore(db).runs(kind="experiment")) == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_run_seeds_keeps_the_cells_around_a_raising_one(
+        self, workers, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setitem(EXPERIMENTS, "flaky", _flaky)
+        db = tmp_path / "results.db"
+        code = main([
+            "run", "flaky", "--seeds", "0,1,2", "--workers", workers,
+            "--store", str(db),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FAILED flaky seed 1: RuntimeError: seed 1 exploded" in captured.err
+        assert "flaky over seeds [0, 2]" in captured.out
+        rows = ResultsStore(db).runs(kind="experiment")
+        assert sorted(row["seed"] for row in rows) == [0, 2]

@@ -9,7 +9,6 @@ from repro.obs.store import (
     RunRecord,
     experiment_config,
     fingerprint_config,
-    flatten_numeric,
     make_run_id,
     resolve_store,
     set_default_store,
@@ -74,19 +73,6 @@ def test_run_id_depends_on_each_identity_component():
 def test_fingerprint_is_order_insensitive():
     assert fingerprint_config({"a": 1, "b": 2}) == fingerprint_config({"b": 2, "a": 1})
     assert fingerprint_config({"a": 1}) != fingerprint_config({"a": 2})
-
-
-def test_flatten_numeric_matches_harness_convention():
-    from repro.harness.multirun import flatten_summary
-
-    summary = {
-        "ok": True,
-        "speed": 3.5,
-        "nested": {"a": 1, "b": [1, 2]},
-        "skipped": "string",
-        "none": None,
-    }
-    assert flatten_numeric(summary) == flatten_summary(summary)
 
 
 def test_labelled_metrics_round_trip(store):

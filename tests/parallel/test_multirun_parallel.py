@@ -3,30 +3,28 @@
 import pytest
 
 from repro import obs
-from repro.harness.experiments import experiment_figure1
 from repro.harness.grid import parse_seeds, run_grid
-from repro.harness.multirun import run_seeded
 
 
 class TestRunSeededParallel:
     def test_workers_bit_identical_to_serial(self):
         seeds = [0, 1, 2]
-        serial = run_seeded(experiment_figure1, seeds, workers=1)
-        parallel = run_seeded(experiment_figure1, seeds, workers=2)
+        serial = run_grid(["figure1"], seeds, workers=1).aggregates["figure1"]
+        parallel = run_grid(["figure1"], seeds, workers=2).aggregates["figure1"]
         assert serial.stats == parallel.stats  # exact float equality, not approx
         assert serial.seeds == parallel.seeds
 
     def test_worker_logs_merged_into_run_events(self, tmp_path):
         with obs.session(tmp_path, label="test-sweep"):
-            run_seeded(experiment_figure1, [0, 1], workers=2)
-            # merge_worker_logs runs inside run_seeded: per-worker files
+            run_grid(["figure1"], [0, 1], workers=2)
+            # merge_worker_logs runs inside run_grid: per-worker files
             # are already folded into events.jsonl and removed.
             assert not list(tmp_path.glob("events-worker*.jsonl"))
             assert (tmp_path / "events.jsonl").exists()
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            run_seeded(experiment_figure1, [], workers=2)
+            run_grid(["figure1"], [], workers=2)
 
 
 class TestRunGrid:

@@ -113,20 +113,6 @@ class TestStallDetector:
         assert not det(obs(6.0, 100.0))
 
 
-class TestCheckpoint:
-    def test_dict_roundtrip(self):
-        cp = TransferCheckpoint(
-            bytes_completed=1.5e9, elapsed=42.0, threads=(3, 4, 5), attempt=2
-        )
-        assert TransferCheckpoint.from_dict(cp.to_dict()) == cp
-
-    def test_file_roundtrip(self, tmp_path):
-        cp = TransferCheckpoint(bytes_completed=2e9, elapsed=10.0)
-        path = tmp_path / "transfer.ckpt.json"
-        cp.save(path)
-        assert TransferCheckpoint.load(path) == cp
-
-
 class TestHealthyTransfer:
     def test_single_attempt_no_incidents(self):
         result = TransferSupervisor(make_engine(), SupervisorConfig(seed=0)).run()

@@ -73,20 +73,6 @@ class TestTimeToReach:
         assert make([5]).time_to_reach(5, sustain=2) is None
 
 
-class TestSettlingTime:
-    def test_settles(self):
-        # 9 is already within 10±1, so settling starts at t=2.
-        ts = make([0, 5, 9, 10, 10, 10])
-        assert ts.settling_time(10, tolerance=1) == 2.0
-
-    def test_never_settles(self):
-        ts = make([0, 10, 0, 10, 0])
-        assert ts.settling_time(10, tolerance=1) is None
-
-    def test_settled_from_start(self):
-        assert make([10, 10]).settling_time(10, tolerance=0.5) == 0.0
-
-
 class TestResample:
     def test_zero_order_hold(self):
         ts = TimeSeries("x", [(0.0, 1.0), (2.0, 3.0)])
