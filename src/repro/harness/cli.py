@@ -323,17 +323,32 @@ def _merge_exit(current: int, mode: str) -> int:
     return 1
 
 
+def _innermost_frame(tb: str | None) -> str:
+    """The last frame of a formatted traceback: its ``File "…", line N,
+    in f`` line and the source line under it (empty without a frame)."""
+    lines = (tb or "").splitlines()
+    frames = [i for i, line in enumerate(lines) if line.startswith('  File "')]
+    if not frames:
+        return ""
+    frame = lines[frames[-1] : frames[-1] + 2]
+    if len(frame) == 2 and not frame[1].startswith("    "):
+        frame.pop()  # a frame whose source is not available
+    return "\n".join(frame)
+
+
 def _grid_exit(result, exit_code: int = 0) -> int:
     """Report a grid's failed cells and fold each into ``exit_code``.
 
     A cell that raised, crashed or timed out prints ``FAILED <exp> seed
-    <k>`` and fails the command.  Every other cell, fresh or loaded from
-    the store, is classified by :func:`_failure_mode`.
+    <k>`` and fails the command; one that raised also prints the frame
+    that raised it.  Every other cell, fresh or loaded from the store, is
+    classified by :func:`_failure_mode`.
     """
     for name, seed, outcome in result.failures:
+        frame = _innermost_frame(outcome.traceback)
         print(
             f"FAILED {name} seed {seed}: {outcome.error} "
-            f"({outcome.attempts} attempt(s))",
+            f"({outcome.attempts} attempt(s))" + (f"\n{frame}" if frame else ""),
             file=sys.stderr,
         )
         exit_code = _merge_exit(exit_code, "failed")

@@ -241,6 +241,16 @@ def run_grid(
         name, seed = cell
         return EXPERIMENTS[name](fast=fast, seed=seed, **kwargs)
 
+    def ingest(outcome: TaskOutcome) -> None:
+        # Each cell is stored as soon as it completes, so an interrupted
+        # grid keeps every cell that finished before the interrupt.
+        if outcome.ok:
+            name, seed = pending[outcome.index]
+            record_experiment(
+                name, seed, outcome.value.summary,
+                started=sweep_started, store=sink, fast=fast, **kwargs,
+            )
+
     sess = obs.active()
     run_dir = sess.run_dir if sess is not None else None
 
@@ -250,7 +260,7 @@ def run_grid(
         call, workers=workers, timeout=timeout, retries=retries, obs_dir=run_dir
     )
     try:
-        outcomes = pool.map(pending) if pending else []
+        outcomes = pool.map(pending, on_outcome=ingest) if pending else []
     finally:
         if run_dir is not None:
             merge_worker_logs(run_dir)
@@ -264,11 +274,6 @@ def run_grid(
             fresh.append((name, seed, outcome.value))
         else:
             result.failures.append((name, seed, outcome))
-    for name, seed, run in fresh:
-        record_experiment(
-            name, seed, run.summary,
-            started=sweep_started, store=sink, fast=fast, **kwargs,
-        )
     for name, seeded_runs in runs_by_name.items():
         result.aggregates[name] = aggregate(
             name, [s for s, _ in seeded_runs], [r for _, r in seeded_runs]

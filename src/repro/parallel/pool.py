@@ -116,6 +116,9 @@ class TaskOutcome:
     ok: bool
     value: Any = None
     error: str | None = None
+    #: ``traceback.format_exc()`` of the exception that failed the task;
+    #: ``None`` when it succeeded, or its worker crashed or timed out.
+    traceback: str | None = None
     attempts: int = 1
     worker: int = -1
     seed: int | None = None
@@ -137,6 +140,23 @@ class _TaskState:
         self.started_at = 0.0
 
 
+def _ignore(_outcome: TaskOutcome) -> None:
+    """The default ``on_outcome``: keep nothing."""
+
+
+def _format_exc() -> str:
+    """``traceback.format_exc()`` of the exception being handled.
+
+    The module is imported at the first failure, not with this one: every
+    program loads this module through :mod:`repro.parallel`, and importing
+    ``traceback`` up front cost each one ~0.1 MB of peak RSS and a few ms
+    of start-up.
+    """
+    import traceback
+
+    return traceback.format_exc()
+
+
 def _call(fn: Callable, item: Any, seed: int | None) -> Any:
     return fn(item) if seed is None else fn(item, seed)
 
@@ -151,9 +171,10 @@ def _send_result(result_fd: int, spill_dir: str, msg: tuple) -> None:
     try:
         payload = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # unpicklable return value
-        wid, index, _ok, _value, _error, duration = msg
+        wid, index, _ok, _value, _error, _tb, duration = msg
         payload = pickle.dumps(
-            (wid, index, False, None, f"unpicklable result: {exc}", duration),
+            (wid, index, False, None, f"unpicklable result: {exc}",
+             _format_exc(), duration),
             pickle.HIGHEST_PROTOCOL,
         )
     if len(payload) > _INLINE_MAX:
@@ -235,10 +256,10 @@ def _worker_main(worker_id: int, fn: Callable, conn, result_fd: int,
                     value = _call(fn, item, seed)
                 except BaseException as exc:  # noqa: BLE001 - isolation boundary
                     msg = (worker_id, index, False, None,
-                           f"{type(exc).__name__}: {exc}",
+                           f"{type(exc).__name__}: {exc}", _format_exc(),
                            time.perf_counter() - t0)
                 else:
-                    msg = (worker_id, index, True, value, None,
+                    msg = (worker_id, index, True, value, None, None,
                            time.perf_counter() - t0)
                 _send_result(result_fd, spill_dir, msg)
     finally:
@@ -317,8 +338,18 @@ class ParallelMap:
             self._ctx = None
 
     # ------------------------------------------------------------------ public
-    def map(self, items: Sequence[Any]) -> list[TaskOutcome]:
-        """Run ``fn`` over ``items``; outcomes come back in input order."""
+    def map(
+        self,
+        items: Sequence[Any],
+        *,
+        on_outcome: Callable[[TaskOutcome], None] = _ignore,
+    ) -> list[TaskOutcome]:
+        """Run ``fn`` over ``items``; outcomes come back in input order.
+
+        ``on_outcome`` is called in this process with each task's final
+        outcome as soon as it is decided (in completion order), so a caller
+        can keep each result before the map ends or is interrupted.
+        """
         items = list(items)
         if not items:
             return []
@@ -333,8 +364,8 @@ class ParallelMap:
         # serial path runs in-process and therefore cannot honour crash
         # isolation or timeouts.
         if self.workers <= 1 or self._ctx is None:
-            return self._map_serial(tasks)
-        return self._map_parallel(tasks)
+            return self._map_serial(tasks, on_outcome)
+        return self._map_parallel(tasks, on_outcome)
 
     def map_values(self, items: Sequence[Any]) -> list[Any]:
         """Like :meth:`map` but returns bare values; raises if any task failed."""
@@ -345,7 +376,9 @@ class ParallelMap:
         return [o.value for o in outcomes]
 
     # ------------------------------------------------------------------ serial
-    def _map_serial(self, tasks: list[_TaskState]) -> list[TaskOutcome]:
+    def _map_serial(
+        self, tasks: list[_TaskState], on_outcome: Callable[[TaskOutcome], None]
+    ) -> list[TaskOutcome]:
         """In-process fallback: same seeds, same retry policy, no timeouts."""
         outcomes = []
         for task in tasks:
@@ -360,6 +393,7 @@ class ParallelMap:
                         continue
                     outcomes.append(TaskOutcome(
                         task.index, False, error=f"{type(exc).__name__}: {exc}",
+                        traceback=_format_exc(),
                         attempts=task.attempts, seed=task.seed,
                         duration=time.perf_counter() - t0,
                     ))
@@ -368,6 +402,7 @@ class ParallelMap:
                         task.index, True, value=value, attempts=task.attempts,
                         seed=task.seed, duration=time.perf_counter() - t0,
                     ))
+                on_outcome(outcomes[-1])
                 break
         return outcomes
 
@@ -379,7 +414,9 @@ class ParallelMap:
         )
 
     # ---------------------------------------------------------------- parallel
-    def _map_parallel(self, tasks: list[_TaskState]) -> list[TaskOutcome]:
+    def _map_parallel(
+        self, tasks: list[_TaskState], on_outcome: Callable[[TaskOutcome], None]
+    ) -> list[TaskOutcome]:
         """Parent-side scheduler: dispatch → drain → police → retry.
 
         Crash-safety invariant: chunk assignment is recorded *here*, at
@@ -433,16 +470,18 @@ class ParallelMap:
         def resolve(task: _TaskState, outcome: TaskOutcome) -> None:
             task.status = _RESOLVED
             outcomes[task.index] = outcome
+            on_outcome(outcome)
 
-        def fail_attempt(task: _TaskState, error: str, worker: int, now: float) -> None:
+        def fail_attempt(task: _TaskState, error: str, worker: int, now: float,
+                         tb: str | None = None) -> None:
             """One attempt burned (exception / crash / timeout): retry or fail."""
             task.attempts += 1
             if task.attempts <= self.retries:
                 retry_later.append((now + self._retry_delay(task.attempts), task))
             else:
                 resolve(task, TaskOutcome(
-                    task.index, False, error=error, attempts=task.attempts,
-                    worker=worker, seed=task.seed,
+                    task.index, False, error=error, traceback=tb,
+                    attempts=task.attempts, worker=worker, seed=task.seed,
                 ))
 
         def reap(wid: int, error: str, now: float, *, kill: bool) -> None:
@@ -472,7 +511,7 @@ class ParallelMap:
             while len(outcomes) < len(tasks):
                 # 1. Drain finished-task messages.
                 for msg in results.drain(self.poll_interval):
-                    wid, index, ok, value, error, duration = msg
+                    wid, index, ok, value, error, tb, duration = msg
                     task = by_index[index]
                     state = workers.get(wid)
                     now = time.perf_counter()
@@ -490,7 +529,7 @@ class ParallelMap:
                         ))
                     else:
                         task.worker = wid
-                        fail_attempt(task, error, wid, now)
+                        fail_attempt(task, error, wid, now, tb)
 
                 now = time.perf_counter()
                 # 2. Enforce per-task timeouts (silence while holding work).

@@ -192,20 +192,42 @@ class TransferManifest:
         # numbers are invisible to the cyclic GC, where thousands of
         # per-chunk objects would be rescanned on every collection for the
         # whole transfer (a measurable slice of the verification overhead
-        # budget).  Chunk ids are row indices.
+        # budget).  Chunk ids are row indices.  Each per-chunk temporary
+        # is dropped once consumed, and the size column is computed in
+        # place, so the build holds at most ~24 bytes a chunk.
         file_sizes, counts, file_idx, indices = self._layout()
-        chunk_bytes = np.minimum(
-            self.chunk_size, file_sizes[file_idx] - indices.astype(np.float64) * self.chunk_size
-        )
-        # Chunk digests by CRC32C linearity.  A tag is ``prefix + tail``,
-        # with ``prefix = f"{dataset}:{file}:"`` per file and
-        # ``tail = f"{index}:{content_seed}"`` per in-file index, so
-        # ``crc32c(tag) == Z(crc32c(prefix)) ^ crc32c(tail)``, where ``Z``
-        # steps the register through ``len(tail)`` zero bytes.  One sweep
-        # digests every prefix and the tail of every index below the
-        # largest chunk count; the prefix column is advanced past the seed
-        # part of the tail, then one byte per digit count of the index,
-        # and each chunk is one gather from the column its index needs.
+        digests = self._digest_column(counts, file_idx, indices)
+        chunk_bytes = indices.astype(np.float64)
+        del indices
+        chunk_bytes *= self.chunk_size
+        np.subtract(file_sizes[file_idx], chunk_bytes, out=chunk_bytes)
+        del file_idx
+        np.minimum(self.chunk_size, chunk_bytes, out=chunk_bytes)
+
+        #: The chunk table, one column per field, indexed by chunk id: byte
+        #: sizes, expected CRC32C digests (uint32), and the running byte
+        #: total at each chunk's end (the ledger's full-pass queue searches
+        #: it).  The file, in-file index and offset of each chunk are
+        #: recomputed by :meth:`to_dict`, the only reader.
+        self.sizes_np = chunk_bytes
+        self.digests_np = digests
+        self.cum_sizes_np = np.cumsum(chunk_bytes)
+        self.total_bytes = self.cum_sizes_np.item(-1) if len(chunk_bytes) else 0.0
+
+    def _digest_column(
+        self, counts: np.ndarray, file_idx: np.ndarray, indices: np.ndarray
+    ) -> np.ndarray:
+        """Each chunk's tag digest, as a uint32 column, by CRC32C linearity.
+
+        A tag is ``prefix + tail``, with ``prefix = f"{dataset}:{file}:"``
+        per file and ``tail = f"{index}:{content_seed}"`` per in-file
+        index, so ``crc32c(tag) == Z(crc32c(prefix)) ^ crc32c(tail)``,
+        where ``Z`` steps the register through ``len(tail)`` zero bytes.
+        One sweep digests every prefix and the tail of every index below
+        the largest chunk count; the prefix column is advanced past the
+        seed part of the tail, then one byte per digit count of the index,
+        and each chunk is one gather from the column its index needs.
+        """
         n_files = len(self.files)
         max_count = int(counts.max()) if n_files else 0
         suffix = f":{self.content_seed}"
@@ -215,6 +237,7 @@ class TransferManifest:
         record_offsets = np.zeros(len(records), dtype=np.int64)
         np.cumsum(record_lengths[:-1], out=record_offsets[1:])
         crcs = crc32c_many(b"".join(records), record_offsets, record_lengths)
+        del records
         # digits[i] == len(str(i)), the only part of a tail's length that varies.
         digits = record_lengths[n_files:] - len(suffix)
         # shifted[d - 1]: the prefix digests advanced past a d-digit tail.
@@ -222,22 +245,17 @@ class TransferManifest:
         column = crc32c_zeros(crcs[:n_files], len(suffix))
         for d in range(len(shifted)):
             column = shifted[d] = crc32c_zeros(column, 1)
-        digests = shifted[digits[indices] - 1, file_idx] ^ crcs[n_files:][indices]
-
-        #: The chunk table, one column per field, indexed by chunk id: byte
-        #: sizes, expected digests, and the running byte total at each
-        #: chunk's end (the ledger's full-pass queue searches it).  The
-        #: file, in-file index and offset of each chunk are recomputed by
-        #: :meth:`to_dict`, the only reader.
-        self.sizes_np = chunk_bytes
-        self.digests_np = digests.astype(np.int64)
-        self.cum_sizes_np = np.cumsum(chunk_bytes)
-        self.total_bytes = self.cum_sizes_np.item(-1) if len(chunk_bytes) else 0.0
+        # The row each index reads, as uint8: gathering it costs a byte a chunk.
+        rows = (digits - 1).astype(np.uint8)
+        digests = crcs[n_files:][indices]
+        digests ^= shifted[rows[indices], file_idx]
+        return digests
 
     def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Size and chunk count of each file, and each chunk's file and
-        in-file index.  A file size that is negative, NaN or infinite
-        raises :class:`ConfigError` (a zero-byte file is one empty chunk)."""
+        in-file index (int32 columns while the chunk count fits, int64
+        beyond).  A file size that is negative, NaN or infinite raises
+        :class:`ConfigError` (a zero-byte file is one empty chunk)."""
         file_sizes = np.array([s for _, s in self.files], dtype=np.float64)
         legal = np.isfinite(file_sizes) & (file_sizes >= 0.0)
         if not legal.all():
@@ -246,10 +264,13 @@ class TransferManifest:
                 f"file {name!r} has size {size}; sizes must be finite and non-negative"
             )
         counts = np.maximum(1, np.ceil(file_sizes / self.chunk_size).astype(np.int64))
-        file_idx = np.repeat(np.arange(len(self.files), dtype=np.int64), counts)
-        starts = np.zeros(len(self.files), dtype=np.int64)
+        n = int(counts.sum())
+        index_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        file_idx = np.repeat(np.arange(len(self.files), dtype=index_type), counts)
+        starts = np.zeros(len(self.files), dtype=index_type)
         np.cumsum(counts[:-1], out=starts[1:])
-        indices = np.arange(len(file_idx), dtype=np.int64) - np.repeat(starts, counts)
+        indices = np.arange(n, dtype=index_type)
+        indices -= np.repeat(starts, counts)
         return file_sizes, counts, file_idx, indices
 
     @classmethod
@@ -431,10 +452,11 @@ class ChunkJournal:
         self._flush_every = max(1, int(flush_every))
         self._writer = JsonlEventWriter(self.path, flush_every=flush_every)
         self._claims_buffered = 0
-        #: The manifest's digest column (``manifest.digests_np``): its
-        #: length is the chunk count, and a slice of it resolves each
-        #: digest-elided ``chunkrun`` record at replay.
-        self._expected = np.asarray(expected, dtype=np.int64)
+        #: The manifest's digest column (``manifest.digests_np``, held by
+        #: reference, never copied): its length is the chunk count, and a
+        #: slice of it resolves each digest-elided ``chunkrun`` record at
+        #: replay.
+        self._expected = np.asarray(expected)
         #: Open coalescing run ``[lo, hi, t]`` not yet handed to the
         #: writer: consecutive clean syncs complete consecutive ids, so
         #: most :meth:`record_runs` calls just advance ``hi``.  Counts as
@@ -677,10 +699,12 @@ class DestinationLedger:
     changes** — damage is visible only to verification, which is the point.
 
     State is columnar: status codes, digests, send counts and completion
-    sequence numbers as numpy arrays indexed by chunk id.  On the
-    fault-free path :meth:`sync` only advances the pending queue's head:
-    one binary search of the queue's cumulative sizes maps a byte delta
-    onto every chunk it completes.
+    sequence numbers as numpy arrays indexed by chunk id, created on first
+    need.  On the fault-free path :meth:`sync` only advances the pending
+    queue's head: one binary search of the queue's cumulative sizes maps a
+    byte delta onto every chunk it completes.  A clean transfer that
+    nothing demotes, snapshots or faults never creates the columns: its
+    final :meth:`verify` reads the queue alone.
 
     Statuses: ``missing`` (not durable), ``ok`` (digest matches manifest),
     ``corrupt`` (bit-flipped in flight or at rest), ``torn`` (partial
@@ -700,18 +724,19 @@ class DestinationLedger:
         self._sizes_np = manifest.sizes_np
         self._expected_np = manifest.digests_np
         n = len(manifest)
-        # NOTE: the columns are updated lazily for fault-free ledgers —
-        # read them through the query methods (verify/verified_mask/
-        # status_counts/send_counts/to_dict), which fold in deferred
-        # completions first.
-        self._status_arr = np.zeros(n, dtype=np.uint8)  # _MISSING
-        self._digest_arr = np.full(n, -1, dtype=np.int64)
-        self._send_arr = np.zeros(n, dtype=np.int64)
+        # NOTE: the columns are created and updated lazily — read them
+        # through the query methods (verify/verified_mask/status_counts/
+        # send_counts/to_dict), which fold in deferred completions first.
+        # ``None`` until :meth:`_materialize` creates them: until then
+        # every chunk outside the deferred queue is missing.
+        self._status_arr: np.ndarray | None = None
+        self._digest_arr: np.ndarray | None = None
+        self._send_arr: np.ndarray | None = None
         #: Completion sequence number of each durable chunk, ``-1`` when it
         #: is not durable.  A re-send takes the next number, so the durable
         #: chunks sorted by it are the destination's write order (what
         #: :class:`SilentTruncation` cuts from the end of).
-        self._seq_arr = np.full(n, -1, dtype=np.int64)
+        self._seq_arr: np.ndarray | None = None
         self._next_seq = 0
         #: The pending queue: chunk ids in id order (``range(n)`` for a full
         #: pass, an id array for a partial one) and the running byte total
@@ -720,7 +745,10 @@ class DestinationLedger:
         self._pending: range | np.ndarray = range(n)
         self._pend_cum: np.ndarray = manifest.cum_sizes_np
         self._head = 0  # completed entries of the pending queue
-        self._folded = 0  # completed entries already folded into the columns
+        #: Completed entries already in the columns: ``pending[folded:head]``
+        #: are the deferred completions, all of them ``ok`` and sent once
+        #: more.
+        self._folded = 0
         self._partial = 0.0  # bytes already written into the head chunk
         self._consumed = 0.0  # bytes mapped into the current pass's queue
         self._synced_bytes = 0.0  # engine byte count already mapped
@@ -770,29 +798,41 @@ class DestinationLedger:
         return digest
 
     def _materialize(self) -> None:
-        """Fold deferred fast-path completions into the chunk columns.
+        """Create the chunk columns if absent, and fold deferred
+        fast-path completions into them.
 
         The fault-free completion path in :meth:`sync` records durability
         by advancing the pending queue's head alone and defers every column
         write; each reader of the columns calls this first, which folds
-        ``pending[folded:head]`` as one vector op.  No-op for faulted
-        ledgers, where :meth:`_complete_chunk` keeps the columns current
-        in-line.
+        ``pending[folded:head]`` as one vector op.  Faulted ledgers defer
+        nothing: :meth:`_complete_chunk` keeps the columns current in-line.
         """
+        if self._status_arr is None:
+            n = len(self._sizes_np)
+            self._status_arr = np.zeros(n, dtype=np.uint8)  # _MISSING
+            self._digest_arr = np.full(n, -1, dtype=np.int64)
+            self._send_arr = np.zeros(n, dtype=np.int64)
+            self._seq_arr = np.full(n, -1, dtype=np.int64)
         head = self._head
-        if self.faults is not None or self._folded == head:
+        if self._folded == head:
             return
-        ids = self._pending[self._folded : head]
-        # The queue is in id order, so a full-span check detects the
-        # contiguous common case and folds it as a slice.
-        lo, hi = int(ids[0]), int(ids[-1]) + 1
-        index = slice(lo, hi) if hi - lo == len(ids) else ids
+        index = self._deferred()
+        count = head - self._folded
         self._status_arr[index] = _OK
         self._digest_arr[index] = self._expected_np[index]
         self._send_arr[index] += 1
-        self._seq_arr[index] = np.arange(self._next_seq, self._next_seq + len(ids))
-        self._next_seq += len(ids)
+        self._seq_arr[index] = np.arange(self._next_seq, self._next_seq + count)
+        self._next_seq += count
         self._folded = head
+
+    def _deferred(self) -> slice | np.ndarray:
+        """Index of the deferred completions ``pending[folded:head]`` (at
+        least one): a slice when their ids are contiguous."""
+        ids = self._pending[self._folded : self._head]
+        # The queue is in id order, so a full-span check detects the
+        # contiguous common case.
+        lo, hi = int(ids[0]), int(ids[-1]) + 1
+        return slice(lo, hi) if hi - lo == len(ids) else ids
 
     def _durable_ids(self) -> np.ndarray:
         """Durable chunk ids in completion order, oldest first."""
@@ -829,7 +869,8 @@ class DestinationLedger:
         from — the ledger re-bases its mapping there, so repair passes
         (whose checkpoints rewind the byte count) stay consistent.
         """
-        self._materialize()  # fold the previous pass before swapping queues
+        if self._head > self._folded:
+            self._materialize()  # fold the previous pass before swapping queues
         n = len(self._sizes_np)
         full = isinstance(chunk_ids, range) and chunk_ids == range(n)  # O(1)
         if not full:
@@ -873,6 +914,8 @@ class DestinationLedger:
         which handles torn/corrupt outcomes and re-send bookkeeping.
         """
         if self.faults is not None:
+            if self._status_arr is None:
+                self._materialize()  # faulted syncs write the columns in-line
             for event in self.faults.take_data_events(self._clock, t):
                 self._apply_instant(event)
             if t > self._clock:
@@ -952,7 +995,9 @@ class DestinationLedger:
             else:
                 partial += delta
                 delta = 0.0
-        self._head, self._partial = head, partial
+        # Every completion is already in the columns: nothing is deferred.
+        self._head = self._folded = head
+        self._partial = partial
         self._consumed = (self._pend_cum.item(head - 1) if head else 0.0) + partial
         if delta > _COMPLETE_EPS and head >= count:
             raise IntegrityError(
@@ -964,6 +1009,13 @@ class DestinationLedger:
     # ------------------------------------------------------------- queries
     def verified_mask(self) -> np.ndarray:
         """Boolean column: the destination holds the manifest's digest."""
+        if self._status_arr is None:
+            # No columns yet: the deferred completions, each at its
+            # manifest digest, are the only durable chunks.
+            mask = np.zeros(len(self._sizes_np), dtype=bool)
+            if self._head > self._folded:
+                mask[self._deferred()] = True
+            return mask
         self._materialize()
         return self._digest_arr == self._expected_np
 
@@ -977,8 +1029,8 @@ class DestinationLedger:
 
     def demote(self, chunk_ids: list[int]) -> None:
         """Mark chunks non-durable so a repair pass re-transfers them."""
-        self._materialize()
         if len(chunk_ids):
+            self._materialize()
             ids = np.asarray(chunk_ids, dtype=np.int64)
             self._status_arr[ids] = _MISSING
             self._digest_arr[ids] = -1
@@ -1052,6 +1104,7 @@ class DestinationLedger:
         if not isinstance(data, dict):
             raise IntegrityError(f"{where} is a JSON {type(data).__name__}, not an object")
         ledger = cls(manifest, faults, seed=int(_json_number(data, "seed", 0, where)))
+        ledger._materialize()
         chunks = data.get("chunks")
         n = len(manifest)
         if not isinstance(chunks, dict) or len(chunks) != n:
@@ -1107,11 +1160,13 @@ class IntegrityConfig:
 
     #: Verification/recovery granularity.  Smaller chunks bound the bytes
     #: re-sent per corrupt/torn unit more tightly and make resume
-    #: checkpoints finer, at ~49 bytes of manifest and ledger state per
-    #: chunk (~12 MB per TB at 4 MB).  The clean-path verification budget
-    #: is ≤5% of an unverified run's CPU; at 4 MB, a 200 GB transfer's
-    #: 50,000 chunks miss it: ``benchmarks/bench_integrity.py``'s committed
-    #: run reads 6.8% (``within_budget: false``).
+    #: checkpoints finer, at ~20 bytes of manifest state per chunk on a
+    #: clean transfer (~5 MB per TB at 4 MB), and 25 more once the
+    #: ledger's columns exist (a faulted, demoted or resumed transfer).
+    #: The clean-path verification budget is ≤5% of an unverified run's
+    #: CPU; at 4 MB, a 200 GB transfer's 50,000 chunks miss it:
+    #: ``benchmarks/bench_integrity.py``'s committed run reads 6.8%
+    #: (``within_budget: false``).
     chunk_size: float = 4e6
     max_repair_rounds: int = 3
     #: Journal claims buffered between fsync-like flushes.  A crash loses

@@ -1,6 +1,10 @@
 """Resumable sweeps: a re-run of a completed grid skips every cell."""
 
+import pytest
+
+from repro.harness.experiments import EXPERIMENTS
 from repro.harness.grid import run_grid
+from repro.harness.result import ExperimentResult
 from repro.obs.store import ResultsStore
 
 
@@ -42,6 +46,33 @@ def test_partial_grid_only_runs_missing_cells(tmp_path):
     assert widened.skipped == [("figure1", 0)]
     assert store.counts()["runs"] == 3
     assert len(widened.aggregates["figure1"].runs) == 3
+
+
+def test_interrupted_grid_keeps_the_cells_it_finished(tmp_path, monkeypatch):
+    """A Ctrl-C during a later cell keeps every cell already run, so the
+    re-run computes only the cells that are missing."""
+
+    def interrupted(*, fast=True, seed=0):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(EXPERIMENTS, "later", interrupted)
+    db = tmp_path / "results.db"
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(["figure1", "later"], [0, 1], store=db)
+    store = ResultsStore(db)
+    rows = store.runs(kind="experiment")
+    assert sorted((row["scenario"], row["seed"]) for row in rows) == [
+        ("figure1", 0), ("figure1", 1)
+    ]
+
+    def finished(*, fast=True, seed=0):
+        return ExperimentResult("later", summary={"seed": float(seed)}, tables=[])
+
+    monkeypatch.setitem(EXPERIMENTS, "later", finished)
+    rerun = run_grid(["figure1", "later"], [0, 1], store=db)
+    assert rerun.ok
+    assert sorted(rerun.skipped) == [("figure1", 0), ("figure1", 1)]
+    assert store.counts()["runs"] == 4
 
 
 def test_resume_false_recomputes_everything(tmp_path):

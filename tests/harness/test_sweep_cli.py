@@ -147,6 +147,8 @@ class TestExitCodeRule:
         assert code == 1
         captured = capsys.readouterr()
         assert "FAILED flaky seed 1: RuntimeError: seed 1 exploded" in captured.err
+        # The frame that raised, from a worker as from the serial loop.
+        assert 'in _flaky\n    raise RuntimeError("seed 1 exploded")\n' in captured.err
         assert "flaky over seeds [0, 2]" in captured.out
         rows = ResultsStore(db).runs(kind="experiment")
         assert sorted(row["seed"] for row in rows) == [0, 2]

@@ -34,6 +34,12 @@ def _raise_on_odd(x):
     return x
 
 
+def _interrupt_on_two(x):
+    if x == 2:
+        raise KeyboardInterrupt  # a Ctrl-C while this task runs
+    return x
+
+
 def _sleep_if_slow(x):
     if x == "slow":
         time.sleep(30.0)
@@ -83,6 +89,16 @@ class TestFailures:
         assert "ValueError" in outcomes[1].error
         assert outcomes[0].value == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_keeps_its_traceback(self, workers):
+        outcomes = ParallelMap(_raise_on_odd, workers=workers).map([0, 1])
+        assert outcomes[0].traceback is None
+        assert outcomes[1].error == "ValueError: odd 1"
+        trace = outcomes[1].traceback
+        assert trace.startswith("Traceback (most recent call last):")
+        assert trace.rstrip().endswith("ValueError: odd 1")
+        assert 'in _raise_on_odd\n    raise ValueError(f"odd {x}")' in trace
+
     def test_map_values_raises_with_failures(self):
         with pytest.raises(ParallelMapError) as err:
             ParallelMap(_raise_on_odd, workers=2).map_values(list(range(4)))
@@ -95,6 +111,7 @@ class TestFailures:
         outcomes = ParallelMap(_crash_on_boom, workers=2).map(items)
         assert [o.ok for o in outcomes] == [True, True, False, True, True]
         assert "exitcode" in outcomes[2].error
+        assert outcomes[2].traceback is None  # nothing raised: no frame to show
         assert [o.value for o in outcomes if o.ok] == ["a", "b", "c", "d"]
 
     def test_crash_does_not_kill_parent_for_single_item(self):
@@ -107,6 +124,27 @@ class TestFailures:
         outcomes = ParallelMap(_sleep_if_slow, workers=2, timeout=0.5).map(items)
         assert [o.ok for o in outcomes] == [True, False, True]
         assert "timeout" in outcomes[1].error
+
+
+class TestOnOutcome:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_final_outcome_is_reported_once(self, workers):
+        seen = []
+        outcomes = ParallelMap(
+            _raise_on_odd, workers=workers, retries=1, backoff_base=0.01
+        ).map(list(range(6)), on_outcome=seen.append)
+        seen.sort(key=lambda outcome: outcome.index)
+        assert len(seen) == len(outcomes)
+        assert all(reported is final for reported, final in zip(seen, outcomes))
+        assert [o.attempts for o in seen] == [1, 2, 1, 2, 1, 2]
+
+    def test_outcomes_before_an_interrupt_are_reported(self):
+        seen = []
+        with pytest.raises(KeyboardInterrupt):
+            ParallelMap(_interrupt_on_two, workers=1).map(
+                [0, 1, 2, 3], on_outcome=seen.append
+            )
+        assert [(o.index, o.value) for o in seen] == [(0, 0), (1, 1)]
 
 
 class TestRetries:

@@ -1,5 +1,6 @@
 """End-to-end integrity: manifest, journal, ledger, verified resume/repair."""
 
+import copy
 import functools
 import gc
 import hashlib
@@ -42,14 +43,16 @@ from repro.workloads import mixed_dataset
 from tests.transfer import journal_oracle
 
 
-def make_supervisor(faults=None, *, max_seconds=240.0, gigabytes=2):
+def make_supervisor(faults=None, *, max_seconds=240.0, gigabytes=2, dataset=None, scale=1.0):
+    """A supervised transfer of ``gigabytes`` 1 GB files (or ``dataset``)
+    over a testbed whose rates and buffers are multiplied by ``scale``."""
     testbed = Testbed(
         TestbedConfig(
-            source=StorageConfig(tpt=80, bandwidth=1000),
-            destination=StorageConfig(tpt=200, bandwidth=1000),
-            network=NetworkConfig(tpt=160, capacity=1000, ramp_time=0.0),
-            sender_buffer_capacity=1.0 * GiB,
-            receiver_buffer_capacity=1.0 * GiB,
+            source=StorageConfig(tpt=80 * scale, bandwidth=1000 * scale),
+            destination=StorageConfig(tpt=200 * scale, bandwidth=1000 * scale),
+            network=NetworkConfig(tpt=160 * scale, capacity=1000 * scale, ramp_time=0.0),
+            sender_buffer_capacity=1.0 * GiB * scale,
+            receiver_buffer_capacity=1.0 * GiB * scale,
             max_threads=30,
         ),
         rng=0,
@@ -57,7 +60,7 @@ def make_supervisor(faults=None, *, max_seconds=240.0, gigabytes=2):
     )
     engine = ModularTransferEngine(
         testbed,
-        uniform_dataset(gigabytes, 1e9),
+        dataset if dataset is not None else uniform_dataset(gigabytes, 1e9),
         StaticController((13, 7, 5)),
         EngineConfig(max_seconds=max_seconds, seed=0),
     )
@@ -735,7 +738,7 @@ class TestZeroCopyPipeline:
             for _cid, file, index, *_ in manifest.to_dict()["chunks"]
         ]
         assert len(oracle) == sum(max(1, int(size)) for _, size in files)
-        assert manifest.digests_np.dtype == np.int64
+        assert manifest.digests_np.dtype == np.uint32
         assert manifest.digests_np.tolist() == oracle
 
     def test_mixed_manifest_digests_are_pinned(self):
@@ -786,9 +789,9 @@ class TestColumnarLedgerViews:
 class TestOneColumnPerField:
     def test_one_terabyte_state_is_at_most_64_bytes_a_chunk(self):
         # 1 TB at 4 MB chunks: 250k chunks.  The manifest keeps its size,
-        # digest and cumulative-size columns (24 bytes a chunk), the ledger
-        # its status, digest, send and sequence columns (25) and a queue
-        # over the manifest's own cumulative column; no per-chunk copy.
+        # digest and cumulative-size columns (20 bytes a chunk), and the
+        # ledger a queue over the manifest's own cumulative column; no
+        # per-chunk copy.
         dataset = uniform_dataset(1000, 1e9)
         gc.collect()
         tracemalloc.start()
@@ -830,6 +833,123 @@ class TestOneColumnPerField:
         assert np.sum(kept) > start_bytes
         assert type(start_bytes) is float
         journal.close()
+
+    @pytest.mark.parametrize(
+        ("name", "chunks", "bound"), [("large", 25_000, 22), ("mixed", 25_881, 32)]
+    )
+    def test_clean_transfer_keeps_only_the_manifest_columns(self, tmp_path, name, chunks, bound):
+        # A clean transfer reads only the manifest's sizes and running byte
+        # totals, and its final verify reads the ledger's queue: it keeps
+        # the manifest's 20 bytes a chunk (8 size, 4 digest, 8 running
+        # total) and, on Mixed's 1,591 files, the file table; no ledger
+        # column, and no copy of the digest column in the journal.
+        if name == "large":
+            dataset = uniform_dataset(25, 4e9)
+        else:
+            dataset = mixed_dataset(total_bytes=1e11, rng=0)
+        supervisor = make_supervisor(dataset=dataset, scale=100.0, max_seconds=3600.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vt = VerifiedTransfer.for_supervisor(
+                supervisor, tmp_path, IntegrityConfig(chunk_size=4e6)
+            )
+            result = vt.run()
+            vt.journal.close()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result.clean
+        assert len(vt.manifest) == chunks
+        assert kept / chunks <= bound
+        assert vt.ledger._status_arr is None
+        assert vt.journal._expected is vt.manifest.digests_np
+
+
+class EagerLedger(DestinationLedger):
+    """A ledger that folds its columns after every sync: the reference a
+    lazily held ledger's answers must equal."""
+
+    def sync(self, bytes_total, t, journal=None):
+        super().sync(bytes_total, t, journal)
+        self._materialize()
+
+
+def ledger_views(ledger):
+    """Every query of ``ledger``, asked of a copy (a query may create the
+    columns, which would end the laziness under test)."""
+    ledger = copy.deepcopy(ledger)
+    return {
+        "verify": ledger.verify(),
+        "mask": ledger.verified_mask().tolist(),
+        "verified_bytes": ledger.verified_bytes,
+        "status_counts": ledger.status_counts(),
+        "send_counts": ledger.send_counts,
+        "to_dict": ledger.to_dict(),
+    }
+
+
+def drive_ledger(ledger, scenario, journal):
+    """Run ``scenario`` on ``ledger``, yielding after each step: a full or
+    partial pass in five syncs, then a pass over the rest, a demote and
+    repair pass, or a verified resume after the third sync."""
+    manifest = ledger.manifest
+    partial = scenario in ("partial", "partial-then-rest")
+    ids = [1, 2, 3, 7, 8, 12] if partial else range(len(manifest))
+    end = float(manifest.sizes_np[list(ids)].sum())
+    ledger.begin_pass(ids, start_bytes=0.0)
+    yield
+    for i in range(1, 4 if scenario == "resume" else 6):
+        ledger.sync(end * i / 5, 3.0 * i, journal)
+        yield
+    if scenario == "partial-then-rest":
+        rest = sorted(set(range(len(manifest))) - set(ids))
+        ledger.begin_pass(rest, start_bytes=end)
+        yield
+        for i in range(1, 4):
+            ledger.sync(end + (manifest.total_bytes - end) * i / 3, 15.0 + i, journal)
+            yield
+    if scenario == "resume":
+        journal.flush()
+        VerifiedTransfer(None, manifest, ledger, journal)._verified_resume()
+        yield
+        ledger.sync(end, 10.0, journal)
+        yield
+    if scenario in ("demote-repair", "faulted"):
+        bad = [2, 5, 6] if scenario == "demote-repair" else ledger.verify()
+        assert bad
+        ledger.demote(bad)
+        yield
+        rewind = float(manifest.sizes_np[bad].sum())
+        ledger.begin_pass(bad, start_bytes=end - rewind)
+        for i in range(1, 4):
+            ledger.sync(end - rewind + rewind * i / 3, 15.0 + i, journal)
+            yield
+
+
+class TestLazyLedgerColumns:
+    @pytest.mark.parametrize(
+        "scenario", ["full", "partial", "partial-then-rest", "demote-repair", "resume", "faulted"]
+    )
+    def test_lazy_ledger_answers_as_an_eager_one(self, tmp_path, scenario):
+        manifest = make_manifest(files=3, chunk_size=0.2e9)
+        runs = []
+        for cls in (DestinationLedger, EagerLedger):
+            faults = FaultSchedule(list(FAULTED)) if scenario == "faulted" else None
+            ledger = cls(manifest, faults, seed=1)
+            journal = ChunkJournal(tmp_path / f"{cls.__name__}.jsonl", manifest.digests_np)
+            runs.append((ledger, journal, drive_ledger(ledger, scenario, journal)))
+        (lazy, lazy_journal, lazy_steps), (eager, eager_journal, eager_steps) = runs
+        for step, _ in enumerate(zip(lazy_steps, eager_steps, strict=True)):
+            assert ledger_views(lazy) == ledger_views(eager), (scenario, step)
+        lazy_journal.close()
+        eager_journal.close()
+        # Only a second pass, a demote, a resume (which demotes) or a fault
+        # needs the columns.
+        assert (lazy._status_arr is None) == (scenario in ("full", "partial"))
+
 
 def _journal_lines(tmp_path, kind):
     """The journal of a clean run, a faulted run, or a crash-with-torn-tail
