@@ -33,6 +33,7 @@ drift signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro import obs as telemetry
@@ -127,7 +128,12 @@ class AdaptiveController:
 
     # ------------------------------------------------------------- telemetry
     def _observe_interval(self, obs: Observation) -> tuple[float, bool, bool]:
-        """Derive (goodput, stalled, retried) drift signals from one interval."""
+        """Derive (goodput, stalled, retried) drift signals from one interval.
+
+        A non-finite goodput (a probe dropout reads NaN) is no sample: the
+        EMA skips it, as the drift detectors do, instead of staying NaN for
+        the rest of the run.
+        """
         goodput = float(obs.throughputs[2])
         stalled = (
             self._last_bytes is not None
@@ -136,11 +142,12 @@ class AdaptiveController:
         self._last_bytes = obs.bytes_written_total
         retried = self._pending_retry
         self._pending_retry = False
-        if self._ema is None:
-            self._ema = goodput
-        else:
-            a = self.config.ema_alpha
-            self._ema = a * goodput + (1.0 - a) * self._ema
+        if math.isfinite(goodput):
+            if self._ema is None:
+                self._ema = goodput
+            else:
+                a = self.config.ema_alpha
+                self._ema = a * goodput + (1.0 - a) * self._ema
         return goodput, stalled, retried
 
     def _event(self, t: float, what: str) -> None:

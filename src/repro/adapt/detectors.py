@@ -194,12 +194,16 @@ class DriftMonitorConfig:
         require_positive(self.retry_threshold, "retry_threshold")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriftSignal:
     """One drift verdict with its contributing channels."""
 
     drifted: bool
     channels: tuple[str, ...] = field(default_factory=tuple)
+
+
+#: The verdict of an interval on which no channel is in alarm, shared.
+_QUIET = DriftSignal(drifted=False)
 
 
 class DriftMonitor:
@@ -237,18 +241,21 @@ class DriftMonitor:
         self, *, throughput: float, stalled: bool, retried: bool
     ) -> DriftSignal:
         """Feed one supervisor interval; return the composite verdict."""
-        channels: list[str] = []
-        if self.throughput.update(throughput):
-            channels.append("throughput")
-        if self.stalls.update(1.0 if stalled else 0.0):
-            channels.append("stalls")
-        if self.retries.update(1.0 if retried else 0.0):
-            channels.append("retries")
-        drifted = bool(channels)
-        if drifted and not self._was_drifted:
+        in_throughput = self.throughput.update(throughput)
+        in_stalls = self.stalls.update(1.0 if stalled else 0.0)
+        in_retries = self.retries.update(1.0 if retried else 0.0)
+        if not (in_throughput or in_stalls or in_retries):
+            self._was_drifted = False
+            return _QUIET
+        if not self._was_drifted:
             self.detections += 1  # rising edge: one detection per alarm episode
-        self._was_drifted = drifted
-        return DriftSignal(drifted=drifted, channels=tuple(channels))
+        self._was_drifted = True
+        channels = ("throughput",) if in_throughput else ()
+        if in_stalls:
+            channels += ("stalls",)
+        if in_retries:
+            channels += ("retries",)
+        return DriftSignal(drifted=True, channels=channels)
 
     def rebaseline(self) -> None:
         """Re-arm every channel against the current regime."""

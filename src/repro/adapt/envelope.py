@@ -65,16 +65,25 @@ class SafetyEnvelope:
 
         ``counts`` (stage name → clamp count) is incremented in place for
         each stage whose proposal had to be altered.
+
+        ``min``/``max`` become their exact ``b if b < a else a`` expansions,
+        which return what they would for any comparable values.
         """
+        step = self.max_delta_per_interval
+        floors, ceilings = self.min_threads, self.max_threads
         clamped = []
-        for i, stage in enumerate(_STAGES):
-            value = int(proposal[i])
+        for i in 0, 1, 2:
+            wanted = int(proposal[i])
+            value = wanted
             if previous is not None:
-                lo_step = previous[i] - self.max_delta_per_interval
-                hi_step = previous[i] + self.max_delta_per_interval
-                value = min(max(value, lo_step), hi_step)
-            value = min(max(value, self.min_threads[i]), self.max_threads[i])
-            if counts is not None and value != int(proposal[i]):
+                lo, hi = previous[i] - step, previous[i] + step
+                value = lo if lo > value else value
+                value = hi if hi < value else value
+            lo, hi = floors[i], ceilings[i]
+            value = lo if lo > value else value
+            value = hi if hi < value else value
+            if counts is not None and value != wanted:
+                stage = _STAGES[i]
                 counts[stage] = counts.get(stage, 0) + 1
             clamped.append(value)
         return (clamped[0], clamped[1], clamped[2])

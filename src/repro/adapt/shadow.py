@@ -21,6 +21,7 @@ unproven candidate.  The machinery:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -113,12 +114,13 @@ class ShadowEvaluator:
         tpt: list[float] = []
         cap: list[float] = []
         for stage in range(3):
-            ratios = [
-                tp[stage] / max(n[stage], 1)
-                for n, tp in self._probes
-                if tp[stage] > _EPS
+            # A non-finite reading (a probe dropout's NaN) is no sample: a
+            # NaN in ``max`` would make the cap NaN, and ``min(x, nan)`` is x.
+            readings = [
+                (n[stage], tp[stage]) for n, tp in self._probes if math.isfinite(tp[stage])
             ]
-            best = max((tp[stage] for _, tp in self._probes), default=0.0)
+            ratios = [tp / max(n, 1) for n, tp in readings if tp > _EPS]
+            best = max((tp for _, tp in readings), default=0.0)
             if not ratios or best <= _EPS:
                 return None  # a silent stage: the model would divide by faith
             tpt.append(_median(ratios))

@@ -289,6 +289,16 @@ class FaultSchedule:
         self.events: tuple[FaultEventSpec, ...] = tuple(events)
         self._restarts = [e for e in self.events if isinstance(e, ReceiverRestart)]
         self._windows = [e for e in self.events if isinstance(e, FaultWindow)]
+        #: The windows of each kind a per-interval or per-chunk query reads,
+        #: in schedule order, split once here so that no query filters the
+        #: whole schedule by type (most schedules hold none of a kind).
+        self._flaps = [e for e in self._windows if isinstance(e, LinkFlap)]
+        self._stalls = [e for e in self._windows if isinstance(e, StorageStall)]
+        self._dropouts = [e for e in self._windows if isinstance(e, ProbeDropout)]
+        self._report_losses = [e for e in self._windows if isinstance(e, ReportLoss)]
+        self._inflight = [
+            e for e in self._windows if isinstance(e, DataCorruption) and e.site == "network"
+        ]
         #: Condition-drift events (ramps and steps); split per application
         #: point so the testbed pays nothing when a schedule has none.
         drifts = [e for e in self.events if isinstance(e, (BandwidthRamp, StepChange))]
@@ -327,9 +337,7 @@ class FaultSchedule:
     def network_scale(self, t: float) -> float:
         """Multiplier on the network path rate at virtual time ``t``."""
         scale = 1.0
-        for event in self._windows:
-            if not isinstance(event, LinkFlap):
-                continue
+        for event in self._flaps:
             down = event.active(t) or (
                 event.requires_restart and t >= event.end and self._last_restart < event.end
             )
@@ -343,8 +351,8 @@ class FaultSchedule:
     def storage_scale(self, stage: str, t: float) -> float:
         """Multiplier on the ``stage`` storage rate at virtual time ``t``."""
         scale = 1.0
-        for event in self._windows:
-            if isinstance(event, StorageStall) and event.stage == stage and event.active(t):
+        for event in self._stalls:
+            if event.stage == stage and event.active(t):
                 scale *= event.factor
         for event in self._aggregate_drifts:
             if event.stage == stage:
@@ -392,13 +400,17 @@ class FaultSchedule:
 
     def probe_dropout(self, t: float) -> bool:
         """Whether the throughput probe is down at virtual time ``t``."""
-        return any(
-            isinstance(e, ProbeDropout) and e.active(t) for e in self._windows
-        )
+        for event in self._dropouts:
+            if event.active(t):
+                return True
+        return False
 
     def report_lost(self, t: float) -> bool:
         """Whether the receiver's RPC report is dropped at virtual time ``t``."""
-        return any(isinstance(e, ReportLoss) and e.active(t) for e in self._windows)
+        for event in self._report_losses:
+            if event.active(t):
+                return True
+        return False
 
     def take_receiver_restarts(self, t0: float, t1: float) -> int:
         """Fire (once each) the receiver restarts scheduled in ``[t0, t1)``."""
@@ -417,8 +429,8 @@ class FaultSchedule:
         independent corruption opportunities: ``1 - prod(1 - rate_i)``.
         """
         survival = 1.0
-        for event in self._windows:
-            if isinstance(event, DataCorruption) and event.site == "network" and event.active(t):
+        for event in self._inflight:
+            if event.active(t):
                 survival *= 1.0 - event.rate
         return 1.0 - survival
 

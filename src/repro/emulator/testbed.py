@@ -37,6 +37,10 @@ from repro.utils.rng import as_generator
 from repro.utils.units import GiB, bytes_per_sec_to_mbps, mbps_to_bytes_per_sec
 
 
+#: The noise factors of a testbed whose ``noise_sigma`` is zero.
+_NO_NOISE = (1.0, 1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class TestbedConfig:
     """Full description of an emulated testbed pair.
@@ -84,9 +88,14 @@ class TestbedConfig:
         return min(self.source.bandwidth, self.network.capacity, self.destination.bandwidth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StageFlows:
-    """What happened on the testbed during one :meth:`Testbed.advance` window."""
+    """What happened on the testbed during one :meth:`Testbed.advance` window.
+
+    Frozen, compared and replaced like any dataclass; the constructor fills
+    the instance dict in one update instead of one frozen ``__setattr__``
+    per field, since every interval builds one.
+    """
 
     duration: float
     bytes_read: float
@@ -102,10 +111,63 @@ class StageFlows:
     threads: tuple[int, int, int]
     effective_streams: float
 
+    def __init__(
+        self,
+        duration: float,
+        bytes_read: float,
+        bytes_networked: float,
+        bytes_written: float,
+        throughput_read: float,
+        throughput_network: float,
+        throughput_write: float,
+        sender_usage: float,
+        receiver_usage: float,
+        sender_free: float,
+        receiver_free: float,
+        threads: tuple[int, int, int],
+        effective_streams: float,
+    ) -> None:
+        self.__dict__.update(
+            duration=duration,
+            bytes_read=bytes_read,
+            bytes_networked=bytes_networked,
+            bytes_written=bytes_written,
+            throughput_read=throughput_read,
+            throughput_network=throughput_network,
+            throughput_write=throughput_write,
+            sender_usage=sender_usage,
+            receiver_usage=receiver_usage,
+            sender_free=sender_free,
+            receiver_free=receiver_free,
+            threads=threads,
+            effective_streams=effective_streams,
+        )
+
     @property
     def throughputs(self) -> tuple[float, float, float]:
         """``(t_r, t_n, t_w)`` in Mbps."""
         return (self.throughput_read, self.throughput_network, self.throughput_write)
+
+
+def threads_in_range(threads, max_threads) -> bool:
+    """Whether ``threads`` is a tuple of three ``int`` in ``[1, max_threads]``.
+
+    Such a triple is what every thread-count clamp returns for it: rounding
+    an int changes nothing, and the rails do not bind.  Callers return it
+    as is and keep their general path for anything else (floats, numpy
+    scalars, other lengths, other sequence types).
+    """
+    if type(threads) is not tuple or len(threads) != 3:
+        return False
+    read, network, write = threads
+    return (
+        type(read) is int
+        and type(network) is int
+        and type(write) is int
+        and 1 <= read <= max_threads
+        and 1 <= network <= max_threads
+        and 1 <= write <= max_threads
+    )
 
 
 class Testbed:
@@ -223,6 +285,8 @@ class Testbed:
     # ------------------------------------------------------------------- step
     def _clamp_threads(self, threads) -> tuple[int, int, int]:
         n_max = self.config.max_threads
+        if threads_in_range(threads, n_max):
+            return threads  # what the rounding clamp below returns, unchanged
         clamped = tuple(int(min(n_max, max(1, round(float(n))))) for n in threads)
         if len(clamped) != 3:
             raise SimulationError(f"expected 3 thread counts, got {threads!r}")
@@ -248,13 +312,19 @@ class Testbed:
         once (also when a negative flow raises).  It performs the float
         operations of the per-substep method calls it replaces, in their
         order (a value whose inputs are fixed for the interval, such as a
-        storage stage's bytes per substep, is computed once):
+        storage stage's bytes per substep, is computed once, and the network
+        rate once per stream count):
         ``min``/``max`` become their exact ``b if b < a else a`` expansions,
         so NaN and signed zeros behave as before.
         """
         require_positive(duration, "duration")
         n = self._clamp_threads(threads)
-        noise = [proc.step() for proc in self._noise]
+        # A zero-sigma process steps to 1.0 and keeps no state.
+        noise = (
+            [proc.step() for proc in self._noise]
+            if self.config.noise_sigma != 0.0
+            else _NO_NOISE
+        )
 
         dt = min(self.config.substep, duration)
         steps = max(1, int(round(duration / dt)))
@@ -304,6 +374,12 @@ class Testbed:
         available = spare if spare > 0.0 else 0.0
         fe_net, noise_net, rate_cap = file_efficiency[1], noise[1], self.rate_cap
         net_tpt_scale = 1.0
+        # Unless the scales are sampled or background traffic moves the
+        # spare capacity, the network rate is a function of the stream
+        # count alone: it is computed again only when the ramp moved it.
+        rate_varies = sampled or level_at is not None
+        rate_streams = None  # the stream count ``rate`` was computed for
+        rate = 0.0
 
         sender, receiver = self.sender_buffer, self.receiver_buffer
         cap_s, cap_r = sender.capacity, receiver.capacity
@@ -344,23 +420,25 @@ class Testbed:
                 else:
                     ramped = streams + (requested - streams) * ramp_frac + half_dt
                     streams = ramped if ramped < requested else requested
-                if streams <= 0.0:
-                    rate = 0.0
-                else:
-                    if level_at is not None:
-                        spare = net.capacity - level_at(now)
-                        available = spare if spare > 0.0 else 0.0
-                    rate = streams * net_tpt * net_tpt_scale
-                    if available < rate:
-                        rate = available
-                    excess = streams - knee
-                    if excess > 0.0 and alpha != 0.0:
-                        rate = rate * (1.0 / (1.0 + alpha * excess**1.5)) * fe_net
+                if rate_varies or streams != rate_streams:
+                    rate_streams = streams
+                    if streams <= 0.0:
+                        rate = 0.0
                     else:
-                        rate = rate * fe_net
-                rate = rate * noise_net * 1e6 / 8.0 * f_net
-                if rate_cap < rate:
-                    rate = rate_cap
+                        if level_at is not None:
+                            spare = net.capacity - level_at(now)
+                            available = spare if spare > 0.0 else 0.0
+                        rate = streams * net_tpt * net_tpt_scale
+                        if available < rate:
+                            rate = available
+                        excess = streams - knee
+                        if excess > 0.0 and alpha != 0.0:
+                            rate = rate * (1.0 / (1.0 + alpha * excess**1.5)) * fe_net
+                        else:
+                            rate = rate * fe_net
+                    rate = rate * noise_net * 1e6 / 8.0 * f_net
+                    if rate_cap < rate:
+                        rate = rate_cap
 
                 # Desired amounts from the state at substep start (no
                 # in-substep pass-through: a byte must rest in the buffer at

@@ -53,13 +53,15 @@ _INTERVAL_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Observation:
     """What a controller sees at each decision point.
 
     Matches the paper's PPO state space (§IV-D1): current thread counts,
     per-stage throughputs, and unused buffer space at both ends (the
     receiver's via the RPC channel, hence possibly one interval stale).
+    Frozen, compared and replaced like any dataclass; the constructor fills
+    the instance dict in one update, since every interval builds one.
     """
 
     threads: tuple[int, int, int]
@@ -71,6 +73,30 @@ class Observation:
     elapsed: float
     bytes_written_total: float
     done: bool = False
+
+    def __init__(
+        self,
+        threads: tuple[int, int, int],
+        throughputs: tuple[float, float, float],
+        sender_free: float,
+        receiver_free: float,
+        sender_capacity: float,
+        receiver_capacity: float,
+        elapsed: float,
+        bytes_written_total: float,
+        done: bool = False,
+    ) -> None:
+        self.__dict__.update(
+            threads=threads,
+            throughputs=throughputs,
+            sender_free=sender_free,
+            receiver_free=receiver_free,
+            sender_capacity=sender_capacity,
+            receiver_capacity=receiver_capacity,
+            elapsed=elapsed,
+            bytes_written_total=bytes_written_total,
+            done=done,
+        )
 
     @property
     def sender_usage(self) -> float:
@@ -276,10 +302,10 @@ class ModularTransferEngine:
         require_non_negative(start_time, "start_time")
         self.testbed.reset(start_time=start_time)
         self.controller.reset()
+        # The probe seed is drawn whether or not the probe is noisy, so the
+        # engine's stream advances alike across configurations.
         probe = ThroughputProbe(
-            cfg.probe_noise,
-            cfg.probe_smoothing,
-            rng=np.random.default_rng(self._rng.integers(2**63)),
+            cfg.probe_noise, cfg.probe_smoothing, rng=self._rng.integers(2**63)
         )
         rpc = BufferReportChannel(
             cfg.rpc_delay, initial_value=self.testbed.receiver_buffer.free

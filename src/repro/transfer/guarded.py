@@ -27,8 +27,11 @@ import math
 from dataclasses import replace
 
 from repro import obs as telemetry
+from repro.emulator.testbed import threads_in_range
 from repro.transfer.engine import Controller, Observation
 from repro.utils.config import require_positive
+
+_INF = math.inf
 
 
 def _finite(value: float, fallback: float = 0.0) -> float:
@@ -83,7 +86,33 @@ class GuardedController:
 
     # ------------------------------------------------------------- sanitation
     def _sanitize(self, obs: Observation) -> tuple[Observation, bool]:
-        """Return a finite, consistent observation and whether it was dirty."""
+        """Return a finite, consistent observation and whether it was dirty.
+
+        A clean observation (three finite non-negative throughputs, finite
+        positive capacities, each free figure in ``[0, capacity]``) passes
+        the straight-line check and is returned as it is.  Anything else,
+        including fields the check cannot compare, takes the field-by-field
+        repair, which may still find it clean (another throughput count,
+        say) or raise for it as it always did.
+        """
+        try:
+            throughputs = obs.throughputs
+            sender_capacity = obs.sender_capacity
+            receiver_capacity = obs.receiver_capacity
+            clean = (
+                len(throughputs) == 3
+                and 0.0 <= throughputs[0] < _INF
+                and 0.0 <= throughputs[1] < _INF
+                and 0.0 <= throughputs[2] < _INF
+                and 0.0 < sender_capacity < _INF
+                and 0.0 < receiver_capacity < _INF
+                and 0.0 <= obs.sender_free <= sender_capacity
+                and 0.0 <= obs.receiver_free <= receiver_capacity
+            )
+        except (TypeError, ValueError):
+            clean = False
+        if clean:
+            return obs, False
         throughputs = tuple(max(0.0, _finite(v)) for v in obs.throughputs)
         sender_capacity = obs.sender_capacity
         receiver_capacity = obs.receiver_capacity
@@ -114,20 +143,30 @@ class GuardedController:
 
     # ----------------------------------------------------------- output checks
     def _proposal_pathology(self, proposal) -> str | None:
-        try:
-            triple = tuple(float(n) for n in proposal)
-        except (TypeError, ValueError):
-            return "malformed"
-        if len(triple) != 3 or any(not math.isfinite(n) for n in triple):
-            return "malformed"
-        if any(n < 1 or n > self.max_threads for n in triple):
-            self._range_streak += 1
-            if self._range_streak >= self.out_of_range_limit:
-                return "out_of_range"
-        else:
+        """Why ``proposal`` marks the primary as misbehaving, or None.
+
+        An in-range int triple (:func:`threads_in_range`) is in range by
+        construction and needs no conversion; only the thrash check reads it.
+        """
+        if threads_in_range(proposal, self.max_threads):
+            triple = proposal
             self._range_streak = 0
-        if self._last_proposal is not None:
-            jump = sum(abs(a - b) for a, b in zip(triple, self._last_proposal))
+        else:
+            try:
+                triple = tuple(float(n) for n in proposal)
+            except (TypeError, ValueError):
+                return "malformed"
+            if len(triple) != 3 or any(not math.isfinite(n) for n in triple):
+                return "malformed"
+            if any(n < 1 or n > self.max_threads for n in triple):
+                self._range_streak += 1
+                if self._range_streak >= self.out_of_range_limit:
+                    return "out_of_range"
+            else:
+                self._range_streak = 0
+        last = self._last_proposal
+        if last is not None:
+            jump = abs(triple[0] - last[0]) + abs(triple[1] - last[1]) + abs(triple[2] - last[2])
             if jump >= self.thrash_threshold:
                 self._thrash_streak += 1
                 if self._thrash_streak >= self.thrash_window:
@@ -137,6 +176,8 @@ class GuardedController:
         return None
 
     def _clamp(self, proposal) -> tuple[int, int, int]:
+        if threads_in_range(proposal, self.max_threads):
+            return proposal  # what rounding and clamping make of it
         triple = []
         for n in proposal:
             value = float(n)

@@ -152,6 +152,28 @@ def _ordered_sum(values: np.ndarray) -> float:
     return np.add.accumulate(values).item(-1) if len(values) else 0.0
 
 
+#: A decoder built as :func:`json.loads` builds its own.
+_DECODER = json.JSONDecoder()
+
+
+def _parse_line(line: str):
+    """``json.loads(line)`` for a stripped journal line, without its wrapper.
+
+    ``raw_decode`` runs the scanner ``loads`` runs.  When it reads the whole
+    line as one value, ``loads`` returns that value, since a stripped line
+    has no whitespace around it to skip.  Any other line (no value, extra
+    data, a leading BOM) goes to ``loads`` itself, which returns or raises
+    for it as before.
+    """
+    try:
+        value, end = _DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(line):
+        return json.loads(line)
+    return value
+
+
 def _json_number(data: dict, key: str, default, where: str):
     """``data[key]`` (``default`` when absent), which must be a JSON number."""
     value = data.get(key, default)
@@ -596,7 +618,8 @@ class ChunkJournal:
         expected = self._expected
         n = len(expected)
         try:
-            fh = self.path.open("rb")
+            # Unbuffered: the remainder is read whole, in one call.
+            fh = open(self.path, "rb", buffering=0)
         except FileNotFoundError:
             self._rewind()
             return np.full(n, -1, dtype=np.int64)
@@ -619,7 +642,7 @@ class ChunkJournal:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                records.append(_parse_line(line))
             except json.JSONDecodeError as exc:
                 if i < len(lines) - 1:
                     raise ValueError(
@@ -776,15 +799,18 @@ class DestinationLedger:
             digest = crc32c(b"!", value=digest)
         return digest
 
-    def _complete_chunk(self, chunk_id: int, t: float) -> int:
-        """Mark one chunk durable; returns the digest the destination holds."""
+    def _complete_chunk(self, chunk_id: int, rate: float) -> int:
+        """Mark one chunk durable; returns the digest the destination holds.
+
+        ``rate`` is the in-flight corruption probability at the sync's
+        instant (:meth:`FaultSchedule.corruption_rate`), read once per sync.
+        """
         send = self._send_arr.item(chunk_id) + 1
         self._send_arr[chunk_id] = send
         if self._torn_pending:
             self._torn_pending = False
             code, digest = _TORN, self._divergent_digest(chunk_id, b"|torn:%d" % send)
         else:
-            rate = self.faults.corruption_rate(t) if self.faults is not None else 0.0
             if rate > 0.0 and self._uniform(_DRAW_INFLIGHT, chunk_id, send) < rate:
                 code, digest = _CORRUPT, self._divergent_digest(
                     chunk_id, b"|flip:%d" % send
@@ -981,6 +1007,8 @@ class DestinationLedger:
         # Python ints from either queue: a ``range`` yields them, and
         # ``ndarray.item`` returns one without building a numpy scalar.
         chunk_at = pending.__getitem__ if type(pending) is range else pending.item
+        # Every chunk this sync completes, completes at ``t``.
+        rate = self.faults.corruption_rate(t)
         ids: list[int] = []
         digests: list[int] = []
         while delta > 0.0 and head < count:
@@ -991,7 +1019,7 @@ class DestinationLedger:
                 partial = 0.0
                 head += 1
                 ids.append(chunk_id)
-                digests.append(self._complete_chunk(chunk_id, t))
+                digests.append(self._complete_chunk(chunk_id, rate))
             else:
                 partial += delta
                 delta = 0.0
@@ -1320,13 +1348,16 @@ class VerifiedTransfer:
         are NOT trusted: conservative WAL semantics re-transfer them.
         """
         claims = self.journal.replay()
-        ok = (claims == self.manifest.digests_np) & self.ledger.verified_mask()
-        pending = np.flatnonzero(~ok)
+        ok = claims == self.manifest.digests_np
+        ok &= self.ledger.verified_mask()
+        unverified = ~ok
+        pending = np.flatnonzero(unverified)
         self.ledger.demote(pending)
         start_bytes = _ordered_sum(self.manifest.sizes_np[ok])
         self.ledger.begin_pass(pending, start_bytes=start_bytes)
-        resent = np.flatnonzero((claims >= 0) & ~ok).tolist()
-        return start_bytes, int(np.count_nonzero(ok)), resent
+        unverified &= claims >= 0
+        resent = np.flatnonzero(unverified).tolist()
+        return start_bytes, len(ok) - len(pending), resent
 
     # ------------------------------------------------------------------ run
     def run(

@@ -28,11 +28,26 @@ class ThroughputProbe:
         require_in_range(smoothing, 0.0, 0.99, "smoothing")
         self.noise_sigma = noise_sigma
         self.smoothing = smoothing
-        self._rng = as_generator(rng)
+        # Only a noisy probe draws: a silent one never builds its generator.
+        self._rng = as_generator(rng) if noise_sigma > 0.0 else None
         self._ewma: np.ndarray | None = None
 
     def observe(self, throughputs: tuple[float, float, float]) -> tuple[float, float, float]:
-        """Return the measured (noisy, optionally smoothed) throughputs."""
+        """Return the measured (noisy, optionally smoothed) throughputs.
+
+        Without noise or smoothing, a tuple of three floats is returned as
+        it is: the numpy round trip below would rebuild the same floats.
+        """
+        if (
+            self.noise_sigma == 0.0
+            and self.smoothing == 0.0
+            and type(throughputs) is tuple
+            and len(throughputs) == 3
+            and type(throughputs[0]) is float
+            and type(throughputs[1]) is float
+            and type(throughputs[2]) is float
+        ):
+            return throughputs
         values = np.asarray(throughputs, dtype=float)
         if self.noise_sigma > 0.0:
             factors = 1.0 + self._rng.normal(0.0, self.noise_sigma, size=3)

@@ -239,7 +239,7 @@ class TransferSupervisor:
         observer: Callable[[Observation], None] | None = None,
     ) -> SupervisedTransferResult:
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
+        rng: np.random.Generator | None = None  # built at the first backoff
         metrics = TransferMetrics()
         attempts: list[AttemptRecord] = []
         checkpoint = resume_from
@@ -335,6 +335,8 @@ class TransferSupervisor:
                 break
 
             consecutive_fruitless = consecutive_fruitless + 1 if not made_progress else 1
+            if rng is None:
+                rng = np.random.default_rng(cfg.seed)
             delay = backoff_delay(
                 consecutive_fruitless,
                 base=cfg.backoff_base, factor=cfg.backoff_factor,

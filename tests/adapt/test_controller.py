@@ -1,5 +1,7 @@
 """AdaptiveController: passthrough identity, promotion, rollback, resets."""
 
+import math
+
 from repro.adapt import (
     CORRECTING,
     NOMINAL,
@@ -42,6 +44,15 @@ def stream(controller, goodputs, *, stall_from=None):
 
 def drifting(n_before: int = 12, n_after: int = 40):
     return [1000.0] * n_before + [400.0] * n_after
+
+
+def feed(controller, goodputs, *, start=0, bytes_total=0.0):
+    """Feed probed goodputs while the destination keeps writing, as it does
+    through a probe dropout; returns the byte count reached."""
+    for i, goodput in enumerate(goodputs):
+        bytes_total += 1e8
+        controller.propose(make_obs(goodput, float(start + i), bytes_total))
+    return bytes_total
 
 
 class TestPassthrough:
@@ -150,3 +161,36 @@ class TestAdaptationLoop:
             stream(adaptive, goodputs)
             reports.append(adaptive.report())
         assert reports[0] == reports[1]
+
+
+class TestNonFiniteProbes:
+    """A probe dropout reads NaN: adapt skips it, as its detectors do."""
+
+    def test_a_dropout_leaves_the_ema_of_the_clean_samples(self):
+        goodputs = [800.0] * 4 + [float("nan")] + [800.0] * 6
+        adaptive = AdaptiveController(StaticController(BASE))
+        feed(adaptive, goodputs)
+        clean = AdaptiveController(StaticController(BASE))
+        feed(clean, [g for g in goodputs if not math.isnan(g)])
+        assert adaptive._ema == clean._ema == 800.0
+
+    def test_a_leading_dropout_is_no_first_sample(self):
+        adaptive = AdaptiveController(StaticController(BASE))
+        feed(adaptive, [float("nan")])
+        assert adaptive._ema is None
+        feed(adaptive, [500.0], start=1)
+        assert adaptive._ema == 500.0
+
+    def test_ema_regression_still_rolls_back_after_a_dropout(self):
+        adaptive = AdaptiveController(
+            StaticController(BASE), AdaptConfig(envelope=SafetyEnvelope(max_delta_per_interval=2))
+        )
+        goodputs = [1000.0] * 3 + [float("nan")] + [1000.0] * 8 + [400.0] * 12
+        bytes_total = feed(adaptive, goodputs)
+        assert adaptive.guard.state == CORRECTING
+        assert math.isfinite(adaptive._entry_ema) and adaptive._entry_ema > 0.0
+        # Goodput collapses while bytes still move: only the EMA can tell.
+        feed(adaptive, [50.0] * 8, start=len(goodputs), bytes_total=bytes_total)
+        report = adaptive.report()
+        assert report["rollbacks"] == 1
+        assert report["transitions"][-1]["reason"].startswith("ema_regression:")

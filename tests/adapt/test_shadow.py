@@ -64,3 +64,30 @@ def test_promote_if_better_margins():
     assert promote_if_better(10.0, 10.5, margin=0.05)
     with pytest.raises(ValueError):
         promote_if_better(1.0, 2.0, margin=-0.1)
+
+
+@pytest.mark.parametrize("position", ["oldest", "newest"])
+def test_fit_skips_a_probe_dropout_wherever_it_sits(position):
+    """A NaN probe is no sample: in ``max`` it would make every cap NaN
+    (``max`` keeps a NaN that comes first), and ``min(x, nan)`` is x."""
+    probes = [((4, 4, 4), (400.0, 400.0, 400.0))] * 5
+    dropout = ((4, 4, 4), (float("nan"),) * 3)
+    evaluator = ShadowEvaluator()
+    for threads, throughputs in [dropout] + probes if position == "oldest" else probes + [
+        dropout
+    ]:
+        evaluator.record(threads, throughputs)
+    model = evaluator.fit()
+    assert model.tpt == (100.0, 100.0, 100.0)
+    assert model.cap == pytest.approx((460.0, 460.0, 460.0))
+    assert evaluator.score(model, (8, 8, 8)) == pytest.approx(1177.8167, abs=1e-3)
+
+
+def test_fit_skips_infinite_readings():
+    evaluator = ShadowEvaluator(min_probes=4)
+    for _ in range(4):
+        evaluator.record((5, 5, 5), (500.0, 500.0, 500.0))
+    evaluator.record((5, 5, 5), (float("inf"), 500.0, 500.0))
+    model = evaluator.fit()
+    assert model.tpt == (100.0, 100.0, 100.0)
+    assert model.cap == pytest.approx((575.0, 575.0, 575.0))
